@@ -183,7 +183,12 @@ def codebook_from_dict(doc: dict) -> CodebookSet:
                     raise CodebookFormatError(
                         f"entry ({j},{m},{k}) is not an [re, im] pair"
                     )
-                books[j, m, k] = complex(float(pair[0]), float(pair[1]))
+                value = complex(float(pair[0]), float(pair[1]))
+                if not np.isfinite(value):
+                    raise CodebookFormatError(
+                        f"entry ({j},{m},{k}) is not finite: {pair!r}"
+                    )
+                books[j, m, k] = value
     F = None
     if "F" in doc and doc["F"] is not None:
         F = np.asarray(doc["F"], dtype=np.int64)

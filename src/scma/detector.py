@@ -1,20 +1,30 @@
 """Multi-user detection on the factor graph.
 
 ``mpa_detect`` runs sum-product message passing between resource nodes and
-user nodes, exchanging length-M probability vectors.  Per resource the update
-enumerates the M^{d_f} combinations of the colliding users' symbols, so the
-cost is O(K * M^{d_f}) per iteration; the squared-distance table for that
-enumeration is built once per call and reused across iterations.  The
-exponent is shifted by its per-(frame, resource) maximum before
-exponentiation, which cancels in the message normalization and keeps the
-linear domain alive at very small noise levels.
+user nodes, exchanging length-M probability vectors stored frames last.  One
+kernel yields all d_f outgoing messages of a resource from its M^{d_f}-entry
+weight table: it contracts the table with the incoming messages of one half
+of the slots, recurses on the other half, then swaps the halves, so it costs
+~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The tables are built once
+per call, their exponent shifted by its per-(frame, resource) maximum, which
+cancels in the normalization and keeps the linear domain alive at very small
+noise levels.
+
+The log domain runs the same kernel plus a rescue.  A sum term is lost or
+coarsely rounded only below the normal range (~2.2e-308); while every
+unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-250),
+each such term is below 2.2e-58 of the peak, so even M^{d_f - 1} of them
+shift a normalised entry by less than 1e-55.  Where some message of a
+resource peaks below the floor, its messages are recomputed on those frames
+in log arithmetic.
+Max-log uses the same log arithmetic on all frames: its max is exact there,
+while a linear max-product rounds products and breaks exact ties otherwise.
 
 ``map_detect`` is the brute-force joint maximum-likelihood oracle used to
 verify the message-passing detector on small systems.
 """
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +34,17 @@ from .core import CodebookSet
 
 MAP_ENUMERATION_LIMIT = 2 ** 24
 
-_AXIS_LETTERS = string.ascii_lowercase.replace("f", "")
+# log-domain rescue threshold on a message's peak; see the module docstring
+RESCUE_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
 class MpaConfig:
     """Message-passing settings: sweep count, arithmetic domain ("linear" or
-    "log"), damping factor on the user-to-resource messages, and an optional
-    max-log approximation (log domain only)."""
+    "log"), damping factor on the user-to-resource messages, and max-log (log
+    domain only).  Both domains share one ~2 * M^{d_f} sum-product kernel; the
+    log domain adds the exact log-arithmetic rescue below ``RESCUE_FLOOR``,
+    and max-log runs in log arithmetic on all frames."""
 
     iterations: int = 10
     domain: str = "linear"
@@ -50,92 +63,104 @@ class MpaConfig:
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
-    """Scale each length-M vector to sum 1; all-zero vectors fall back to
-    uniform."""
-    total = msg.sum(axis=-1, keepdims=True)
+    """Scale each length-M vector (axis -2) to sum 1; all-zero vectors fall
+    back to uniform."""
+    total = msg.sum(axis=-2, keepdims=True)
     bad = total <= 0.0
     if bad.any():
         msg = np.where(bad, 1.0, msg)
-        total = msg.sum(axis=-1, keepdims=True)
+        total = msg.sum(axis=-2, keepdims=True)
     return msg / total
 
 
 def _log_weights(
-    y_col: np.ndarray,
-    contribs: list[np.ndarray],
-    n0: float,
-    frames: int,
-    M: int,
+    y_col: np.ndarray, contribs: list[np.ndarray], n0: float, frames: int, M: int
 ) -> np.ndarray:
-    """(frames, M, ..., M) array of -|y - sum|^2 / n0, max-shifted per frame.
+    """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
-    (frames, M); axis p of the result indexes the p-th colliding user's
-    symbol.
-    """
+    (M, frames); axis p of the result indexes the p-th colliding user."""
     d = len(contribs)
     S = np.zeros((1,) * (1 + d), dtype=np.complex128)
     for p, c in enumerate(contribs):
         shape = [1] * (1 + d)
-        shape[1 + p] = M
+        shape[p] = M
         if c.ndim == 2:
-            shape[0] = frames
+            shape[d] = frames
         S = S + c.reshape(shape)
-    diff = y_col.reshape((frames,) + (1,) * d) - S
+    diff = y_col.reshape((1,) * d + (frames,)) - S
     A = -(diff.real ** 2 + diff.imag ** 2) / n0
-    A -= A.max(axis=tuple(range(1, 1 + d)), keepdims=True)
+    A -= A.max(axis=tuple(range(d)), keepdims=True)
     return A
 
 
-class _Graph:
-    """Adjacency and einsum bookkeeping derived from the factor matrix."""
+def _contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
+    """Sum T (slot axes, then frames) times msgs[a] over each slot axis a."""
+    n = T.ndim - 1
+    ops = [T, list(range(n + 1))]
+    for a in axes:
+        ops += [msgs[a], [a, n]]
+    return np.einsum(*ops, [a for a in range(n + 1) if a not in axes])
 
-    def __init__(self, F: np.ndarray, M: int):
+
+def _sum_product(T: np.ndarray, msgs: list[np.ndarray]) -> list[np.ndarray]:
+    """Unnormalised outgoing message of every slot of T: slot p's message
+    sums T times every other slot's incoming message.  Each half of the
+    slots is contracted away once and shared by the other half's messages."""
+    n = T.ndim - 1
+    if n == 1:
+        return [T]
+    h = n // 2
+    return _sum_product(_contract(T, msgs, range(h, n)), msgs[:h]) + _sum_product(
+        _contract(T, msgs, range(h)), msgs[h:]
+    )
+
+
+def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
+    """Normalised outgoing messages of one resource in log arithmetic from
+    its (M, ..., M, frames) table and incoming (slots, M, frames) messages;
+    max_log replaces each sum over combinations by a max."""
+    d = Q.shape[0]
+    with np.errstate(divide="ignore"):
+        logQ = np.log(Q)
+    out = np.empty_like(Q)
+    reduce = np.max if max_log else logsumexp
+    for p in range(d):
+        B = logW
+        for q in range(d):
+            if q != p:
+                shape = [1] * d + [Q.shape[2]]
+                shape[q] = Q.shape[1]
+                B = B + logQ[q].reshape(shape)
+        axes = tuple(ax for ax in range(d) if ax != p)
+        lr = reduce(B, axis=axes) if axes else B
+        out[p] = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
+    return out
+
+
+class _Graph:
+    """Adjacency derived from the factor matrix."""
+
+    def __init__(self, F: np.ndarray):
         self.K, self.J = F.shape
         self.res_users = [np.flatnonzero(F[k]) for k in range(self.K)]
         self.user_res = [np.flatnonzero(F[:, j]) for j in range(self.J)]
-        if any(len(u) == 0 for u in self.res_users) or any(
-            len(r) == 0 for r in self.user_res
-        ):
+        if not all(map(len, self.res_users)) or not all(map(len, self.user_res)):
             raise ValueError("factor matrix has an isolated row or column")
         # local position of user j within resource k's neighbor list
         self.pos = {
             (k, j): p for k in range(self.K) for p, j in enumerate(self.res_users[k])
         }
-        # einsum subscript and precomputed contraction path per (resource,
-        # local slot): marginalize the weight tensor against every other
-        # neighbor's incoming message
-        self.subs = []
-        self.paths = []
-        for k in range(self.K):
-            d = len(self.res_users[k])
-            letters = _AXIS_LETTERS[:d]
-            per_slot = []
-            per_slot_path = []
-            for p in range(d):
-                ops = ["f" + letters]
-                ops += ["f" + letters[q] for q in range(d) if q != p]
-                sub = ",".join(ops) + "->f" + letters[p]
-                per_slot.append(sub)
-                shapes = [np.empty((2,) + (M,) * d)]
-                shapes += [np.empty((2, M))] * (d - 1)
-                per_slot_path.append(
-                    np.einsum_path(sub, *shapes, optimize="optimal")[0]
-                )
-            self.subs.append(per_slot)
-            self.paths.append(per_slot_path)
 
 
 _GRAPH_CACHE: dict[bytes, _Graph] = {}
 
 
-def _graph_for(F: np.ndarray, M: int) -> _Graph:
-    key = F.tobytes() + repr((F.shape, M)).encode()
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
-        graph = _Graph(F, M)
-        _GRAPH_CACHE[key] = graph
-    return graph
+def _graph_for(F: np.ndarray) -> _Graph:
+    key = F.tobytes() + repr(F.shape).encode()
+    if key not in _GRAPH_CACHE:
+        _GRAPH_CACHE[key] = _Graph(F)
+    return _GRAPH_CACHE[key]
 
 
 def _check_inputs(y: np.ndarray, h: np.ndarray | None, n0: float) -> None:
@@ -165,78 +190,53 @@ def mpa_detect_batch(
         raise ValueError("y must be (frames, K)")
     _check_inputs(y, h, n0)
     books = cbs.books
-    M = cbs.config.M
-    frames = y.shape[0]
+    M, frames = cbs.config.M, y.shape[0]
     F = cbs.factor_matrix if cbs.factor_matrix is not None else cbs.supports()
-    g = _graph_for(np.asarray(F), M)
+    g = _graph_for(np.asarray(F))
 
     # weight tables, one per resource, fixed across iterations
-    logW = []
-    for k in range(g.K):
-        contribs = []
-        for j in g.res_users[k]:
-            col = books[j, :, k]  # (M,)
-            if h is None:
-                contribs.append(col)
-            else:
-                contribs.append(h[:, k, j][:, None] * col[None, :])
-        logW.append(_log_weights(y[:, k], contribs, n0, frames, M))
+    logW = [
+        _log_weights(y[:, k], [books[j, :, k] if h is None else
+                               h[:, k, j][None, :] * books[j, :, k][:, None]
+                               for j in g.res_users[k]], n0, frames, M)
+        for k in range(g.K)
+    ]
+    W = None if cfg.max_log else [np.exp(lw) for lw in logW]
 
-    linear = cfg.domain == "linear"
-    W = [np.exp(lw) for lw in logW] if linear else None
-
-    # user -> resource messages indexed [resource][local slot], uniform
-    # priors to start; slot-major layout keeps each message contiguous
-    Q = [np.full((len(g.res_users[k]), frames, M), 1.0 / M) for k in range(g.K)]
+    # user -> resource messages [resource][local slot], uniform to start
+    Q = [np.full((len(g.res_users[k]), M, frames), 1.0 / M) for k in range(g.K)]
     R = [np.empty_like(Q[k]) for k in range(g.K)]
 
     for _ in range(cfg.iterations):
         for k in range(g.K):
-            d = len(g.res_users[k])
-            if linear:
-                for p in range(d):
-                    ops = [Q[k][q] for q in range(d) if q != p]
-                    R[k][p] = np.einsum(
-                        g.subs[k][p], W[k], *ops, optimize=g.paths[k][p]
-                    )
-                R[k][:] = _normalize_rows(R[k])
-            else:
-                with np.errstate(divide="ignore"):
-                    logQ = np.log(Q[k])
-                for p in range(d):
-                    B = logW[k]
-                    for q in range(d):
-                        if q == p:
-                            continue
-                        shape = [frames] + [1] * d
-                        shape[1 + q] = M
-                        B = B + logQ[q].reshape(shape)
-                    axes = tuple(ax for ax in range(1, 1 + d) if ax != 1 + p)
-                    if cfg.max_log:
-                        lr = B.max(axis=axes) if axes else B
-                    else:
-                        lr = logsumexp(B, axis=axes) if axes else B
-                    lr = lr - logsumexp(lr, axis=1, keepdims=True)
-                    R[k][p] = np.exp(lr)
+            if cfg.max_log:
+                R[k][:] = _log_resource(logW[k], Q[k], max_log=True)
+                continue
+            raw = np.stack(_sum_product(W[k], list(Q[k])))
+            R[k][:] = _normalize_rows(raw)
+            if cfg.domain == "log":
+                low = np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
+                if low.size:
+                    R[k][:, :, low] = _log_resource(
+                        logW[k][..., low], Q[k][:, :, low], max_log=False)
         for j in range(g.J):
             incoming = [R[k][g.pos[(k, j)]] for k in g.user_res[j]]
             for t, k in enumerate(g.user_res[j]):
-                out = np.ones((frames, M))
-                for u, msg in enumerate(incoming):
-                    if u != t:
-                        out = out * msg
+                out = np.ones((M, frames))
+                for msg in incoming[:t] + incoming[t + 1:]:
+                    out = out * msg
                 out = _normalize_rows(out)
                 if cfg.damping > 0.0:
                     out = (1.0 - cfg.damping) * out + cfg.damping * Q[k][g.pos[(k, j)]]
                 Q[k][g.pos[(k, j)]] = out
 
-    beliefs = np.empty((frames, g.J, M))
+    beliefs = np.empty((g.J, M, frames))
     for j in range(g.J):
-        b = np.ones((frames, M))
+        b = np.ones((M, frames))
         for k in g.user_res[j]:
             b = b * R[k][g.pos[(k, j)]]
-        beliefs[:, j, :] = _normalize_rows(b)
-    return beliefs
+        beliefs[j] = _normalize_rows(b)
+    return np.ascontiguousarray(beliefs.transpose(2, 0, 1))
 
 
 def mpa_detect(

@@ -61,6 +61,12 @@ class SerEstimate:
         }
 
 
+def _require_positive(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _block_sizes(frames: int) -> list[int]:
     sizes = [FRAME_BLOCK] * (frames // FRAME_BLOCK)
     if frames % FRAME_BLOCK:
@@ -121,8 +127,7 @@ def estimate_ser(
     """Simulate ``frames`` independent frames and count per-user symbol
     errors.  Identical (seed, stream, frames, config) always produce the
     identical estimate."""
-    if frames < 1:
-        raise ValueError("frames must be >= 1")
+    _require_positive(frames=frames, threads=threads)
     n0 = ebn0_to_n0(ebn0_db, cbs.config)
     results = _run_blocks(
         cbs, channel, n0, _block_sizes(frames), seed, stream, mpa, threads
@@ -212,10 +217,15 @@ def sweep_ser(
     same fixed frame count (and equals :func:`estimate_ser` for that point);
     otherwise each point stops early once ``target_errors`` symbol errors are
     collected, capped at ``max_frames`` frames.  All points share the same
-    underlying random draws (paired comparison across SNR)."""
+    underlying random draws (paired comparison across SNR).  Every count must
+    be at least 1, including the unused ones, or ``ValueError`` is raised
+    before any frame is simulated."""
     points = list(ebno_list)
     if not points:
         raise ValueError("ebno_list must not be empty")
+    _require_positive(
+        target_errors=target_errors, max_frames=max_frames, threads=threads
+    )
     out = []
     for ebn0 in points:
         if frames is not None:

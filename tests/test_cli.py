@@ -86,6 +86,18 @@ class TestAnalyzeCommand:
         ]) == 2
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", float("nan"), float("-inf")])
+    def test_non_finite_entry_is_usage_error(self, tmp_path, capsys, value):
+        doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
+        doc["codebooks"][1][2][0] = [0.5, value]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--codebook", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entry (1,2,0)" in captured.err
+
+
 class TestSimulateCommand:
     def test_single_point_run(self, table2_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -131,6 +143,28 @@ class TestSimulateCommand:
             "simulate", "--codebook", str(table2_file), "--ebno", "bad:range",
             "--out", str(tmp_path / "x.csv"),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-frames", "0"),
+            ("--target-errors", "0"),
+            ("--threads", "0"),
+            ("--threads", "-3"),
+            ("--frames", "0"),
+        ],
+    )
+    def test_count_below_one_is_usage_error(self, table2_file, tmp_path, capsys,
+                                            flag, value):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "10",
+            flag, value, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + flag[2:].replace("-", "_"))
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, table2_file, capsys):
         assert main(["simulate", "--codebook", str(table2_file), "--nope"]) == 2

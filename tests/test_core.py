@@ -127,6 +127,13 @@ class TestCodebookJson:
         with pytest.raises(CodebookFormatError):
             codebook_from_dict(doc)
 
+    @pytest.mark.parametrize("pair", [["nan", 0.0], [0.0, "inf"], [float("-inf"), 1.0]])
+    def test_non_finite_entry_rejected(self, table2, pair):
+        doc = codebook_to_dict(table2)
+        doc["codebooks"][3][1][2] = pair
+        with pytest.raises(CodebookFormatError, match=r"entry \(3,1,2\)"):
+            codebook_from_dict(doc)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"J": 6, "K": 4,')

@@ -58,6 +58,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_ser(table2, 10.0, "awgn", frames=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_validated(self, table2, threads):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_ser(table2, 10.0, "awgn", frames=100, threads=threads)
+
     def test_ci_bounds_ordered(self, table2):
         est = estimate_ser(table2, 0.0, "awgn", frames=2000, seed=8)
         lo, hi = est.ci95
@@ -118,6 +123,22 @@ class TestSweep:
         awgn_opt = estimate_ser(table2, 18.0, "rayleigh", **kwargs)
         fad_opt = estimate_ser(table3, 18.0, "rayleigh", **kwargs)
         assert fad_opt.ser < awgn_opt.ser
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"target_errors": 0},
+            {"max_frames": 0},
+            {"threads": 0},
+            {"threads": -3},
+            {"frames": 0},
+            {"frames": 100, "max_frames": 0},
+        ],
+    )
+    def test_counts_below_one_rejected(self, table2, counts):
+        name = next(k for k, v in counts.items() if v < 1)
+        with pytest.raises(ValueError, match=name):
+            sweep_ser(table2, [10.0], "awgn", **counts)
 
     def test_empty_points_rejected(self, table2):
         with pytest.raises(ValueError):
