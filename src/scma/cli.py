@@ -78,8 +78,12 @@ def _load_codebook(path: str) -> CodebookSet:
 
 
 def _load_template(name_or_path: str):
-    if name_or_path in ("6x4", "12x6"):
+    """A built-in template by name, else a template JSON file."""
+    try:
         return builtin_template(name_or_path)
+    except KeyError as exc:
+        if not Path(name_or_path).exists():
+            raise UsageError(exc.args[0]) from None
     try:
         return read_template_json(name_or_path)
     except CodebookFormatError as exc:

@@ -10,13 +10,20 @@ per call, their exponent shifted by its per-(frame, resource) maximum, which
 cancels in the normalization and keeps the linear domain alive at very small
 noise levels.
 
-The log domain runs the same kernel plus a rescue.  A sum term is lost or
-coarsely rounded only below the normal range (~2.2e-308); while every
-unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-250),
-each such term is below 2.2e-58 of the peak, so even M^{d_f - 1} of them
-shift a normalised entry by less than 1e-55.  Where some message of a
-resource peaks below the floor, its messages are recomputed on those frames
-in log arithmetic.
+A sum term is lost or coarsely rounded only below the normal range
+(``tiny`` ~2.2e-308), and arithmetic on such subnormal numbers is many times
+slower than on normal ones.  So the linear table flushes every entry whose
+exponent is at or below ``FLUSH_FLOOR`` = log(tiny) (~-708.4) to exactly 0
+and takes exp only of the rest.  Each flushed entry was below ~tiny, and the
+incoming messages are at most 1, so flushing moves each of the M^{d_f - 1}
+terms of an unnormalised message entry by less than ~tiny.
+
+The log domain runs the same kernel plus a rescue.  While every unnormalised
+outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-250), each term lost
+to underflow or to the flush is at most ~2.2e-58 of the peak, so even
+M^{d_f - 1} of them shift a normalised entry by less than 1e-55.  Where some
+message of a resource peaks below the floor, its messages are recomputed on
+those frames in log arithmetic from the unflushed log table.
 Max-log uses the same log arithmetic on all frames: its max is exact there,
 while a linear max-product rounds products and breaks exact ties otherwise.
 
@@ -36,6 +43,10 @@ MAP_ENUMERATION_LIMIT = 2 ** 24
 
 # log-domain rescue threshold on a message's peak; see the module docstring
 RESCUE_FLOOR = 1e-250
+
+# table exponents at or below this flush to 0 in the linear table, since their
+# exp is not a normal double; see the module docstring
+FLUSH_FLOOR = float(np.log(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -79,19 +90,43 @@ def _log_weights(
     """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
-    (M, frames); axis p of the result indexes the p-th colliding user."""
+    (M, frames); axis p of the result indexes the p-th colliding user.  The
+    real and imaginary parts are built separately and in place, rounding
+    exactly as the complex formula does: the sum ((c0 + c1) + ...), then
+    (y - sum) squared per part, added, divided by -n0."""
     d = len(contribs)
-    S = np.zeros((1,) * (1 + d), dtype=np.complex128)
-    for p, c in enumerate(contribs):
-        shape = [1] * (1 + d)
-        shape[p] = M
-        if c.ndim == 2:
-            shape[d] = frames
-        S = S + c.reshape(shape)
-    diff = y_col.reshape((1,) * d + (frames,)) - S
-    A = -(diff.real ** 2 + diff.imag ** 2) / n0
+    squares = []
+    for part in (np.real, np.imag):
+        S = None
+        for p, c in enumerate(contribs):
+            shape = [1] * (1 + d)
+            shape[p] = M
+            if c.ndim == 2:
+                shape[d] = frames
+            c = part(c).reshape(shape)
+            S = c if S is None else S + c
+        diff = part(y_col).reshape((1,) * d + (frames,)) - S
+        squares.append(np.square(diff, out=diff))
+    A = np.add(*squares, out=squares[0])
+    np.divide(A, -n0, out=A)
     A -= A.max(axis=tuple(range(d)), keepdims=True)
     return A
+
+
+def _flushed_exp(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(A), with every entry at or below ``FLUSH_FLOOR`` set to exactly 0
+    instead of a subnormal or zero result; out may be A itself."""
+    keep = A > FLUSH_FLOOR
+    if keep.all():
+        return np.exp(A, out=out)
+    # np.exp is slow on inputs whose result underflows, and a masked
+    # np.exp(where=) is slow on scattered masks, so the flushed entries are
+    # zeroed around an unmasked exp; the clamp keeps -inf from turning NaN
+    out = np.maximum(A, FLUSH_FLOOR, out=out)
+    out *= keep
+    np.exp(out, out=out)
+    out *= keep
+    return out
 
 
 def _contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
@@ -194,14 +229,22 @@ def mpa_detect_batch(
     F = cbs.factor_matrix if cbs.factor_matrix is not None else cbs.supports()
     g = _graph_for(np.asarray(F))
 
-    # weight tables, one per resource, fixed across iterations
-    logW = [
+    # weight tables, one per resource, fixed across iterations: max-log
+    # keeps the log table, the linear domain only the flushed linear one, and
+    # the log domain both, the log table for the rescue
+    tables = (
         _log_weights(y[:, k], [books[j, :, k] if h is None else
                                h[:, k, j][None, :] * books[j, :, k][:, None]
                                for j in g.res_users[k]], n0, frames, M)
         for k in range(g.K)
-    ]
-    W = None if cfg.max_log else [np.exp(lw) for lw in logW]
+    )
+    if cfg.max_log:
+        logW, W = list(tables), None
+    elif cfg.domain == "log":
+        logW = list(tables)
+        W = [_flushed_exp(lw) for lw in logW]
+    else:
+        logW, W = None, [_flushed_exp(lw, out=lw) for lw in tables]
 
     # user -> resource messages [resource][local slot], uniform to start
     Q = [np.full((len(g.res_users[k]), M, frames), 1.0 / M) for k in range(g.K)]

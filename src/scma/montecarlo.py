@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from .core import CodebookSet
@@ -41,12 +42,18 @@ class SerEstimate:
 
     @property
     def ci95(self) -> tuple[float, float]:
-        """Normal-approximation 95% interval on the error count, expressed
-        as a rate."""
-        half = 1.96 * np.sqrt(self.symbol_errors)
-        lo = max(0.0, (self.symbol_errors - half) / self.symbols_sent)
-        hi = min(1.0, (self.symbol_errors + half) / self.symbols_sent)
-        return (lo, hi)
+        """Exact (Clopper-Pearson) 95% interval on the symbol-error rate,
+        from the beta quantiles of ``symbol_errors`` out of ``symbols_sent``.
+
+        It treats every detected symbol as an independent trial.  The J
+        symbols of a frame share its noise and fading draw, and the detector
+        decides them jointly, so errors cluster within frames and this
+        interval can be narrower than the true one.  Zero errors give a
+        positive upper bound and all errors a lower bound below 1."""
+        x, n = self.symbol_errors, self.symbols_sent
+        lo = betaincinv(x, n - x + 1, 0.025) if x > 0 else 0.0
+        hi = betaincinv(x + 1, n - x, 0.975) if x < n else 1.0
+        return (float(lo), float(hi))
 
     def to_dict(self) -> dict:
         return {

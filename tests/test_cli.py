@@ -217,6 +217,15 @@ class TestOptimizeCommand:
         ])
         assert code == 0
 
+    def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
+        code = main([
+            "optimize", "--template", "9x5", "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--out", str(tmp_path / "run4"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "9x5" in err and "12x6" in err and "Traceback" not in err
+
 
 class TestThreadsDefault:
     def test_env_variable_sets_default(self, monkeypatch):

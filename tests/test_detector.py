@@ -6,7 +6,10 @@ from scipy.special import logsumexp
 from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
 from scma.core import CodebookSet
 from scma.detector import (
+    FLUSH_FLOOR,
     MpaConfig,
+    _flushed_exp,
+    _log_weights,
     hard_decision,
     map_detect,
     map_detect_batch,
@@ -220,9 +223,10 @@ SHIPPED_SYSTEMS = [
 
 class TestPerSlotParity:
     """The shared-partials kernel against the per-slot reference on one
-    256-frame block of each shipped system."""
+    256-frame block of each shipped system.  At 30 dB most blocks have table
+    entries below the flush floor, which the reference keeps."""
 
-    @pytest.mark.parametrize("ebn0_db", [0.0, 9.0, 18.0])
+    @pytest.mark.parametrize("ebn0_db", [0.0, 9.0, 18.0, 30.0])
     @pytest.mark.parametrize("name,channel", SHIPPED_SYSTEMS)
     def test_marginals_and_decisions_match(self, name, channel, ebn0_db):
         cbs = load_codebook(name)
@@ -240,6 +244,64 @@ class TestPerSlotParity:
                 hard_decision(mpa_detect_batch(y, cbs, h, n0, cfg)),
                 hard_decision(per_slot_mpa(y, cbs, h, n0, cfg)),
             )
+
+
+def resource_tables(name, channel, ebn0_db, frames=256):
+    """(y column, per-user contributions, n0) of every resource of one block
+    of a shipped system, as the detector passes them to ``_log_weights``."""
+    cbs = load_codebook(name)
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    _, h, y = draw_frame_block(cbs, channel, n0, frames, block_rng(21, 0, 0))
+    books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
+    for k in range(F.shape[0]):
+        users = np.flatnonzero(F[k])
+        contribs = [books[j, :, k] if h is None else
+                    h[:, k, j][None, :] * books[j, :, k][:, None] for j in users]
+        yield y[:, k], contribs, n0
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("ebn0_db", [0.0, 18.0, 30.0])
+    @pytest.mark.parametrize("name,channel", SHIPPED_SYSTEMS)
+    def test_log_weights_bit_identical_to_complex_formula(self, name, channel, ebn0_db):
+        for y_col, contribs, n0 in resource_tables(name, channel, ebn0_db):
+            d, frames = len(contribs), y_col.shape[0]
+            S = np.zeros((1,) * (1 + d), dtype=np.complex128)
+            for p, c in enumerate(contribs):
+                shape = [1] * (1 + d)
+                shape[p] = 4
+                if c.ndim == 2:
+                    shape[d] = frames
+                S = S + c.reshape(shape)
+            diff = y_col.reshape((1,) * d + (frames,)) - S
+            A = -(diff.real ** 2 + diff.imag ** 2) / n0
+            A -= A.max(axis=tuple(range(d)), keepdims=True)
+            got = _log_weights(y_col, contribs, n0, frames, 4)
+            assert got.shape == A.shape and got.tobytes() == A.tobytes()
+
+    @pytest.mark.parametrize("name,channel", SHIPPED_SYSTEMS)
+    def test_linear_tables_hold_no_subnormal_entry(self, name, channel):
+        tiny = np.finfo(float).tiny
+        flushed = 0
+        for y_col, contribs, n0 in resource_tables(name, channel, 30.0):
+            logW = _log_weights(y_col, contribs, n0, y_col.shape[0], 4)
+            W = _flushed_exp(logW)
+            assert not ((W > 0.0) & (W < tiny)).any()
+            low = logW <= FLUSH_FLOOR
+            assert (W[low] == 0.0).all()
+            assert W[~low].tobytes() == np.exp(logW[~low]).tobytes()
+            flushed += low.sum()
+        assert flushed > 0
+
+    def test_tables_overflowing_to_minus_infinity_flush_to_zero(self, table2):
+        """At a subnormal n0 most exponents overflow to -inf; they must
+        flush to 0 like any other entry below the floor, not to NaN."""
+        symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 64, block_rng(70, 0, 0))
+        with np.errstate(over="ignore"):
+            for domain in ("linear", "log"):
+                beliefs = mpa_detect_batch(y, table2, None, 1e-310, MpaConfig(domain=domain))
+                assert np.isfinite(beliefs).all()
+                assert np.array_equal(hard_decision(beliefs), symbols)
 
 
 class TestLogRescue:

@@ -1,4 +1,6 @@
 """Seed-reproducible SER estimation and sweeps."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,38 @@ class TestEstimate:
         lo, hi = est.ci95
         assert 0.0 <= lo <= est.ser <= hi <= 1.0
 
+
+
+class TestConfidenceInterval:
+    """Clopper-Pearson bounds, checked against their closed forms at the
+    edges (x = 0: upper 1 - (alpha/2)^(1/n); x = n: lower (alpha/2)^(1/n))
+    and against scipy.stats.beta in between."""
+
+    def test_zero_errors_has_positive_upper_bound(self, table2):
+        est = estimate_ser(table2, 60.0, "awgn", frames=1000, seed=1)
+        assert est.symbol_errors == 0
+        lo, hi = est.ci95
+        assert lo == 0.0
+        assert hi == pytest.approx(1.0 - 0.025 ** (1.0 / est.symbols_sent), rel=1e-9)
+        assert 3.0 / est.symbols_sent < hi < 4.0 / est.symbols_sent
+
+    def test_all_errors_has_lower_bound_below_one(self, table2):
+        est = estimate_ser(table2, 60.0, "awgn", frames=10, seed=1)
+        n = est.symbols_sent
+        est = replace(est, ser=1.0, symbol_errors=n)
+        lo, hi = est.ci95
+        assert hi == 1.0
+        assert lo == pytest.approx(0.025 ** (1.0 / n), rel=1e-9)
+        assert lo < 1.0
+
+    def test_interior_matches_beta_quantiles(self, table2):
+        from scipy.stats import beta
+
+        est = estimate_ser(table2, 0.0, "awgn", frames=2000, seed=8)
+        x, n = est.symbol_errors, est.symbols_sent
+        lo, hi = est.ci95
+        assert lo == pytest.approx(beta.ppf(0.025, x, n - x + 1), rel=1e-9)
+        assert hi == pytest.approx(beta.ppf(0.975, x + 1, n - x), rel=1e-9)
 
 class TestQpskCalibration:
     def test_estimate_matches_closed_form(self):
