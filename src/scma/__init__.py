@@ -28,7 +28,7 @@ from .structure import (
     instantiate,
     normalize,
 )
-from .channel import ChannelRealization, ebn0_to_n0, transmit
+from .channel import ebn0_to_n0
 from .detector import MpaConfig, hard_decision, map_detect, mpa_detect
 from .metrics import KpiReport, SumConstellation, i_lower_bound, kpi, sum_constellation
 from .montecarlo import SerEstimate, estimate_ser, sweep_ser
@@ -55,9 +55,7 @@ __all__ = [
     "normalize",
     "has_four_cycle",
     "derive_8x4",
-    "ChannelRealization",
     "ebn0_to_n0",
-    "transmit",
     "MpaConfig",
     "mpa_detect",
     "map_detect",

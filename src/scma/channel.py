@@ -12,8 +12,6 @@ Within a block the draw order is symbols, then fading gains, then noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CodebookSet, SystemConfig
@@ -34,47 +32,6 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     """Generator for one frame block; the (seed, stream, block) triple fully
     determines every draw."""
     return np.random.default_rng(np.random.SeedSequence((seed, stream, block)))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw: per-(resource, user) complex gains and the noise
-    variance in force.  AWGN mode uses all-ones gains."""
-
-    h: np.ndarray  # (K, J) complex
-    n0: float
-
-
-def awgn_realization(cfg: SystemConfig, n0: float) -> ChannelRealization:
-    return ChannelRealization(h=np.ones((cfg.K, cfg.J), dtype=np.complex128), n0=n0)
-
-
-def rayleigh_realization(
-    cfg: SystemConfig, n0: float, rng: np.random.Generator
-) -> ChannelRealization:
-    """I.i.d. unit-variance circularly-symmetric gains per (resource, user)."""
-    h = (rng.standard_normal((cfg.K, cfg.J)) + 1j * rng.standard_normal((cfg.K, cfg.J)))
-    return ChannelRealization(h=h / np.sqrt(2.0), n0=n0)
-
-
-def transmit(
-    cbs: CodebookSet,
-    symbols: np.ndarray,
-    ch: ChannelRealization,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Superimpose the selected codewords through the channel gains and add a
-    fresh noise draw of total variance n0 per resource."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    cfg = cbs.config
-    if symbols.shape != (cfg.J,):
-        raise ValueError(f"expected {cfg.J} symbol indices")
-    if (symbols < 0).any() or (symbols >= cfg.M).any():
-        raise ValueError(f"symbol indices must lie in [0, {cfg.M})")
-    x = cbs.books[np.arange(cfg.J), symbols, :]  # (J, K)
-    y = np.einsum("kj,jk->k", ch.h, x)
-    noise = rng.standard_normal(cfg.K) + 1j * rng.standard_normal(cfg.K)
-    return y + np.sqrt(ch.n0 / 2.0) * noise
 
 
 def draw_frame_block(

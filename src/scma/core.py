@@ -71,11 +71,11 @@ class SystemConfig:
 class CodebookSet:
     """The per-user codebooks of a system: ``books[j, m, k]`` is the k-th
     entry of user j's m-th codeword.  ``factor_matrix`` (K x J, 0/1) records
-    the intended sparsity pattern when known."""
+    the intended sparsity pattern."""
 
     config: SystemConfig
     books: np.ndarray
-    factor_matrix: np.ndarray | None = None
+    factor_matrix: np.ndarray
 
     def __post_init__(self) -> None:
         books = np.asarray(self.books, dtype=np.complex128)
@@ -86,11 +86,10 @@ class CodebookSet:
                 f"{(cfg.J, cfg.M, cfg.K)}"
             )
         object.__setattr__(self, "books", _frozen(books))
-        if self.factor_matrix is not None:
-            F = np.asarray(self.factor_matrix, dtype=np.int64)
-            if F.shape != (cfg.K, cfg.J):
-                raise ValueError(f"factor matrix shape {F.shape} != (K, J)")
-            object.__setattr__(self, "factor_matrix", _frozen(F))
+        F = np.asarray(self.factor_matrix, dtype=np.int64)
+        if F.shape != (cfg.K, cfg.J):
+            raise ValueError(f"factor matrix shape {F.shape} != (K, J)")
+        object.__setattr__(self, "factor_matrix", _frozen(F))
 
     def codebook(self, j: int) -> np.ndarray:
         """User j's (M, K) codeword matrix."""
@@ -146,12 +145,10 @@ def unpack_params(p: Iterable[float]) -> np.ndarray:
 # --- codebook JSON interchange ------------------------------------------
 
 def codebook_to_dict(cbs: CodebookSet) -> dict:
-    """Serialize to the interchange schema: integer J/K/M, optional F rows,
-    and codebooks as J x M x K arrays of [re, im] pairs."""
+    """Serialize to the interchange schema: integer J/K/M, F rows, and
+    codebooks as J x M x K arrays of [re, im] pairs."""
     cfg = cbs.config
-    doc: dict = {"J": cfg.J, "K": cfg.K, "M": cfg.M}
-    if cbs.factor_matrix is not None:
-        doc["F"] = cbs.factor_matrix.tolist()
+    doc: dict = {"J": cfg.J, "K": cfg.K, "M": cfg.M, "F": cbs.factor_matrix.tolist()}
     doc["codebooks"] = [
         [[[float(z.real), float(z.imag)] for z in cw] for cw in book]
         for book in cbs.books

@@ -226,8 +226,7 @@ def mpa_detect_batch(
     _check_inputs(y, h, n0)
     books = cbs.books
     M, frames = cbs.config.M, y.shape[0]
-    F = cbs.factor_matrix if cbs.factor_matrix is not None else cbs.supports()
-    g = _graph_for(np.asarray(F))
+    g = _graph_for(np.asarray(cbs.factor_matrix))
 
     # weight tables, one per resource, fixed across iterations: max-log
     # keeps the log table, the linear domain only the flushed linear one, and

@@ -119,17 +119,15 @@ def validate_codebook(
     report = ValidationReport()
     cfg = cbs.config
     books = cbs.books
-    F = cbs.factor_matrix
-    if F is not None:
-        for j in range(cfg.J):
-            col = F[:, j].astype(bool)
-            for m in range(cfg.M):
-                support = np.abs(books[j, m]) > 0
-                if not np.array_equal(support, col):
-                    report.violations.append(
-                        f"user {j} codeword {m}: support does not match factor "
-                        f"matrix column"
-                    )
+    for j in range(cfg.J):
+        col = cbs.factor_matrix[:, j].astype(bool)
+        for m in range(cfg.M):
+            support = np.abs(books[j, m]) > 0
+            if not np.array_equal(support, col):
+                report.violations.append(
+                    f"user {j} codeword {m}: support does not match factor "
+                    f"matrix column"
+                )
     for j in range(cfg.J):
         for m in range(cfg.M):
             for n in range(m + 1, cfg.M):

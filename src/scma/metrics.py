@@ -79,8 +79,7 @@ def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
 
 def sum_constellation(cbs: CodebookSet, resource: int) -> SumConstellation:
     """Enumerate the superimposed values seen on one resource."""
-    F = cbs.factor_matrix if cbs.factor_matrix is not None else cbs.supports()
-    users = np.flatnonzero(F[resource])
+    users = np.flatnonzero(cbs.factor_matrix[resource])
     if users.size == 0:
         raise ScmaError(f"resource {resource} has no users attached")
     points = np.zeros(1, dtype=np.complex128)
@@ -106,8 +105,7 @@ def i_lower_bound(sc: SumConstellation, n0: float) -> float:
 def i_lower_bound_profile(cbs: CodebookSet, n0: float) -> tuple[np.ndarray, float]:
     """Per-resource bound values plus their mean (the quantity used for
     whole-system comparisons)."""
-    F = cbs.factor_matrix if cbs.factor_matrix is not None else cbs.supports()
     per = np.array(
-        [i_lower_bound(sum_constellation(cbs, k), n0) for k in range(F.shape[0])]
+        [i_lower_bound(sum_constellation(cbs, k), n0) for k in range(cbs.config.K)]
     )
     return per, float(per.mean())

@@ -1,16 +1,22 @@
 """Symbol-error-rate estimation by simulating frames through the channel and
 the message-passing detector.
 
-Frames are processed in fixed-size blocks whose randomness is derived from
-(master seed, stream, block index) alone, so estimates are bit-identical for
-any worker count and common random numbers are obtained by reusing a stream:
-two codebooks evaluated under the same (seed, stream) see the same symbols,
-fading gains, and noise.  Worker threads only schedule whole blocks; results
-are reduced in block order.
+One loop serves every estimate.  Frames are processed in blocks of
+FRAME_BLOCK frames (the last one shorter when the frame cap is not a
+multiple) whose randomness is derived from (master seed, stream, block index)
+alone, so common random numbers are obtained by reusing a stream: two
+codebooks evaluated under the same (seed, stream) see the same symbols,
+fading gains, and noise.  Blocks run in waves of at most ``threads`` blocks
+on one worker pool; results are reduced in block order, and the loop stops
+after the first block at which the running error count reaches the error
+target, or at the frame cap.  The stop point therefore does not depend on
+the worker count, and neither does the estimate.  A fixed frame count is the
+same loop with an error target that is never reached.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -74,51 +80,54 @@ def _require_positive(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _block_sizes(frames: int) -> list[int]:
-    sizes = [FRAME_BLOCK] * (frames // FRAME_BLOCK)
-    if frames % FRAME_BLOCK:
-        sizes.append(frames % FRAME_BLOCK)
-    return sizes
-
-
-def _eval_block(
+def _simulate(
     cbs: CodebookSet,
+    ebn0_db: float,
     channel: str,
-    n0: float,
-    nb: int,
+    max_frames: int,
+    target_errors: float,
+    mpa: MpaConfig,
     seed: int,
     stream: int,
-    block: int,
-    mpa: MpaConfig,
-) -> tuple[int, np.ndarray]:
-    rng = block_rng(seed, stream, block)
-    symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
-    decided = hard_decision(mpa_detect_batch(y, cbs, h, n0, mpa))
-    wrong = decided != symbols
-    return int(wrong.sum()), wrong.sum(axis=0)
-
-
-def _run_blocks(
-    cbs: CodebookSet,
-    channel: str,
-    n0: float,
-    sizes: Sequence[int],
-    seed: int,
-    stream: int,
-    mpa: MpaConfig,
     threads: int,
-    first_block: int = 0,
-) -> list[tuple[int, np.ndarray]]:
-    """Evaluate blocks first_block..first_block+len(sizes)-1, returned in
-    block order regardless of scheduling."""
-    args = [
-        (cbs, channel, n0, nb, seed, stream, first_block + i, mpa)
-        for i, nb in enumerate(sizes)
-    ]
-    if threads <= 1 or len(args) <= 1:
-        return [_eval_block(*a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda a: _eval_block(*a), args))
+) -> SerEstimate:
+    """Run blocks of at most FRAME_BLOCK frames until ``target_errors``
+    symbol errors are counted or ``max_frames`` frames are simulated."""
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    n_blocks = -(-max_frames // FRAME_BLOCK)
+
+    def run_block(block: int) -> np.ndarray:
+        nb = min(FRAME_BLOCK, max_frames - block * FRAME_BLOCK)
+        rng = block_rng(seed, stream, block)
+        symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
+        decided = hard_decision(mpa_detect_batch(y, cbs, h, n0, mpa))
+        return (decided != symbols).sum(axis=0)
+
+    def in_block_order(run):
+        for first in range(0, n_blocks, threads):
+            wave = range(first, min(first + threads, n_blocks))
+            # read the whole wave, so that a failing block always raises
+            yield from list(run(run_block, wave))
+
+    per_user = np.zeros(cbs.config.J, dtype=np.int64)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for block, user_errs in enumerate(in_block_order(pool.map if pool else map)):
+            per_user += user_errs
+            if per_user.sum() >= target_errors:
+                break
+    frames = min(max_frames, (block + 1) * FRAME_BLOCK)
+    errors = int(per_user.sum())
+    sent = frames * cbs.config.J
+    return SerEstimate(
+        ser=errors / sent,
+        symbol_errors=errors,
+        symbols_sent=sent,
+        per_user_ser=tuple(per_user / frames),
+        seed=seed,
+        ebn0_db=float(ebn0_db),
+        frames=frames,
+        channel=channel,
+    )
 
 
 def estimate_ser(
@@ -135,77 +144,8 @@ def estimate_ser(
     errors.  Identical (seed, stream, frames, config) always produce the
     identical estimate."""
     _require_positive(frames=frames, threads=threads)
-    n0 = ebn0_to_n0(ebn0_db, cbs.config)
-    results = _run_blocks(
-        cbs, channel, n0, _block_sizes(frames), seed, stream, mpa, threads
-    )
-    per_user = np.zeros(cbs.config.J, dtype=np.int64)
-    errors = 0
-    for errs, user_errs in results:
-        errors += errs
-        per_user += user_errs
-    sent = frames * cbs.config.J
-    return SerEstimate(
-        ser=errors / sent,
-        symbol_errors=errors,
-        symbols_sent=sent,
-        per_user_ser=tuple(per_user / frames),
-        seed=seed,
-        ebn0_db=float(ebn0_db),
-        frames=frames,
-        channel=channel,
-    )
-
-
-def _estimate_until(
-    cbs: CodebookSet,
-    ebn0_db: float,
-    channel: str,
-    target_errors: int,
-    max_frames: int,
-    mpa: MpaConfig,
-    seed: int,
-    stream: int,
-    threads: int,
-) -> SerEstimate:
-    """Accumulate whole blocks until the error target is met or the frame cap
-    is reached.  The stop decision scans block results in index order, so the
-    outcome does not depend on the thread count."""
-    n0 = ebn0_to_n0(ebn0_db, cbs.config)
-    per_user = np.zeros(cbs.config.J, dtype=np.int64)
-    errors = 0
-    frames_done = 0
-    block = 0
-    wave = max(1, threads)
-    while errors < target_errors and frames_done < max_frames:
-        sizes = []
-        budget = max_frames - frames_done
-        for _ in range(wave):
-            if budget <= 0:
-                break
-            nb = min(FRAME_BLOCK, budget)
-            sizes.append(nb)
-            budget -= nb
-        results = _run_blocks(
-            cbs, channel, n0, sizes, seed, stream, mpa, threads, first_block=block
-        )
-        for nb, (errs, user_errs) in zip(sizes, results):
-            errors += errs
-            per_user += user_errs
-            frames_done += nb
-            block += 1
-            if errors >= target_errors:
-                break
-    sent = frames_done * cbs.config.J
-    return SerEstimate(
-        ser=errors / sent,
-        symbol_errors=errors,
-        symbols_sent=sent,
-        per_user_ser=tuple(per_user / frames_done),
-        seed=seed,
-        ebn0_db=float(ebn0_db),
-        frames=frames_done,
-        channel=channel,
+    return _simulate(
+        cbs, ebn0_db, channel, frames, np.inf, mpa, seed, stream, threads
     )
 
 
@@ -233,20 +173,15 @@ def sweep_ser(
     _require_positive(
         target_errors=target_errors, max_frames=max_frames, threads=threads
     )
-    out = []
-    for ebn0 in points:
-        if frames is not None:
-            out.append(
-                estimate_ser(cbs, ebn0, channel, frames, mpa, seed, threads=threads)
-            )
-        else:
-            out.append(
-                _estimate_until(
-                    cbs, ebn0, channel, target_errors, max_frames, mpa, seed, 0,
-                    threads,
-                )
-            )
-    return out
+    if frames is not None:
+        _require_positive(frames=frames)
+        max_frames, target_errors = frames, np.inf
+    return [
+        _simulate(
+            cbs, ebn0, channel, max_frames, target_errors, mpa, seed, 0, threads
+        )
+        for ebn0 in points
+    ]
 
 
 SWEEP_CSV_HEADER = "ebno_db,ser,errors,frames,seed"

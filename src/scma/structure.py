@@ -141,10 +141,6 @@ class StructureTemplate:
                             f"shared parameter to two colliding users"
                         )
 
-    def codeword_params(self, j: int, m: int) -> np.ndarray:
-        """1-based parameter indices appearing in codeword (j, m)."""
-        return np.abs(self.slots[j, m][self.slots[j, m] != 0])
-
     def system_config(self) -> SystemConfig:
         g = self.graph
         return SystemConfig(
@@ -242,18 +238,6 @@ _BUILTIN = {
 }
 
 
-def factor_matrix_6x4() -> np.ndarray:
-    return np.asarray(_F_6X4, dtype=np.int64)
-
-
-def factor_matrix_8x4() -> np.ndarray:
-    return np.asarray(_F_8X4, dtype=np.int64)
-
-
-def factor_matrix_12x6() -> np.ndarray:
-    return np.asarray(_F_12X6, dtype=np.int64)
-
-
 def builtin_template(name: str) -> StructureTemplate:
     """Return one of the shipped layouts ("6x4" or "12x6")."""
     try:
@@ -348,7 +332,6 @@ def derive_8x4(base: CodebookSet) -> CodebookSet:
             f"base must be a 6-user, 4-resource, M=4 set, got "
             f"J={cfg.J}, K={cfg.K}, M={cfg.M}"
         )
-    F = factor_matrix_8x4()
     books = np.zeros((8, cfg.M, 4), dtype=np.complex128)
     books[:6] = base.books
     # user 7 (index 6): values of base user 4 (support rows {2,3}) moved to
@@ -358,7 +341,7 @@ def derive_8x4(base: CodebookSet) -> CodebookSet:
     books[6, :, 1] = base.books[3, :, 3]
     books[7, :, 2] = base.books[2, :, 0]
     books[7, :, 3] = base.books[2, :, 1]
-    return CodebookSet.from_books(books, F)
+    return CodebookSet.from_books(books, _F_8X4)
 
 
 # --- template JSON files ---------------------------------------------------

@@ -80,7 +80,10 @@ class TestCodebookSet:
     def test_shape_mismatch_rejected(self):
         cfg = SystemConfig(J=2, K=2, M=4, N=1, d_f=1)
         with pytest.raises(ValueError):
-            CodebookSet(config=cfg, books=np.zeros((2, 4, 3), complex))
+            CodebookSet(
+                config=cfg, books=np.zeros((2, 4, 3), complex),
+                factor_matrix=np.ones((2, 2), dtype=np.int64),
+            )
 
     @pytest.mark.parametrize("name", ["6x4", "12x6"])
     def test_template_instantiations_satisfy_support_invariant(self, name):

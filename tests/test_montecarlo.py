@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from scma.channel import ebn0_to_n0
+from scma.channel import FRAME_BLOCK, ebn0_to_n0
 from scma.detector import MpaConfig
 from scma.montecarlo import (
     estimate_ser,
@@ -17,6 +18,9 @@ from scma.montecarlo import (
 from conftest import qpsk_set, qpsk_theoretical_ser
 
 FAST_MPA = MpaConfig(iterations=10)
+
+# frame counts of at most three blocks that end inside a block
+PARTIAL_FRAMES = st.integers(1, 3 * FRAME_BLOCK).filter(lambda n: n % FRAME_BLOCK)
 
 
 class TestEstimate:
@@ -177,6 +181,41 @@ class TestSweep:
     def test_empty_points_rejected(self, table2):
         with pytest.raises(ValueError):
             sweep_ser(table2, [], "awgn")
+
+
+class TestThreadIndependence:
+    """The worker count only schedules blocks; it never changes an estimate,
+    also when the error target is reached inside a wave of blocks."""
+
+    @settings(max_examples=15, deadline=None)
+    @example(seed=0, target_errors=1, max_frames=3 * FRAME_BLOCK - 1)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        target_errors=st.integers(1, 4000),
+        max_frames=PARTIAL_FRAMES,
+    )
+    def test_early_stop_same_at_any_thread_count(
+        self, table2, seed, target_errors, max_frames
+    ):
+        runs = [
+            sweep_ser(
+                table2, [3.0, 8.0], "awgn", seed=seed,
+                target_errors=target_errors, max_frames=max_frames, threads=t,
+            )
+            for t in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        for est in runs[0]:
+            assert est.frames == max_frames or est.symbol_errors >= target_errors
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), frames=PARTIAL_FRAMES)
+    def test_fixed_frame_sweep_equals_estimate(self, table2, seed, frames):
+        ref = estimate_ser(table2, 5.0, "awgn", frames, seed=seed)
+        for t in (1, 2, 3):
+            kwargs = dict(seed=seed, threads=t)
+            assert estimate_ser(table2, 5.0, "awgn", frames, **kwargs) == ref
+            assert sweep_ser(table2, [5.0], "awgn", frames=frames, **kwargs) == [ref]
 
 
 class TestCsv:
