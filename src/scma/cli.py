@@ -31,7 +31,7 @@ from .montecarlo import (
     DEFAULT_MAX_FRAMES,
     DEFAULT_TARGET_ERRORS,
     sweep_ser,
-    sweep_csv_lines,
+    write_sweep_csv,
 )
 from .optimizer import CRN_MODES, DeConfig, ObjectiveConfig, optimize
 from .structure import builtin_template, instantiate, read_template_json
@@ -173,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         threads=args.threads,
     )
     out = Path(args.out)
-    out.write_text("\n".join(sweep_csv_lines(estimates)) + "\n")
+    write_sweep_csv(estimates, out)
     config = {
         "codebook": args.codebook,
         "channel": args.channel,

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import CodebookSet
 
@@ -151,6 +150,34 @@ def _sum_product(T: np.ndarray, msgs: list[np.ndarray]) -> list[np.ndarray]:
     )
 
 
+def _logsumexp(
+    a: np.ndarray, axis: int | tuple[int, ...], keepdims: bool = False
+) -> np.ndarray:
+    """log(sum(exp(a))) over axis.
+
+    The arithmetic is fixed so the log-domain bytes do not depend on an
+    installed library: the m entries equal to the maximum a_max are split
+    out of the sum s = sum exp(a - a_max) over the rest, which is divided by
+    m where nonzero, and the result is log1p(s) + log(m) + a_max.  Where that
+    is not finite, as on an all -inf reduction, it is log(sum(exp(a)))."""
+    a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
+    # a copy in a's memory layout, so the sums below add in the same order
+    rest = a.copy(order="K")
+    rest[is_max] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
+        rest -= a_max
+        s = np.exp(rest, out=rest).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(bad, direct, out)
+    return out if keepdims else out.squeeze(axis)
+
+
 def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
     """Normalised outgoing messages of one resource in log arithmetic from
     its (M, ..., M, frames) table and incoming (slots, M, frames) messages;
@@ -159,7 +186,7 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
     out = np.empty_like(Q)
-    reduce = np.max if max_log else logsumexp
+    reduce = np.max if max_log else _logsumexp
     for p in range(d):
         B = logW
         for q in range(d):
@@ -169,7 +196,7 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
                 B = B + logQ[q].reshape(shape)
         axes = tuple(ax for ax in range(d) if ax != p)
         lr = reduce(B, axis=axes) if axes else B
-        out[p] = np.exp(lr - logsumexp(lr, axis=0, keepdims=True))
+        out[p] = np.exp(lr - _logsumexp(lr, axis=0, keepdims=True))
     return out
 
 

@@ -12,7 +12,6 @@ from importlib import resources
 import numpy as np
 
 from ..core import CodebookSet, codebook_from_dict
-from ..structure import StructureTemplate
 
 _CODEBOOK_IDS = (
     "table2_awgn_6x4",
@@ -109,13 +108,9 @@ class ValidationReport:
         }
 
 
-def validate_codebook(
-    cbs: CodebookSet, template: StructureTemplate | None = None
-) -> ValidationReport:
+def validate_codebook(cbs: CodebookSet) -> ValidationReport:
     """Check supports against the factor matrix, codeword distinctness and
-    antipodal symmetry; report per-codeword norms.  With a template attached,
-    also re-checks that colliding users never share a parameter on a
-    resource."""
+    antipodal symmetry; report per-codeword norms."""
     report = ValidationReport()
     cfg = cbs.config
     books = cbs.books
@@ -152,17 +147,4 @@ def validate_codebook(
             f"{int((off > NORM_WARNING_TOL).sum())} codewords deviate from unit "
             f"norm (worst {worst:.4f})"
         )
-    if template is not None:
-        for k in range(template.K):
-            groups = [
-                set(np.abs(template.slots[j, :, k]).tolist()) - {0}
-                for j in template.graph.resource_users(k)
-            ]
-            for a in range(len(groups)):
-                for b in range(a + 1, len(groups)):
-                    if groups[a] & groups[b]:
-                        report.violations.append(
-                            f"resource {k}: colliding users share a template "
-                            f"parameter"
-                        )
     return report

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from .core import CodebookSet
@@ -56,6 +55,10 @@ class SerEstimate:
         decides them jointly, so errors cluster within frames and this
         interval can be narrower than the true one.  Zero errors give a
         positive upper bound and all errors a lower bound below 1."""
+        # scipy is imported here, not at module level: it would otherwise
+        # double the package's import time, and nothing else needs it
+        from scipy.special import betaincinv
+
         x, n = self.symbol_errors, self.symbols_sent
         lo = betaincinv(x, n - x + 1, 0.025) if x > 0 else 0.0
         hi = betaincinv(x + 1, n - x, 0.975) if x < n else 1.0

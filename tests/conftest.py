@@ -65,14 +65,16 @@ def brute_force_marginals(
     books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float
 ) -> np.ndarray:
     """Exact posterior symbol marginals by enumerating every joint
-    hypothesis."""
+    hypothesis.  The log posterior is shifted by its maximum, so a small n0
+    does not underflow every hypothesis."""
     J, M, K = books.shape
     scaled = books if h is None else books * h.T[:, None, :]
-    post = np.zeros((M,) * J)
+    log_post = np.zeros((M,) * J)
     for flat in range(M ** J):
         idx = np.unravel_index(flat, (M,) * J)
         s = sum(scaled[j, idx[j]] for j in range(J))
-        post[idx] = np.exp(-np.sum(np.abs(y - s) ** 2) / n0)
+        log_post[idx] = -np.sum(np.abs(y - s) ** 2) / n0
+    post = np.exp(log_post - log_post.max())
     post /= post.sum()
     marginals = np.empty((J, M))
     for j in range(J):

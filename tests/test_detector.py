@@ -1,6 +1,8 @@
 """Message-passing detection against exact references."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
@@ -10,6 +12,7 @@ from scma.detector import (
     MpaConfig,
     _flushed_exp,
     _log_weights,
+    _logsumexp,
     hard_decision,
     map_detect,
     map_detect_batch,
@@ -135,6 +138,60 @@ class TestTreeExactness:
         beliefs = mpa_detect(y, cbs, h, 0.5, MpaConfig(iterations=2))
         exact = brute_force_marginals(np.asarray(cbs.books), y, h, 0.5)
         assert np.abs(beliefs - exact).max() < 1e-10
+
+
+@st.composite
+def tree_systems(draw):
+    """A random system whose factor graph is a tree, one received frame, and
+    its (K, J) gains or None.  Every node after resource 0 attaches to one
+    already placed node of the other kind."""
+    K, J = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kinds = draw(st.permutations(["k"] * (K - 1) + ["j"] * J).filter(
+        lambda order: order[0] == "j"))
+    F = np.zeros((K, J), dtype=np.int64)
+    placed = {"k": [0], "j": []}
+    for kind in kinds:
+        other = "j" if kind == "k" else "k"
+        new = len(placed[kind])
+        anchor = draw(st.sampled_from(placed[other]))
+        k, j = (new, anchor) if kind == "k" else (anchor, new)
+        F[k, j] = 1
+        placed[kind].append(new)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.sampled_from([2, 4]))
+    books = (rng.standard_normal((J, M, K)) + 1j * rng.standard_normal((J, M, K)))
+    books *= F.T[:, None, :]
+    y = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    h = None
+    if draw(st.booleans()):
+        h = (rng.standard_normal((K, J)) + 1j * rng.standard_normal((K, J))) / np.sqrt(2)
+    return CodebookSet.from_books(books, F), y, h
+
+
+class TestCycleFreeGraphs:
+    """On a tree, K + J sweeps of sum-product give the exact marginals."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_systems(), st.sampled_from([0.1, 0.4, 2.0]), st.sampled_from(["linear", "log"]))
+    def test_beliefs_equal_brute_force_marginals(self, system, n0, domain):
+        cbs, y, h = system
+        cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J, domain=domain)
+        exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0)
+        assert np.abs(mpa_detect(y, cbs, h, n0, cfg) - exact).max() <= 1e-9
+
+    def test_log_rescue_keeps_conflicting_tree_frame_exact(self):
+        """User 0's two resources favour different symbols by hundreds of
+        nats.  Every linear sum of resource 1 underflows, so the linear
+        domain is far off, and the log domain's rescue keeps the exact
+        marginals."""
+        cbs = tree_system(seed=8)
+        books = np.asarray(cbs.books)
+        y = np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
+        exact = brute_force_marginals(books, y, None, 1e-3)
+        log = mpa_detect(y, cbs, None, 1e-3, MpaConfig(iterations=2, domain="log"))
+        lin = mpa_detect(y, cbs, None, 1e-3, MpaConfig(iterations=2))
+        assert np.abs(log - exact).max() <= 1e-9
+        assert np.abs(lin - exact).max() > 0.5
 
 
 class TestMpaBehavior:
@@ -322,6 +379,35 @@ class TestLogRescue:
         lin = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="linear"))
         assert np.abs(log - ref).max() < 1e-12
         assert np.abs(lin - ref).max() > 0.5
+
+
+@st.composite
+def logsumexp_cases(draw):
+    """An array with -inf entries, tied maxima and, when drawn, all -inf
+    lines, in C or transposed layout, plus an int or tuple axis."""
+    values = st.one_of(
+        st.sampled_from([-np.inf, -2.0, 0.0, 3.0]),
+        st.floats(-800.0, 800.0),
+    )
+    a = draw(hnp.arrays(np.float64, hnp.array_shapes(max_dims=4, max_side=5), elements=values))
+    if a.ndim > 1 and draw(st.booleans()):
+        a[..., draw(st.integers(0, a.shape[-1] - 1))] = -np.inf
+    if draw(st.booleans()):
+        a = a.transpose(draw(st.permutations(range(a.ndim))))
+    axes = draw(st.lists(st.integers(0, a.ndim - 1), min_size=1, unique=True))
+    axis = axes[0] if len(axes) == 1 and draw(st.booleans()) else tuple(axes)
+    return a, axis
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(logsumexp_cases(), st.booleans())
+    @example((np.array([[-np.inf, -np.inf], [0.0, 0.0]]), 1), False)
+    def test_bit_identical_to_scipy(self, case, keepdims):
+        a, axis = case
+        got = _logsumexp(a, axis=axis, keepdims=keepdims)
+        ref = np.asarray(logsumexp(a, axis=axis, keepdims=keepdims))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 class TestMapOracle:

@@ -91,10 +91,6 @@ class TestStructuralChecks:
     def test_table5_supports_match_12x6_factor_matrix(self, table5):
         assert np.array_equal(table5.supports(), load_factor_matrix("eq10_factor_12x6"))
 
-    def test_template_attachment_checks_latin_property(self, table2):
-        report = validate_codebook(table2, template=builtin_template("6x4"))
-        assert report.ok
-
 
 class TestConsistencyWithTemplates:
     def test_awgn_table_regenerates_from_recovered_parameters(self, table2):

@@ -1,10 +1,16 @@
 """Seed-reproducible SER estimation and sweeps."""
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import scma
 from scma.channel import FRAME_BLOCK, ebn0_to_n0
 from scma.detector import MpaConfig
 from scma.montecarlo import (
@@ -106,6 +112,39 @@ class TestConfidenceInterval:
         lo, hi = est.ci95
         assert lo == pytest.approx(beta.ppf(0.025, x, n - x + 1), rel=1e-9)
         assert hi == pytest.approx(beta.ppf(0.975, x + 1, n - x), rel=1e-9)
+
+    def test_scipy_loads_only_when_ci95_runs(self):
+        """A fresh ``import scma, scma.cli`` loads no scipy module; ``ci95``
+        imports its beta quantile on first use and returns the same bounds
+        as before the import moved, down to the last bit."""
+        script = (
+            "import json, sys\n"
+            "import scma, scma.cli\n"
+            "from scma.montecarlo import SerEstimate\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "before = scipy_modules()\n"
+            "bounds = [SerEstimate(x / n, x, n, (x / n,), 0, 0.0, n, 'awgn').ci95\n"
+            "          for x, n in ((0, 6000), (6000, 6000), (37, 6000), (1, 1), (0, 1))]\n"
+            "print(json.dumps({'before': before, 'after': bool(scipy_modules()),\n"
+            "                  'bounds': bounds}))\n"
+        )
+        src = str(Path(scma.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        out = json.loads(proc.stdout)
+        assert out["before"] == []
+        assert out["after"]
+        assert out["bounds"] == [
+            [0.0, 0.000614624283417639],
+            [0.9993853757165824, 1.0],
+            [0.004345509852381966, 0.00849001448657186],
+            [0.025, 1.0],
+            [0.0, 0.975],
+        ]
+
 
 class TestQpskCalibration:
     def test_estimate_matches_closed_form(self):
