@@ -9,6 +9,7 @@ from .core import (
     CodebookFormatError,
     CodebookSet,
     DegenerateParameterError,
+    FactorGraph,
     MalformedParameterError,
     ScmaError,
     SystemConfig,
@@ -20,7 +21,6 @@ from .core import (
     write_codebook_json,
 )
 from .structure import (
-    FactorGraph,
     StructureTemplate,
     builtin_template,
     derive_8x4,

@@ -20,6 +20,7 @@ from . import __version__
 from .core import (
     CodebookFormatError,
     CodebookSet,
+    ScmaError,
     read_codebook_json,
     codebook_to_dict,
 )
@@ -338,10 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ScmaError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

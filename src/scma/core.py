@@ -8,7 +8,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -68,14 +68,66 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
+class FactorGraph:
+    """Binary K x J matrix linking resources (rows) to users (columns), with
+    its degrees and edge indices.
+
+    The E edges (nonzeros of F) are numbered row by row, so resource k owns
+    the contiguous edges ``res_start[k]:res_start[k + 1]`` in ascending user
+    order, and ``edge_user[e]`` is the user of edge e.  Row j of the
+    (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in ascending
+    resource order, padded with the index E; a message array with E + 1 rows
+    keeps row E for that padding."""
+
+    F: np.ndarray
+    row_degrees: np.ndarray = field(init=False)
+    col_degrees: np.ndarray = field(init=False)
+    res_start: np.ndarray = field(init=False)
+    edge_user: np.ndarray = field(init=False)
+    user_edges: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        F = np.asarray(self.F, dtype=np.int64)
+        if F.ndim != 2:
+            raise ValueError("factor matrix must be 2-D")
+        if not np.isin(F, (0, 1)).all():
+            raise ValueError("factor matrix entries must be 0 or 1")
+        rows, cols = np.nonzero(F)  # edge e joins resource rows[e], user cols[e]
+        row_degrees, col_degrees = F.sum(axis=1), F.sum(axis=0)
+        by_user = np.argsort(cols, kind="stable")
+        users = cols[by_user]
+        col_start = np.cumsum(col_degrees) - col_degrees
+        user_edges = np.full((F.shape[1], max(2, *col_degrees)), rows.size)
+        user_edges[users, np.arange(rows.size) - col_start[users]] = by_user
+        res_start = np.concatenate(([0], np.cumsum(row_degrees)))
+        for name, value in (("F", F), ("row_degrees", row_degrees),
+                            ("col_degrees", col_degrees), ("res_start", res_start),
+                            ("edge_user", cols), ("user_edges", user_edges)):
+            object.__setattr__(self, name, _frozen(value))
+
+    @property
+    def K(self) -> int:
+        return self.F.shape[0]
+
+    @property
+    def J(self) -> int:
+        return self.F.shape[1]
+
+    def resource_users(self, k: int) -> np.ndarray:
+        """Indices of the users colliding on resource k."""
+        return self.edge_user[self.res_start[k]:self.res_start[k + 1]]
+
+
+@dataclass(frozen=True)
 class CodebookSet:
     """The per-user codebooks of a system: ``books[j, m, k]`` is the k-th
     entry of user j's m-th codeword.  ``factor_matrix`` (K x J, 0/1) records
-    the intended sparsity pattern."""
+    the intended sparsity pattern, and ``graph`` is its factor graph."""
 
     config: SystemConfig
     books: np.ndarray
     factor_matrix: np.ndarray
+    graph: FactorGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         books = np.asarray(self.books, dtype=np.complex128)
@@ -86,10 +138,11 @@ class CodebookSet:
                 f"{(cfg.J, cfg.M, cfg.K)}"
             )
         object.__setattr__(self, "books", _frozen(books))
-        F = np.asarray(self.factor_matrix, dtype=np.int64)
-        if F.shape != (cfg.K, cfg.J):
-            raise ValueError(f"factor matrix shape {F.shape} != (K, J)")
-        object.__setattr__(self, "factor_matrix", _frozen(F))
+        graph = FactorGraph(self.factor_matrix)
+        if graph.F.shape != (cfg.K, cfg.J):
+            raise ValueError(f"factor matrix shape {graph.F.shape} != (K, J)")
+        object.__setattr__(self, "factor_matrix", graph.F)
+        object.__setattr__(self, "graph", graph)
 
     def codebook(self, j: int) -> np.ndarray:
         """User j's (M, K) codeword matrix."""
@@ -110,14 +163,12 @@ class CodebookSet:
         if books.ndim != 3:
             raise ValueError("books must be a (J, M, K) array")
         J, M, K = books.shape
-        if factor_matrix is not None:
-            F = np.asarray(factor_matrix, dtype=np.int64)
-        else:
-            F = (np.abs(books) > 0).any(axis=1).T.astype(np.int64)
-        N = int(F.sum(axis=0).max()) if F.size else 0
-        d_f = int(F.sum(axis=1).max()) if F.size else 0
-        cfg = SystemConfig(J=J, K=K, M=M, N=max(N, 1), d_f=max(d_f, 1))
-        return cls(config=cfg, books=books, factor_matrix=F)
+        if factor_matrix is None:
+            factor_matrix = (np.abs(books) > 0).any(axis=1).T
+        g = FactorGraph(factor_matrix)
+        cfg = SystemConfig(J=J, K=K, M=M, N=int(g.col_degrees.max(initial=1)),
+                           d_f=int(g.row_degrees.max(initial=1)))
+        return cls(config=cfg, books=books, factor_matrix=g.F)
 
 
 def pack_params(a: Iterable[complex]) -> np.ndarray:
@@ -186,14 +237,10 @@ def codebook_from_dict(doc: dict) -> CodebookSet:
                         f"entry ({j},{m},{k}) is not finite: {pair!r}"
                     )
                 books[j, m, k] = value
-    F = None
-    if "F" in doc and doc["F"] is not None:
-        F = np.asarray(doc["F"], dtype=np.int64)
-        if F.shape != (K, J):
-            raise CodebookFormatError(f"F shape {F.shape} != (K, J)")
-        if not np.isin(F, (0, 1)).all():
-            raise CodebookFormatError("F entries must be 0 or 1")
-    return CodebookSet.from_books(books, F)
+    try:
+        return CodebookSet.from_books(books, doc.get("F"))
+    except ValueError as exc:
+        raise CodebookFormatError(str(exc)) from exc
 
 
 def write_codebook_json(cbs: CodebookSet, path: str | Path) -> None:

@@ -10,6 +10,14 @@ per call, their exponent shifted by its per-(frame, resource) maximum, which
 cancels in the normalization and keeps the linear domain alive at very small
 noise levels.
 
+The messages live in one (E + 1, M, frames) array per direction, ``Q`` from
+users to resources and ``R`` back, indexed by the edges of ``cbs.graph``.
+Resource k owns the contiguous edges ``res_start[k]:res_start[k + 1]``, so
+its update works on slices.  The user update runs once per column s of
+``user_edges``: the product of R over the other columns, normalised, is
+written to Q at column s.  Users with fewer edges than columns are padded
+with the index E; row E is all ones in R and a write-only sink in Q.
+
 A sum term is lost or coarsely rounded only below the normal range
 (``tiny`` ~2.2e-308), and arithmetic on such subnormal numbers is many times
 slower than on normal ones.  So the linear table flushes every entry whose
@@ -73,14 +81,15 @@ class MpaConfig:
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
-    """Scale each length-M vector (axis -2) to sum 1; all-zero vectors fall
-    back to uniform."""
+    """Scale each length-M vector (axis -2) of msg in place to sum 1; all-zero
+    vectors fall back to uniform.  Returns msg."""
     total = msg.sum(axis=-2, keepdims=True)
     bad = total <= 0.0
     if bad.any():
-        msg = np.where(bad, 1.0, msg)
+        np.copyto(msg, 1.0, where=bad)
         total = msg.sum(axis=-2, keepdims=True)
-    return msg / total
+    msg /= total
+    return msg
 
 
 def _log_weights(
@@ -200,29 +209,13 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
     return out
 
 
-class _Graph:
-    """Adjacency derived from the factor matrix."""
-
-    def __init__(self, F: np.ndarray):
-        self.K, self.J = F.shape
-        self.res_users = [np.flatnonzero(F[k]) for k in range(self.K)]
-        self.user_res = [np.flatnonzero(F[:, j]) for j in range(self.J)]
-        if not all(map(len, self.res_users)) or not all(map(len, self.user_res)):
-            raise ValueError("factor matrix has an isolated row or column")
-        # local position of user j within resource k's neighbor list
-        self.pos = {
-            (k, j): p for k in range(self.K) for p, j in enumerate(self.res_users[k])
-        }
-
-
-_GRAPH_CACHE: dict[bytes, _Graph] = {}
-
-
-def _graph_for(F: np.ndarray) -> _Graph:
-    key = F.tobytes() + repr(F.shape).encode()
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = _Graph(F)
-    return _GRAPH_CACHE[key]
+def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(J, M, frames) product of the messages R[cols[:, t]] over the columns
+    t of a (J, slots) edge-index array, taken in column order."""
+    out = R[cols[:, 0]]
+    for t in range(1, cols.shape[1]):
+        out *= R[cols[:, t]]
+    return out
 
 
 def _check_inputs(y: np.ndarray, h: np.ndarray | None, n0: float) -> None:
@@ -251,9 +244,11 @@ def mpa_detect_batch(
     if y.ndim != 2:
         raise ValueError("y must be (frames, K)")
     _check_inputs(y, h, n0)
-    books = cbs.books
-    M, frames = cbs.config.M, y.shape[0]
-    g = _graph_for(np.asarray(cbs.factor_matrix))
+    books, g = cbs.books, cbs.graph
+    if not (g.row_degrees.all() and g.col_degrees.all()):
+        raise ValueError("factor matrix has an isolated row or column")
+    M, frames, user_edges = cbs.config.M, y.shape[0], g.user_edges
+    edges = [slice(g.res_start[k], g.res_start[k + 1]) for k in range(g.K)]
 
     # weight tables, one per resource, fixed across iterations: max-log
     # keeps the log table, the linear domain only the flushed linear one, and
@@ -261,7 +256,7 @@ def mpa_detect_batch(
     tables = (
         _log_weights(y[:, k], [books[j, :, k] if h is None else
                                h[:, k, j][None, :] * books[j, :, k][:, None]
-                               for j in g.res_users[k]], n0, frames, M)
+                               for j in g.resource_users(k)], n0, frames, M)
         for k in range(g.K)
     )
     if cfg.max_log:
@@ -272,39 +267,32 @@ def mpa_detect_batch(
     else:
         logW, W = None, [_flushed_exp(lw, out=lw) for lw in tables]
 
-    # user -> resource messages [resource][local slot], uniform to start
-    Q = [np.full((len(g.res_users[k]), M, frames), 1.0 / M) for k in range(g.K)]
-    R = [np.empty_like(Q[k]) for k in range(g.K)]
+    # user -> resource (Q) and resource -> user (R) messages per edge, uniform
+    # to start; row E pads user_edges, all ones in R and a write-only sink in Q
+    Q = np.full((g.edge_user.size + 1, M, frames), 1.0 / M)
+    R = np.ones_like(Q)
 
+    others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for _ in range(cfg.iterations):
-        for k in range(g.K):
+        for k, e in enumerate(edges):
             if cfg.max_log:
-                R[k][:] = _log_resource(logW[k], Q[k], max_log=True)
+                R[e] = _log_resource(logW[k], Q[e], max_log=True)
                 continue
-            raw = np.stack(_sum_product(W[k], list(Q[k])))
-            R[k][:] = _normalize_rows(raw)
-            if cfg.domain == "log":
-                low = np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
-                if low.size:
-                    R[k][:, :, low] = _log_resource(
-                        logW[k][..., low], Q[k][:, :, low], max_log=False)
-        for j in range(g.J):
-            incoming = [R[k][g.pos[(k, j)]] for k in g.user_res[j]]
-            for t, k in enumerate(g.user_res[j]):
-                out = np.ones((M, frames))
-                for msg in incoming[:t] + incoming[t + 1:]:
-                    out = out * msg
-                out = _normalize_rows(out)
-                if cfg.damping > 0.0:
-                    out = (1.0 - cfg.damping) * out + cfg.damping * Q[k][g.pos[(k, j)]]
-                Q[k][g.pos[(k, j)]] = out
+            raw = np.stack(_sum_product(W[k], list(Q[e])), out=R[e])
+            # frames to rescue, read before raw is normalised in place
+            low = (np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
+                   if cfg.domain == "log" else ())
+            _normalize_rows(raw)
+            if len(low):
+                R[e, :, low] = _log_resource(
+                    logW[k][..., low], Q[e, :, low], max_log=False)
+        for cols, rest in zip(user_edges.T, others):
+            out = _normalize_rows(_edge_product(R, rest))
+            if cfg.damping > 0.0:
+                out = (1.0 - cfg.damping) * out + cfg.damping * Q[cols]
+            Q[cols] = out
 
-    beliefs = np.empty((g.J, M, frames))
-    for j in range(g.J):
-        b = np.ones((M, frames))
-        for k in g.user_res[j]:
-            b = b * R[k][g.pos[(k, j)]]
-        beliefs[j] = _normalize_rows(b)
+    beliefs = _normalize_rows(_edge_product(R, user_edges))
     return np.ascontiguousarray(beliefs.transpose(2, 0, 1))
 
 

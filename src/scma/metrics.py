@@ -79,7 +79,7 @@ def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
 
 def sum_constellation(cbs: CodebookSet, resource: int) -> SumConstellation:
     """Enumerate the superimposed values seen on one resource."""
-    users = np.flatnonzero(cbs.factor_matrix[resource])
+    users = cbs.graph.resource_users(resource)
     if users.size == 0:
         raise ScmaError(f"resource {resource} has no users attached")
     points = np.zeros(1, dtype=np.complex128)

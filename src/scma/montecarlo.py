@@ -201,21 +201,3 @@ def sweep_csv_lines(estimates: Sequence[SerEstimate]) -> list[str]:
 
 def write_sweep_csv(estimates: Sequence[SerEstimate], path: str | Path) -> None:
     Path(path).write_text("\n".join(sweep_csv_lines(estimates)) + "\n")
-
-
-def read_sweep_csv(path: str | Path) -> list[dict]:
-    """Parse a sweep CSV back into one dict per SNR point."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError(f"{path}: missing sweep header {SWEEP_CSV_HEADER!r}")
-    out = []
-    for line in lines[1:]:
-        ebno, ser, errors, frames, seed = line.split(",")
-        out.append({
-            "ebno_db": float(ebno),
-            "ser": float(ser),
-            "errors": int(errors),
-            "frames": int(frames),
-            "seed": int(seed),
-        })
-    return out

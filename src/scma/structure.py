@@ -1,5 +1,5 @@
-"""Factor graphs, symbolic codebook templates, template instantiation and
-unit-norm normalization.
+"""Symbolic codebook templates, template instantiation and unit-norm
+normalization.
 
 A template assigns to every (user, symbol, resource) slot either zero or a
 signed reference to one of the complex design parameters a_1..a_T.  Slots are
@@ -12,7 +12,7 @@ a resource never share a parameter (the Latin property).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +22,7 @@ from .core import (
     CodebookFormatError,
     CodebookSet,
     DegenerateParameterError,
+    FactorGraph,
     MalformedParameterError,
     SystemConfig,
     _frozen,
@@ -29,42 +30,6 @@ from .core import (
 
 NORMALIZE_TOL = 1e-9
 NORMALIZE_MAX_SWEEPS = 200
-
-
-@dataclass(frozen=True)
-class FactorGraph:
-    """Binary K x J matrix linking resources (rows) to users (columns), with
-    the per-row and per-column degrees derived from it."""
-
-    F: np.ndarray
-    row_degrees: np.ndarray = field(init=False)
-    col_degrees: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        F = np.asarray(self.F, dtype=np.int64)
-        if F.ndim != 2:
-            raise ValueError("factor matrix must be 2-D")
-        if not np.isin(F, (0, 1)).all():
-            raise ValueError("factor matrix entries must be 0 or 1")
-        object.__setattr__(self, "F", _frozen(F))
-        object.__setattr__(self, "row_degrees", _frozen(F.sum(axis=1)))
-        object.__setattr__(self, "col_degrees", _frozen(F.sum(axis=0)))
-
-    @property
-    def K(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.F.shape[1]
-
-    def resource_users(self, k: int) -> np.ndarray:
-        """Indices of the users colliding on resource k."""
-        return np.flatnonzero(self.F[k])
-
-    def user_resources(self, j: int) -> np.ndarray:
-        """Indices of the resources occupied by user j."""
-        return np.flatnonzero(self.F[:, j])
 
 
 def has_four_cycle(g: FactorGraph) -> bool:

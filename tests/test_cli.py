@@ -85,6 +85,25 @@ class TestAnalyzeCommand:
             "analyze", "--codebook", str(table2_file), "--n0-grid-db", "0:10:20",
         ]) == 2
 
+    def test_unused_resource_grid_is_clean_error(self, tmp_path, capsys):
+        """Resource 0 carries no user: the KPIs still print, and the bound
+        grid ends in one error line and exit 2, not a traceback."""
+        doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
+        doc["F"][0] = [0] * 6
+        for book in doc["codebooks"]:
+            for cw in book:
+                cw[0] = [0.0, 0.0]
+        path = tmp_path / "unused.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--codebook", str(path)]) == 0
+        capsys.readouterr()
+        code = main([
+            "analyze", "--codebook", str(path),
+            "--n0-grid-db", "0:5:10", "--il-csv", str(tmp_path / "il.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: resource 0 has no users attached\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", float("nan"), float("-inf")])
     def test_non_finite_entry_is_usage_error(self, tmp_path, capsys, value):

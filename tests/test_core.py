@@ -5,6 +5,7 @@ import pytest
 from scma.core import (
     CodebookFormatError,
     CodebookSet,
+    FactorGraph,
     MalformedParameterError,
     SystemConfig,
     codebook_from_dict,
@@ -94,6 +95,18 @@ class TestCodebookSet:
         assert np.array_equal(cbs.supports(), np.asarray(t.graph.F))
 
 
+class TestFactorGraph:
+    def test_edge_indices(self):
+        g = FactorGraph(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
+        assert g.res_start.tolist() == [0, 2, 4, 5]
+        assert g.edge_user.tolist() == [0, 2, 0, 1, 0]
+        # one row per user, its edges by resource, padded with E = 5
+        assert g.user_edges.tolist() == [[0, 2, 4], [3, 5, 5], [1, 5, 5]]
+        assert g.resource_users(1).tolist() == [0, 1]
+        # at least two columns, so every user has an "other" slot
+        assert FactorGraph(np.eye(2, dtype=int)).user_edges.tolist() == [[0, 2], [1, 2]]
+
+
 class TestCodebookJson:
     def test_round_trip_exact(self, table2):
         back = codebook_from_dict(codebook_to_dict(table2))
@@ -147,6 +160,12 @@ class TestCodebookJson:
         doc = codebook_to_dict(table2)
         doc["F"] = [[1, 0], [0, 1]]
         with pytest.raises(CodebookFormatError):
+            codebook_from_dict(doc)
+
+    def test_non_binary_factor_entry_rejected(self, table2):
+        doc = codebook_to_dict(table2)
+        doc["F"][0][0] = 2
+        with pytest.raises(CodebookFormatError, match="0 or 1"):
             codebook_from_dict(doc)
 
 

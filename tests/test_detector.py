@@ -259,6 +259,15 @@ class TestMpaBehavior:
         with pytest.raises(ValueError):
             mpa_detect_batch(bad, table2, None, 0.1)
 
+    def test_isolated_user_rejected(self, table2):
+        """A user on no resource loads as a codebook set but cannot be
+        detected."""
+        books, F = np.array(table2.books), np.array(table2.factor_matrix)
+        books[2], F[:, 2] = 0.0, 0
+        cbs = CodebookSet.from_books(books, F)
+        with pytest.raises(ValueError, match="isolated"):
+            mpa_detect_batch(np.zeros((1, 4), complex), cbs, None, 0.1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MpaConfig(iterations=0)
@@ -379,6 +388,20 @@ class TestLogRescue:
         lin = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="linear"))
         assert np.abs(log - ref).max() < 1e-12
         assert np.abs(lin - ref).max() > 0.5
+
+    @pytest.mark.xfail(strict=True, reason="log-domain messages are stored and "
+                       "multiplied as linear probabilities at the user node")
+    def test_user_node_product_underflow_keeps_log_beliefs(self):
+        """One user on two resources whose evidence disagrees by more than
+        the double range: the exact marginal is one-hot at symbol 0, but the
+        user-node product underflows and the beliefs come out uniform."""
+        c = 0.7 * np.array([1, 1j, -1j, -1])
+        books = np.stack([c, c * np.exp(0.3j)], axis=1)[None]
+        cbs = CodebookSet.from_books(books, np.array([[1], [1]]))
+        y = np.array([c[0], c[3] * np.exp(0.3j) + 0.05])
+        exact = brute_force_marginals(books, y, None, 1e-4)
+        log = mpa_detect(y, cbs, None, 1e-4, MpaConfig(domain="log"))
+        assert np.abs(log - exact).max() <= 1e-9
 
 
 @st.composite
