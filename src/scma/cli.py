@@ -47,13 +47,16 @@ def parse_snr_range(text: str) -> list[float]:
     point."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        a, step, b = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"invalid range {text!r}; expected A:STEP:B") from None
+    if not np.isfinite(values).all():
+        raise UsageError(f"range {text!r} has a non-finite value")
+    if len(values) == 1:
+        return values
+    a, step, b = values
     if step == 0.0:
         if a == b:
             return [a]

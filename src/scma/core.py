@@ -1,9 +1,12 @@
 """Shared domain types: system dimensions, codebook containers, parameter
 packing, and the codebook JSON interchange format.
 
-All complex values are stored as double-precision ``complex128``; arrays held
-by the container types are frozen (non-writeable) after construction so they
-can be shared freely across threads.
+A codebook set is its (J, M, K) books plus an optional factor matrix F
+(default: the observed supports); its dimensions and factor graph are derived
+from those two and never passed in.  All complex values are stored as
+double-precision ``complex128``; arrays held by the container types are frozen
+(non-writeable) after construction so they can be shared freely across
+threads.
 """
 from __future__ import annotations
 
@@ -39,23 +42,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Dimensions of a multi-user system: J users share K resources, each user
-    sends one of M sparse codewords with N nonzero entries; d_f users collide
-    on a resource."""
+    """Dimensions of a multi-user system: J users share K resources, and each
+    user sends one of M codewords."""
 
     J: int
     K: int
     M: int
-    N: int
-    d_f: int
 
     def __post_init__(self) -> None:
         if self.J < 1 or self.K < 1:
             raise ValueError("J and K must be >= 1")
         if self.M < 2 or (self.M & (self.M - 1)) != 0:
             raise ValueError(f"M must be a power of 2, got {self.M}")
-        if not 1 <= self.N <= self.K:
-            raise ValueError(f"N must lie in [1, K], got N={self.N}, K={self.K}")
 
     @property
     def overloading(self) -> float:
@@ -122,53 +120,33 @@ class FactorGraph:
 class CodebookSet:
     """The per-user codebooks of a system: ``books[j, m, k]`` is the k-th
     entry of user j's m-th codeword.  ``factor_matrix`` (K x J, 0/1) records
-    the intended sparsity pattern, and ``graph`` is its factor graph."""
+    the intended sparsity pattern and defaults to the observed supports;
+    ``config`` and ``graph`` are derived from the books and F."""
 
-    config: SystemConfig
     books: np.ndarray
-    factor_matrix: np.ndarray
+    factor_matrix: np.ndarray | None = None
+    config: SystemConfig = field(init=False)
     graph: FactorGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         books = np.asarray(self.books, dtype=np.complex128)
-        cfg = self.config
-        if books.shape != (cfg.J, cfg.M, cfg.K):
-            raise ValueError(
-                f"books shape {books.shape} does not match (J, M, K)="
-                f"{(cfg.J, cfg.M, cfg.K)}"
-            )
+        if books.ndim != 3:
+            raise ValueError("books must be a (J, M, K) array")
+        J, M, K = books.shape
+        object.__setattr__(self, "config", SystemConfig(J=J, K=K, M=M))
         object.__setattr__(self, "books", _frozen(books))
-        graph = FactorGraph(self.factor_matrix)
-        if graph.F.shape != (cfg.K, cfg.J):
+        graph = FactorGraph(
+            self.supports() if self.factor_matrix is None else self.factor_matrix
+        )
+        if graph.F.shape != (K, J):
             raise ValueError(f"factor matrix shape {graph.F.shape} != (K, J)")
         object.__setattr__(self, "factor_matrix", graph.F)
         object.__setattr__(self, "graph", graph)
-
-    def codebook(self, j: int) -> np.ndarray:
-        """User j's (M, K) codeword matrix."""
-        return self.books[j]
 
     def supports(self) -> np.ndarray:
         """(K, J) 0/1 matrix of positions used by any codeword of each user."""
         used = (np.abs(self.books) > 0).any(axis=1)  # (J, K)
         return used.T.astype(np.int64)
-
-    @classmethod
-    def from_books(
-        cls, books: np.ndarray, factor_matrix: np.ndarray | None = None
-    ) -> "CodebookSet":
-        """Build a set from a (J, M, K) array, deriving the config from the
-        factor matrix (or from the observed supports when F is absent)."""
-        books = np.asarray(books, dtype=np.complex128)
-        if books.ndim != 3:
-            raise ValueError("books must be a (J, M, K) array")
-        J, M, K = books.shape
-        if factor_matrix is None:
-            factor_matrix = (np.abs(books) > 0).any(axis=1).T
-        g = FactorGraph(factor_matrix)
-        cfg = SystemConfig(J=J, K=K, M=M, N=int(g.col_degrees.max(initial=1)),
-                           d_f=int(g.row_degrees.max(initial=1)))
-        return cls(config=cfg, books=books, factor_matrix=g.F)
 
 
 def pack_params(a: Iterable[complex]) -> np.ndarray:
@@ -207,39 +185,42 @@ def codebook_to_dict(cbs: CodebookSet) -> dict:
     return doc
 
 
+def _items(x, n: int, what: str) -> list:
+    """``x`` if it is a list of n items, else a format error naming it."""
+    if not isinstance(x, (list, tuple)) or len(x) != n:
+        raise CodebookFormatError(f"{what}: expected a list of {n} items")
+    return x
+
+
+def _entry(pair, where: str) -> complex:
+    try:
+        re, im = (float(v) for v in _items(pair, 2, where))
+    except (TypeError, ValueError) as exc:
+        raise CodebookFormatError(f"{where} is not an [re, im] pair: {pair!r}") from exc
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise CodebookFormatError(f"{where} is not finite: {pair!r}")
+    return complex(re, im)
+
+
 def codebook_from_dict(doc: dict) -> CodebookSet:
     """Parse the interchange schema; raises :class:`CodebookFormatError` on
-    missing fields or shape mismatches."""
+    missing fields, malformed entries or shape mismatches."""
     try:
         J, K, M = int(doc["J"]), int(doc["K"]), int(doc["M"])
         raw = doc["codebooks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookFormatError(f"missing or invalid field: {exc}") from exc
-    if len(raw) != J:
-        raise CodebookFormatError(f"expected {J} codebooks, found {len(raw)}")
-    books = np.zeros((J, M, K), dtype=np.complex128)
-    for j, book in enumerate(raw):
-        if len(book) != M:
-            raise CodebookFormatError(f"codebook {j}: expected {M} codewords")
-        for m, cw in enumerate(book):
-            if len(cw) != K:
-                raise CodebookFormatError(
-                    f"codebook {j} codeword {m}: expected {K} entries"
-                )
-            for k, pair in enumerate(cw):
-                if len(pair) != 2:
-                    raise CodebookFormatError(
-                        f"entry ({j},{m},{k}) is not an [re, im] pair"
-                    )
-                value = complex(float(pair[0]), float(pair[1]))
-                if not np.isfinite(value):
-                    raise CodebookFormatError(
-                        f"entry ({j},{m},{k}) is not finite: {pair!r}"
-                    )
-                books[j, m, k] = value
+    books = [
+        [
+            [_entry(pair, f"entry ({j},{m},{k})")
+             for k, pair in enumerate(_items(cw, K, f"codebook {j} codeword {m}"))]
+            for m, cw in enumerate(_items(book, M, f"codebook {j}"))
+        ]
+        for j, book in enumerate(_items(raw, J, "codebooks"))
+    ]
     try:
-        return CodebookSet.from_books(books, doc.get("F"))
-    except ValueError as exc:
+        return CodebookSet(np.array(books, complex), doc.get("F"))
+    except (TypeError, ValueError) as exc:
         raise CodebookFormatError(str(exc)) from exc
 
 

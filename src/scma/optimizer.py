@@ -3,8 +3,9 @@
 Each candidate row is a real vector of interleaved (re, im) parameter parts.
 A generation builds one trial per row with rand/1 mutation fused with
 binomial crossover (the forced j_rand coordinate guarantees the trial differs
-from its target before normalization), renormalizes the trial so every
-codeword has unit norm, and replaces the row only on strictly lower SER.
+from its target before normalization), renormalizes the trial with the
+run's structure template so every codeword has unit norm, and replaces the
+row only on strictly lower SER.
 Trials are built from the pre-generation population snapshot, so selection
 outcomes do not depend on evaluation order.
 
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _frozen, unpack_params
+from .core import _frozen, pack_params, unpack_params
 from .detector import MpaConfig
 from .montecarlo import estimate_ser
 from .structure import StructureTemplate, instantiate, normalize
@@ -131,11 +132,7 @@ def make_objective(
 
 
 def _renormalized(template: StructureTemplate, packed: np.ndarray) -> np.ndarray:
-    a, _ = normalize(template, unpack_params(packed))
-    out = np.empty(packed.size)
-    out[0::2] = a.real
-    out[1::2] = a.imag
-    return out
+    return pack_params(normalize(template, unpack_params(packed))[0])
 
 
 def _pick_donors(
@@ -150,45 +147,36 @@ def _pick_donors(
 
 def init_population(
     cfg: DeConfig,
-    template: StructureTemplate | None,
+    template: StructureTemplate,
     rng: np.random.Generator,
     objective: Objective,
 ) -> Population:
     """Rows i.i.d. uniform on [-1, 1], each renormalized to unit codeword
-    norms (when a template is given), then evaluated once."""
-    if template is not None and cfg.d != 2 * template.num_params:
+    norms, then evaluated once."""
+    if cfg.d != 2 * template.num_params:
         raise ValueError(
             f"d={cfg.d} does not match template {template.name} "
             f"(needs {2 * template.num_params})"
         )
     rows = rng.uniform(-1.0, 1.0, size=(cfg.s_p, cfg.d))
-    if template is not None:
-        for i in range(cfg.s_p):
-            rows[i] = _renormalized(template, rows[i])
+    for i in range(cfg.s_p):
+        rows[i] = _renormalized(template, rows[i])
     fitness = np.array([objective(rows[i]) for i in range(cfg.s_p)])
     return Population(rows=rows, fitness=fitness, generation=0)
 
 
 def make_trial(
-    pop: Population,
-    i: int,
-    cfg: DeConfig,
-    rng: np.random.Generator,
-    template: StructureTemplate | None,
+    pop: Population, i: int, cfg: DeConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """rand/1 mutation fused with binomial crossover against row i, followed
-    by normalization (skipped when template is None, e.g. for plain
-    real-valued benchmarks).  Draw order: donor shuffle, j_rand,
-    per-coordinate uniforms."""
+    """rand/1 mutation fused with binomial crossover against row i, before
+    normalization.  Draw order: donor shuffle, j_rand, per-coordinate
+    uniforms."""
     r0, r1, r2 = _pick_donors(cfg.s_p, i, rng)
     j_rand = int(rng.integers(cfg.d))
     take_mutant = rng.random(cfg.d) < cfg.c_r
     take_mutant[j_rand] = True
     mutant = pop.rows[r0] + cfg.alpha * (pop.rows[r1] - pop.rows[r2])
-    trial = np.where(take_mutant, mutant, pop.rows[i])
-    if template is None:
-        return trial
-    return _renormalized(template, trial)
+    return np.where(take_mutant, mutant, pop.rows[i])
 
 
 def step_generation(
@@ -196,12 +184,14 @@ def step_generation(
     cfg: DeConfig,
     objective: Objective,
     rng: np.random.Generator,
-    template: StructureTemplate | None,
+    template: StructureTemplate,
 ) -> Population:
-    """One generation: build a trial per row from the population snapshot and
-    keep whichever of (row, trial) has strictly lower objective value.  The
-    input population is untouched if the objective raises."""
-    trials = [make_trial(pop, i, cfg, rng, template) for i in range(cfg.s_p)]
+    """One generation: build a normalized trial per row from the population
+    snapshot and keep whichever of (row, trial) has strictly lower objective
+    value.  The input population is untouched if the objective raises."""
+    trials = [
+        _renormalized(template, make_trial(pop, i, cfg, rng)) for i in range(cfg.s_p)
+    ]
     trial_fit = np.array([objective(t) for t in trials])
     rows = np.array(pop.rows)
     fitness = np.array(pop.fitness)

@@ -7,12 +7,14 @@ stored as a (J, M, K) integer array: 0 means a structural zero, +t means +a_t
 and -t means -a_t (t is 1-based).  Both built-in templates place antipodal
 one-dimensional constellations [a_i, a_j, -a_j, -a_i] on each resource a user
 occupies, with the parameter pairs chosen so that constellations colliding on
-a resource never share a parameter (the Latin property).
+a resource never share a parameter (the Latin property).  A template's factor
+graph is derived from its slots: user j occupies resource k when any slot
+(j, m, k) is nonzero.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +26,6 @@ from .core import (
     DegenerateParameterError,
     FactorGraph,
     MalformedParameterError,
-    SystemConfig,
     _frozen,
 )
 
@@ -48,18 +49,16 @@ class StructureTemplate:
     name: str
     num_params: int
     slots: np.ndarray  # (J, M, K) of 0 / +-t
-    graph: FactorGraph
+    graph: FactorGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         slots = np.asarray(self.slots, dtype=np.int64)
         if slots.ndim != 3:
             raise ValueError("slots must be a (J, M, K) array")
-        J, M, K = slots.shape
-        if self.graph.F.shape != (K, J):
-            raise ValueError("slots and factor matrix dimensions disagree")
         if np.abs(slots).max(initial=0) > self.num_params:
             raise ValueError("slot references a parameter beyond num_params")
         object.__setattr__(self, "slots", _frozen(slots))
+        object.__setattr__(self, "graph", FactorGraph((slots != 0).any(axis=1).T))
         self._check_supports()
         self._check_antipodal()
         self._check_latin()
@@ -77,11 +76,8 @@ class StructureTemplate:
         return self.slots.shape[2]
 
     def _check_supports(self) -> None:
-        used = (self.slots != 0).any(axis=1).T.astype(np.int64)  # (K, J)
-        if not np.array_equal(used, self.graph.F):
-            raise ValueError(f"template {self.name}: slots do not match F")
         # every codeword must individually occupy the full user support
-        per_cw = (self.slots != 0).astype(np.int64)  # (J, M, K)
+        per_cw = self.slots != 0  # (J, M, K)
         if not (per_cw == per_cw[:, :1, :]).all():
             raise ValueError(
                 f"template {self.name}: codewords of one user differ in support"
@@ -106,16 +102,6 @@ class StructureTemplate:
                             f"shared parameter to two colliding users"
                         )
 
-    def system_config(self) -> SystemConfig:
-        g = self.graph
-        return SystemConfig(
-            J=self.J,
-            K=self.K,
-            M=self.M,
-            N=int(g.col_degrees.max()),
-            d_f=int(g.row_degrees.max()),
-        )
-
 
 # --- built-in layouts -----------------------------------------------------
 #
@@ -125,13 +111,6 @@ class StructureTemplate:
 # variant [-a4, a3, -a3, a4] of the (a3,a4) constellation on their first
 # resource.  The 12x6 system adds the pair (a7,a8) and uses the permuted
 # placements inside users 3 and 6.
-
-_F_6X4 = [
-    [1, 0, 1, 0, 1, 0],
-    [0, 1, 1, 0, 0, 1],
-    [1, 0, 0, 1, 0, 1],
-    [0, 1, 0, 1, 1, 0],
-]
 
 _SLOTS_6X4 = [
     [[+1, 0, +3, 0], [+2, 0, +4, 0], [-2, 0, -4, 0], [-1, 0, -3, 0]],
@@ -147,15 +126,6 @@ _F_8X4 = [
     [0, 1, 1, 0, 0, 1, 1, 0],
     [1, 0, 0, 1, 0, 1, 0, 1],
     [0, 1, 0, 1, 1, 0, 0, 1],
-]
-
-_F_12X6 = [
-    [1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-    [1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0],
-    [0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0],
-    [0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0],
-    [0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1],
-    [0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1],
 ]
 
 _SLOTS_12X6 = [
@@ -198,25 +168,20 @@ _SLOTS_12X6 = [
 ]
 
 _BUILTIN = {
-    "6x4": (6, _SLOTS_6X4, _F_6X4),
-    "12x6": (8, _SLOTS_12X6, _F_12X6),
+    "6x4": (6, _SLOTS_6X4),
+    "12x6": (8, _SLOTS_12X6),
 }
 
 
 def builtin_template(name: str) -> StructureTemplate:
     """Return one of the shipped layouts ("6x4" or "12x6")."""
     try:
-        num_params, slots, F = _BUILTIN[name]
+        num_params, slots = _BUILTIN[name]
     except KeyError:
         raise KeyError(
             f"unknown template {name!r}; available: {sorted(_BUILTIN)}"
         ) from None
-    return StructureTemplate(
-        name=name,
-        num_params=num_params,
-        slots=np.asarray(slots),
-        graph=FactorGraph(np.asarray(F)),
-    )
+    return StructureTemplate(name=name, num_params=num_params, slots=np.asarray(slots))
 
 
 def instantiate(template: StructureTemplate, a: Sequence[complex]) -> CodebookSet:
@@ -230,11 +195,7 @@ def instantiate(template: StructureTemplate, a: Sequence[complex]) -> CodebookSe
         )
     padded = np.concatenate(([0.0 + 0.0j], a))  # index 0 = structural zero
     books = np.sign(template.slots) * padded[np.abs(template.slots)]
-    return CodebookSet(
-        config=template.system_config(),
-        books=books,
-        factor_matrix=template.graph.F,
-    )
+    return CodebookSet(books, template.graph.F)
 
 
 def codeword_norms(template: StructureTemplate, a: np.ndarray) -> np.ndarray:
@@ -306,7 +267,7 @@ def derive_8x4(base: CodebookSet) -> CodebookSet:
     books[6, :, 1] = base.books[3, :, 3]
     books[7, :, 2] = base.books[2, :, 0]
     books[7, :, 3] = base.books[2, :, 1]
-    return CodebookSet.from_books(books, _F_8X4)
+    return CodebookSet(books, _F_8X4)
 
 
 # --- template JSON files ---------------------------------------------------
@@ -356,11 +317,12 @@ def template_from_dict(doc: dict) -> StructureTemplate:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodebookFormatError(f"malformed slot entry: {exc}") from exc
     try:
-        return StructureTemplate(
-            name=name, num_params=num_params, slots=slots, graph=FactorGraph(F)
-        )
+        template = StructureTemplate(name=name, num_params=num_params, slots=slots)
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
+    if not np.array_equal(F, template.graph.F):
+        raise CodebookFormatError(f"template {name}: slots do not match F")
+    return template
 
 
 def write_template_json(template: StructureTemplate, path: str | Path) -> None:

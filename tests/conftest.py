@@ -28,7 +28,7 @@ def qpsk_set() -> CodebookSet:
     closed-form symbol-error rate, used for calibration."""
     pts = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
     books = pts.reshape(1, 4, 1)
-    return CodebookSet.from_books(books, np.array([[1]]))
+    return CodebookSet(books, np.array([[1]]))
 
 
 def qpsk_theoretical_ser(n0: float) -> float:

@@ -288,7 +288,7 @@ class TestCriterion9PropertySuites:
         perm = np.array([2, 4, 0, 5, 1, 3])
         from scma.core import CodebookSet
 
-        permuted = CodebookSet.from_books(
+        permuted = CodebookSet(
             np.asarray(table2.books)[perm], np.asarray(table2.factor_matrix)[:, perm]
         )
         relabeled = mpa_detect_batch(y, permuted, None, n0, MpaConfig())
@@ -303,12 +303,12 @@ class TestCriterion9PropertySuites:
             rows=rows, fitness=np.array([objective(r) for r in rows]), generation=0
         )
         cfg = DeConfig(s_p=6, d=12, seed=1, eval=ObjectiveConfig(ebn0_db=10.0))
-        stepped = step_generation(pop, cfg, objective, de_rng(2), template=None)
+        stepped = step_generation(pop, cfg, objective, de_rng(2), builtin_template("6x4"))
         checks.append(stepped.best_fitness <= pop.best_fitness)
 
         # distance computation against the loop reference
         books = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
-        rep = kpi(CodebookSet.from_books(books))
+        rep = kpi(CodebookSet(books))
         de, te, dp, tp = brute_force_kpi(books)
         checks.append(
             rep.d_e_min == de and rep.tau_e == te

@@ -10,7 +10,7 @@ def _solo(cbs: CodebookSet, j: int) -> CodebookSet:
     """The same codebook set with every user but ``j`` silenced."""
     books = np.zeros_like(np.asarray(cbs.books))
     books[j] = cbs.books[j]
-    return CodebookSet.from_books(books, cbs.factor_matrix)
+    return CodebookSet(books, cbs.factor_matrix)
 
 
 def _draw(cbs: CodebookSet, channel: str, n0: float, seed: int):
@@ -48,7 +48,7 @@ class TestTransmit:
         symbols, _, y1 = _draw(table2, "awgn", 0.3, seed=99)
         books = np.array(table2.books)
         books[0] *= 2.0
-        doubled = CodebookSet.from_books(books, table2.factor_matrix)
+        doubled = CodebookSet(books, table2.factor_matrix)
         same, _, y2 = _draw(doubled, "awgn", 0.3, seed=99)
         assert np.array_equal(symbols, same)
         assert np.allclose(y2 - y1, table2.books[0, symbols[:, 0]], atol=1e-12)

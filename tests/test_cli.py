@@ -32,7 +32,9 @@ class TestRangeParser:
         vals = parse_snr_range("0:0.5:2")
         assert vals == [0.0, 0.5, 1.0, 1.5, 2.0]
 
-    @pytest.mark.parametrize("bad", ["a:b:c", "1:2", "0:0:5", "5:1:0"])
+    @pytest.mark.parametrize(
+        "bad", ["a:b:c", "1:2", "0:0:5", "5:1:0", "0:1:inf", "inf:1:5", "0:1:nan", "nan"]
+    )
     def test_invalid_forms(self, bad):
         with pytest.raises(UsageError):
             parse_snr_range(bad)
@@ -49,6 +51,24 @@ class TestValidateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"J": 6, ')
         assert main(["validate", "--codebook", str(bad)]) == 2
+
+    def test_malformed_entries_are_usage_errors(self, tmp_path, capsys):
+        """A non-list codebooks field, a numeric codeword and a null in an
+        [re, im] pair each end in one error line and exit 2."""
+        for case in range(3):
+            doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
+            if case == 0:
+                doc["codebooks"] = 5
+            elif case == 1:
+                doc["codebooks"][2][1] = 0.5
+            else:
+                doc["codebooks"][1][3][0] = [None, 0.0]
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["validate", "--codebook", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
 
     def test_support_mismatch_fails_validation(self, tmp_path, capsys):
         doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
@@ -162,6 +182,15 @@ class TestSimulateCommand:
             "simulate", "--codebook", str(table2_file), "--ebno", "bad:range",
             "--out", str(tmp_path / "x.csv"),
         ]) == 2
+
+    def test_non_finite_range_is_usage_error(self, table2_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "0:1:inf",
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "error: range '0:1:inf' has a non-finite value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag,value",

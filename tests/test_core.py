@@ -1,6 +1,11 @@
 """Parameter packing, container invariants, and the codebook JSON schema."""
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scma.core import (
     CodebookFormatError,
@@ -60,17 +65,13 @@ class TestPackUnpack:
 
 class TestSystemConfig:
     def test_overloading_is_user_resource_ratio(self):
-        cfg = SystemConfig(J=6, K=4, M=4, N=2, d_f=3)
+        cfg = SystemConfig(J=6, K=4, M=4)
         assert cfg.overloading == 1.5
         assert cfg.bits_per_symbol == 2
 
     def test_m_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            SystemConfig(J=2, K=2, M=3, N=1, d_f=1)
-
-    def test_n_bounds(self):
-        with pytest.raises(ValueError):
-            SystemConfig(J=2, K=2, M=4, N=3, d_f=1)
+            SystemConfig(J=2, K=2, M=3)
 
 
 class TestCodebookSet:
@@ -79,12 +80,21 @@ class TestCodebookSet:
             table2.books[0, 0, 0] = 0
 
     def test_shape_mismatch_rejected(self):
-        cfg = SystemConfig(J=2, K=2, M=4, N=1, d_f=1)
-        with pytest.raises(ValueError):
-            CodebookSet(
-                config=cfg, books=np.zeros((2, 4, 3), complex),
-                factor_matrix=np.ones((2, 2), dtype=np.int64),
-            )
+        with pytest.raises(ValueError, match=r"\(K, J\)"):
+            CodebookSet(np.zeros((2, 4, 3), complex), np.ones((2, 2), dtype=np.int64))
+
+    def test_config_and_graph_are_derived(self):
+        books = np.zeros((3, 2, 2), complex)
+        books[:, 0, :] = [[1, 0], [0, 1], [1, 1]]
+        books[:, 1] = -books[:, 0]
+        cbs = CodebookSet(books)
+        assert [f.name for f in fields(SystemConfig)] == ["J", "K", "M"]
+        assert cbs.config == SystemConfig(J=3, K=2, M=2)
+        assert cbs.factor_matrix.tolist() == [[1, 0, 1], [0, 1, 1]]
+        assert np.array_equal(cbs.graph.F, cbs.factor_matrix)
+        for name in ("config", "graph"):
+            with pytest.raises(TypeError):
+                CodebookSet(books, **{name: None})
 
     @pytest.mark.parametrize("name", ["6x4", "12x6"])
     def test_template_instantiations_satisfy_support_invariant(self, name):
@@ -122,7 +132,7 @@ class TestCodebookJson:
     def test_full_precision_survives_serialization(self, tmp_path):
         books = np.full((1, 2, 1), 0.1234567890123456 + 1j / 3.0)
         books[0, 1, 0] = -books[0, 0, 0]
-        cbs = CodebookSet.from_books(books)
+        cbs = CodebookSet(books)
         path = tmp_path / "cb.json"
         write_codebook_json(cbs, path)
         assert np.array_equal(read_codebook_json(path).books, books)
@@ -149,6 +159,36 @@ class TestCodebookJson:
         doc["codebooks"][3][1][2] = pair
         with pytest.raises(CodebookFormatError, match=r"entry \(3,1,2\)"):
             codebook_from_dict(doc)
+
+    @pytest.mark.parametrize("where", ["codebooks", "codeword", "pair", "F"])
+    def test_malformed_entries_rejected(self, table2, where):
+        doc = codebook_to_dict(table2)
+        if where == "codebooks":
+            doc["codebooks"] = 5
+        elif where == "codeword":
+            doc["codebooks"][2][1] = 0.5
+        elif where == "pair":
+            doc["codebooks"][1][3][0] = [None, 0.0]
+        else:
+            doc["F"][2][3] = None
+        with pytest.raises(CodebookFormatError):
+            codebook_from_dict(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_sets_round_trip(self, data):
+        J, K = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        M = data.draw(st.sampled_from([2, 4]))
+        F = data.draw(hnp.arrays(np.int64, (K, J), elements=st.integers(0, 1)))
+        parts = data.draw(hnp.arrays(np.float64, (2, J, M, K), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        books = np.zeros((J, M, K), complex)
+        books.real, books.imag = parts * F.T[None, :, None, :]
+        cbs = CodebookSet(books, F)
+        back = codebook_from_dict(json.loads(json.dumps(codebook_to_dict(cbs))))
+        assert np.array_equal(back.books, cbs.books)
+        assert np.array_equal(back.factor_matrix, F)
+        assert back.config == cbs.config
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

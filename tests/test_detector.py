@@ -115,7 +115,7 @@ def tree_system(seed=7):
     books[0, :, 0] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     books[0, :, 1] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     books[1, :, 1] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return CodebookSet.from_books(books / 1.5, np.array([[1, 0], [1, 1]]))
+    return CodebookSet(books / 1.5, np.array([[1, 0], [1, 1]]))
 
 
 class TestTreeExactness:
@@ -165,7 +165,7 @@ def tree_systems(draw):
     h = None
     if draw(st.booleans()):
         h = (rng.standard_normal((K, J)) + 1j * rng.standard_normal((K, J))) / np.sqrt(2)
-    return CodebookSet.from_books(books, F), y, h
+    return CodebookSet(books, F), y, h
 
 
 class TestCycleFreeGraphs:
@@ -219,7 +219,7 @@ class TestMpaBehavior:
         n0 = 0.1
         _, _, y = draw_frame_block(table2, "awgn", n0, 16, block_rng(4, 0, 0))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        permuted = CodebookSet.from_books(
+        permuted = CodebookSet(
             np.asarray(table2.books)[perm], np.asarray(table2.factor_matrix)[:, perm]
         )
         base = mpa_detect_batch(y, table2, None, n0, MpaConfig())
@@ -264,7 +264,7 @@ class TestMpaBehavior:
         detected."""
         books, F = np.array(table2.books), np.array(table2.factor_matrix)
         books[2], F[:, 2] = 0.0, 0
-        cbs = CodebookSet.from_books(books, F)
+        cbs = CodebookSet(books, F)
         with pytest.raises(ValueError, match="isolated"):
             mpa_detect_batch(np.zeros((1, 4), complex), cbs, None, 0.1)
 
@@ -397,7 +397,7 @@ class TestLogRescue:
         user-node product underflows and the beliefs come out uniform."""
         c = 0.7 * np.array([1, 1j, -1j, -1])
         books = np.stack([c, c * np.exp(0.3j)], axis=1)[None]
-        cbs = CodebookSet.from_books(books, np.array([[1], [1]]))
+        cbs = CodebookSet(books, np.array([[1], [1]]))
         y = np.array([c[0], c[3] * np.exp(0.3j) + 0.05])
         exact = brute_force_marginals(books, y, None, 1e-4)
         log = mpa_detect(y, cbs, None, 1e-4, MpaConfig(domain="log"))
@@ -463,7 +463,7 @@ class TestMapOracle:
     def test_enumeration_guard(self):
         books = np.zeros((13, 4, 2), complex)
         books[:, :, 0] = np.arange(52).reshape(13, 4)
-        big = CodebookSet.from_books(books)
+        big = CodebookSet(books)
         with pytest.raises(ValueError, match="mpa_detect"):
             map_detect_batch(np.zeros((1, 2), complex), big, None, 0.1)
 

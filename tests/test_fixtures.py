@@ -69,7 +69,7 @@ class TestStructuralChecks:
         assert np.allclose(norms[:2], 1.0, atol=1e-3)
 
     def test_all_zero_set_flagged(self):
-        zero = CodebookSet.from_books(np.zeros((2, 4, 2), complex))
+        zero = CodebookSet(np.zeros((2, 4, 2), complex))
         report = validate_codebook(zero)
         assert any("identical" in v for v in report.violations)
 
@@ -77,15 +77,14 @@ class TestStructuralChecks:
         wrong_f = np.asarray(table2.factor_matrix).copy()
         wrong_f[0, 0] = 0
         wrong_f[1, 0] = 1
-        broken = CodebookSet(config=table2.config, books=table2.books,
-                             factor_matrix=wrong_f)
+        broken = CodebookSet(table2.books, wrong_f)
         report = validate_codebook(broken)
         assert any("support" in v for v in report.violations)
 
     def test_broken_symmetry_flagged(self, table2):
         books = np.array(table2.books)
         books[0, 0, 0] *= 1.0001
-        report = validate_codebook(CodebookSet.from_books(books, table2.factor_matrix))
+        report = validate_codebook(CodebookSet(books, table2.factor_matrix))
         assert any("negation" in v for v in report.violations)
 
     def test_table5_supports_match_12x6_factor_matrix(self, table5):

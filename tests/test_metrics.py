@@ -35,7 +35,7 @@ class TestKpi:
     def test_antipodal_unit_norm_pair(self):
         x = np.array([0.6, 0.8j])
         books = np.stack([x, -x]).reshape(1, 2, 2)
-        report = kpi(CodebookSet.from_books(books))
+        report = kpi(CodebookSet(books))
         assert report.d_e_min == pytest.approx(2.0)
 
     def test_matches_brute_force_on_random_small_sets(self):
@@ -45,7 +45,7 @@ class TestKpi:
             M = int(rng.choice([2, 4]))
             K = int(rng.integers(1, 4))
             books = rng.standard_normal((J, M, K)) + 1j * rng.standard_normal((J, M, K))
-            report = kpi(CodebookSet.from_books(books))
+            report = kpi(CodebookSet(books))
             de, te, dp, tp = brute_force_kpi(books)
             assert report.d_e_min == de
             assert report.tau_e == te
@@ -56,19 +56,19 @@ class TestKpi:
         books = np.zeros((1, 2, 3), complex)
         books[0, 0] = [1 + 1j, 2.0, 3.0]
         books[0, 1] = [1 + 1j, 2.0, 3.0 - 0.7j]
-        report = kpi(CodebookSet.from_books(books))
+        report = kpi(CodebookSet(books))
         assert report.d_p_min == pytest.approx(0.7)
         assert report.d_e_min == pytest.approx(0.7)
 
     def test_invariant_under_user_relabeling(self, table2):
         perm = np.array([5, 3, 1, 0, 2, 4])
-        permuted = CodebookSet.from_books(
+        permuted = CodebookSet(
             np.asarray(table2.books)[perm], np.asarray(table2.factor_matrix)[:, perm]
         )
         assert kpi(permuted) == kpi(table2)
 
     def test_invariant_under_global_phase(self, table2):
-        rotated = CodebookSet.from_books(
+        rotated = CodebookSet(
             np.exp(1.1j) * np.asarray(table2.books), table2.factor_matrix
         )
         base, rot = kpi(table2), kpi(rotated)
@@ -84,7 +84,7 @@ class TestKpi:
 
     def test_two_codewords_suffice(self):
         pair = np.array([[[1.0 + 0j], [-1.0 + 0j]]])
-        report = kpi(CodebookSet.from_books(pair))
+        report = kpi(CodebookSet(pair))
         assert report.d_e_min == pytest.approx(2.0)
         assert report.tau_e >= 1 and report.tau_p >= 1
 

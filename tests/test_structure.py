@@ -1,8 +1,12 @@
 """Templates, instantiation, normalization, and factor-graph analysis."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scma.core import (
+    CodebookFormatError,
     DegenerateParameterError,
     MalformedParameterError,
     unpack_params,
@@ -82,18 +86,17 @@ class TestBuiltinTemplates:
 
 class TestTemplateValidation:
     def test_support_mismatch_rejected(self):
-        t = builtin_template("6x4")
-        slots = np.array(t.slots)
-        slots[0, :, 1] = [2, 1, -1, -2]  # occupies a resource outside user 0's column
-        with pytest.raises(ValueError, match="match F"):
-            StructureTemplate("bad", 6, slots, t.graph)
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["F"][0] = [0, 1, 1, 0, 1, 0]  # user 0's column no longer matches its slots
+        with pytest.raises(CodebookFormatError, match="match F"):
+            template_from_dict(doc)
 
     def test_broken_antipodal_rejected(self):
         t = builtin_template("6x4")
         slots = np.array(t.slots)
         slots[0, 0, 0] = 2
         with pytest.raises(ValueError, match="negation"):
-            StructureTemplate("bad", 6, slots, t.graph)
+            StructureTemplate("bad", 6, slots)
 
     def test_latin_violation_rejected(self):
         t = builtin_template("6x4")
@@ -101,7 +104,7 @@ class TestTemplateValidation:
         # make user 3 reuse user 1's parameters on resource 3 (both collide there)
         slots[3, :, 2] = slots[0, :, 2]
         with pytest.raises(ValueError, match="shared parameter"):
-            StructureTemplate("bad", 6, slots, t.graph)
+            StructureTemplate("bad", 6, slots)
 
 
 class TestInstantiate:
@@ -237,6 +240,24 @@ class TestTemplateFiles:
         assert np.array_equal(back.slots, t.slots)
         assert np.array_equal(back.graph.F, t.graph.F)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["6x4", "12x6"]), st.data())
+    def test_relabelled_builtins_round_trip(self, name, data):
+        t = builtin_template(name)
+        users = np.array(data.draw(st.permutations(range(t.J))))
+        resources = np.array(data.draw(st.permutations(range(t.K))))
+        labels = np.array([0] + data.draw(st.permutations(range(1, t.num_params + 1))))
+        signs = np.array([1] + data.draw(st.lists(
+            st.sampled_from([-1, 1]), min_size=t.num_params, max_size=t.num_params)))
+        s = t.slots[users][:, :, resources]
+        relabelled = StructureTemplate(
+            "relabelled", t.num_params, np.sign(s) * signs[np.abs(s)] * labels[np.abs(s)]
+        )
+        back = template_from_dict(json.loads(json.dumps(template_to_dict(relabelled))))
+        assert np.array_equal(back.slots, relabelled.slots)
+        assert np.array_equal(back.graph.F, relabelled.graph.F)
+        assert np.array_equal(back.graph.F, t.graph.F[resources][:, users])
+
     def test_user_supplied_template_accepted(self):
         doc = template_to_dict(builtin_template("6x4"))
         doc["name"] = "custom"
@@ -245,8 +266,6 @@ class TestTemplateFiles:
         assert t.num_params == 6
 
     def test_malformed_slots_rejected(self):
-        from scma.core import CodebookFormatError
-
         doc = template_to_dict(builtin_template("6x4"))
         doc["slots"][0][0][0] = {"p": 0}
         with pytest.raises(CodebookFormatError):
