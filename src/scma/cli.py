@@ -42,9 +42,13 @@ class UsageError(Exception):
     pass
 
 
+# most points an A:STEP:B range may hold; each is a full Monte-Carlo estimate
+MAX_RANGE_POINTS = 10_000
+
+
 def parse_snr_range(text: str) -> list[float]:
-    """MATLAB-style inclusive range A:STEP:B; a bare number is a single
-    point."""
+    """MATLAB-style inclusive range A:STEP:B of at most ``MAX_RANGE_POINTS``
+    points; a bare number is a single point."""
     parts = text.split(":")
     try:
         if len(parts) not in (1, 3):
@@ -61,10 +65,12 @@ def parse_snr_range(text: str) -> list[float]:
         if a == b:
             return [a]
         raise UsageError(f"zero step in range {text!r}")
-    n = int(np.floor((b - a) / step + 1e-9)) + 1
+    n = np.floor((b - a) / step + 1e-9) + 1
     if n < 1:
         raise UsageError(f"empty range {text!r}")
-    return [a + i * step for i in range(n)]
+    if n > MAX_RANGE_POINTS:
+        raise UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    return [a + i * step for i in range(int(n))]
 
 
 def _default_threads() -> int:

@@ -88,6 +88,8 @@ class FactorGraph:
         F = np.asarray(self.F, dtype=np.int64)
         if F.ndim != 2:
             raise ValueError("factor matrix must be 2-D")
+        if F.shape[1] == 0:
+            raise ValueError(f"factor matrix of shape (K, J) = {F.shape} has no user column")
         if not np.isin(F, (0, 1)).all():
             raise ValueError("factor matrix entries must be 0 or 1")
         rows, cols = np.nonzero(F)  # edge e joins resource rows[e], user cols[e]

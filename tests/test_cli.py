@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from scma.cli import UsageError, build_parser, main, parse_snr_range
+from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
 
@@ -33,11 +33,15 @@ class TestRangeParser:
         assert vals == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize(
-        "bad", ["a:b:c", "1:2", "0:0:5", "5:1:0", "0:1:inf", "inf:1:5", "0:1:nan", "nan"]
+        "bad", ["a:b:c", "1:2", "0:0:5", "5:1:0", "0:1:inf", "inf:1:5", "0:1:nan", "nan",
+                "0:1:10000", "0:1e-6:1", "0:5e-324:1"]
     )
     def test_invalid_forms(self, bad):
         with pytest.raises(UsageError):
             parse_snr_range(bad)
+
+    def test_point_limit_is_inclusive(self):
+        assert len(parse_snr_range("0:1:9999")) == MAX_RANGE_POINTS
 
 
 class TestValidateCommand:
@@ -190,6 +194,15 @@ class TestSimulateCommand:
             "--out", str(out),
         ]) == 2
         assert capsys.readouterr().err == "error: range '0:1:inf' has a non-finite value\n"
+        assert not out.exists()
+
+    def test_oversized_range_is_usage_error(self, table2_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "0:1e-6:1",
+            "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "error: range '0:1e-6:1' has more than 10000 points\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -83,6 +83,10 @@ class TestCodebookSet:
         with pytest.raises(ValueError, match=r"\(K, J\)"):
             CodebookSet(np.zeros((2, 4, 3), complex), np.ones((2, 2), dtype=np.int64))
 
+    def test_factor_matrix_without_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"\(K, J\) = \(1, 0\)"):
+            CodebookSet(np.zeros((1, 2, 1)), np.zeros((1, 0)))
+
     def test_config_and_graph_are_derived(self):
         books = np.zeros((3, 2, 2), complex)
         books[:, 0, :] = [[1, 0], [0, 1], [1, 1]]
@@ -200,6 +204,11 @@ class TestCodebookJson:
         doc = codebook_to_dict(table2)
         doc["F"] = [[1, 0], [0, 1]]
         with pytest.raises(CodebookFormatError):
+            codebook_from_dict(doc)
+
+    def test_factor_matrix_without_columns_rejected(self):
+        doc = {"J": 1, "K": 1, "M": 2, "F": [[]], "codebooks": [[[[0, 0]], [[0, 0]]]]}
+        with pytest.raises(CodebookFormatError, match="no user column"):
             codebook_from_dict(doc)
 
     def test_non_binary_factor_entry_rejected(self, table2):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
+from scma import detector
 from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
 from scma.core import CodebookSet
 from scma.detector import (
@@ -347,12 +348,11 @@ class TestWeightTables:
 
     @pytest.mark.parametrize("name,channel", SHIPPED_SYSTEMS)
     def test_linear_tables_hold_no_subnormal_entry(self, name, channel):
-        tiny = np.finfo(float).tiny
         flushed = 0
         for y_col, contribs, n0 in resource_tables(name, channel, 30.0):
             logW = _log_weights(y_col, contribs, n0, y_col.shape[0], 4)
             W = _flushed_exp(logW)
-            assert not ((W > 0.0) & (W < tiny)).any()
+            assert not ((W > 0.0) & (W < np.exp(FLUSH_FLOOR))).any()
             low = logW <= FLUSH_FLOOR
             assert (W[low] == 0.0).all()
             assert W[~low].tobytes() == np.exp(logW[~low]).tobytes()
@@ -388,6 +388,23 @@ class TestLogRescue:
         lin = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="linear"))
         assert np.abs(log - ref).max() < 1e-12
         assert np.abs(lin - ref).max() > 0.5
+
+    def test_resource_peak_in_the_newly_rescued_band(self, monkeypatch):
+        """User 0's first resource favours symbol 0 and its second symbol 1,
+        whose message to user 0 gets its symbol-0 entry only from table
+        entries below the flush floor.  That resource's message to user 1
+        peaks near 1e-194, inside the band (1e-250, RESCUE_FLOOR), so the
+        rescue recomputes the resource in log arithmetic and keeps the exact
+        marginals.  With the floor at 1e-250 the flushed messages stand and
+        user 0's belief lands on the wrong symbol."""
+        cbs = tree_system(seed=48)
+        y = np.array([-0.26 + 0.05j, 1.43 - 0.09j])
+        n0 = 1.5e-3
+        exact = brute_force_marginals(np.asarray(cbs.books), y, None, n0)
+        cfg = MpaConfig(iterations=4, domain="log")
+        assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() <= 1e-12
+        monkeypatch.setattr(detector, "RESCUE_FLOOR", 1e-250)
+        assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() > 0.5
 
     @pytest.mark.xfail(strict=True, reason="log-domain messages are stored and "
                        "multiplied as linear probabilities at the user node")
