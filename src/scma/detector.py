@@ -2,13 +2,15 @@
 
 ``mpa_detect`` runs sum-product message passing between resource nodes and
 user nodes, exchanging length-M probability vectors stored frames last.  One
-kernel yields all d_f outgoing messages of a resource from its M^{d_f}-entry
-weight table: it contracts the table with the incoming messages of one half
-of the slots, recurses on the other half, then swaps the halves, so it costs
-~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The tables are built once
-per call, their exponent shifted by its per-(frame, resource) maximum, which
-cancels in the normalization and keeps the linear domain alive at very small
-noise levels.
+recursion yields all d_f outgoing messages of a resource from its
+M^{d_f}-entry weight table: it contracts the table with the incoming messages
+of one half of the slots, recurses on the other half, then swaps the halves,
+so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The contraction
+is its argument: ``np.einsum`` on linear tables, or on log tables an add of
+log-messages reduced by ``np.max`` (max-log) or ``_logsumexp`` (log rescue).
+The one table per resource is built once per call, its exponent shifted by
+its per-(frame, resource) maximum, which cancels in the normalization and
+keeps the linear domain alive at very small noise levels.
 
 The messages live in one (E + 1, M, frames) array per direction, ``Q`` from
 users to resources and ``R`` back, indexed by the edges of ``cbs.graph``.
@@ -30,13 +32,13 @@ flushed entry was below sqrt(tiny), and the incoming messages are at most 1,
 so flushing moves each of the M^{d_f - 1} terms of an unnormalised message
 entry by less than sqrt(tiny).
 
-The log domain runs the same kernel plus a rescue.  While every unnormalised
-outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-96), each term lost
-to underflow or to the flush is at most ~1.5e-58 of the peak, so even
-M^{d_f - 1} of them shift a normalised entry by less than 1e-55.  Where some
-message of a resource peaks below the floor, its messages are recomputed on
-those frames in log arithmetic from the unflushed log table.
-Max-log uses the same log arithmetic on all frames: its max is exact there,
+The log domain runs the linear kernel plus a rescue.  While every
+unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-96),
+each term lost to underflow or to the flush is at most ~1.5e-58 of the peak,
+so even M^{d_f - 1} of them shift a normalised entry by less than 1e-55.
+Where some message of a resource peaks below the floor, its messages are
+recomputed on those frames in log arithmetic from log tables rebuilt for
+them.  Max-log uses log arithmetic on all frames: its max is exact there,
 while a linear max-product rounds products and breaks exact ties otherwise.
 
 ``map_detect`` is the brute-force joint maximum-likelihood oracle used to
@@ -45,6 +47,8 @@ verify the message-passing detector on small systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -64,9 +68,10 @@ FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 class MpaConfig:
     """Message-passing settings: sweep count, arithmetic domain ("linear" or
     "log"), damping factor on the user-to-resource messages, and max-log (log
-    domain only).  Both domains share one ~2 * M^{d_f} sum-product kernel; the
-    log domain adds the exact log-arithmetic rescue below ``RESCUE_FLOOR``,
-    and max-log runs in log arithmetic on all frames."""
+    domain only).  One ~2 * M^{d_f} recursion serves all three arithmetics:
+    sum-product on flushed linear tables, the log rescue below
+    ``RESCUE_FLOOR`` on log tables rebuilt for the rescued frames, and
+    max-log on log tables."""
 
     iterations: int = 10
     domain: str = "linear"
@@ -97,7 +102,7 @@ def _normalize_rows(msg: np.ndarray) -> np.ndarray:
 
 
 def _log_weights(
-    y_col: np.ndarray, contribs: list[np.ndarray], n0: float, frames: int, M: int
+    y_col: np.ndarray, contribs: list[np.ndarray], n0: float
 ) -> np.ndarray:
     """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame.
 
@@ -105,8 +110,9 @@ def _log_weights(
     (M, frames); axis p of the result indexes the p-th colliding user.  The
     real and imaginary parts are built separately and in place, rounding
     exactly as the complex formula does: the sum ((c0 + c1) + ...), then
-    (y - sum) squared per part, added, divided by -n0."""
-    d = len(contribs)
+    (y - sum) squared per part, added, divided by -n0.  Frames do not mix,
+    so a table built on a subset of frames equals that slice of the full one."""
+    d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
     squares = []
     for part in (np.real, np.imag):
         S = None
@@ -152,17 +158,32 @@ def _contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
     return np.einsum(*ops, [a for a in range(n + 1) if a not in axes])
 
 
-def _sum_product(T: np.ndarray, msgs: list[np.ndarray]) -> list[np.ndarray]:
+def _log_contract(
+    T: np.ndarray, msgs: list[np.ndarray], axes: range, reduce: Callable
+) -> np.ndarray:
+    """``_contract`` in log arithmetic: add the log-message msgs[a] along
+    each slot axis a of T in axis order, then reduce those axes with reduce,
+    ``np.max`` for max-log or ``_logsumexp``."""
+    n, B = T.ndim - 1, None
+    for a in axes:
+        m = np.expand_dims(msgs[a], [i for i in range(n) if i != a])
+        # add in place after the first add: fresh arrays ran max-log ~1.9x slower
+        B = T + m if B is None else np.add(B, m, out=B)
+    return reduce(B, axis=tuple(axes))
+
+
+def _sum_product(
+    T: np.ndarray, msgs: list[np.ndarray], contract: Callable = _contract
+) -> list[np.ndarray]:
     """Unnormalised outgoing message of every slot of T: slot p's message
-    sums T times every other slot's incoming message.  Each half of the
+    contracts T with every other slot's incoming message.  Each half of the
     slots is contracted away once and shared by the other half's messages."""
     n = T.ndim - 1
     if n == 1:
         return [T]
     h = n // 2
-    return _sum_product(_contract(T, msgs, range(h, n)), msgs[:h]) + _sum_product(
-        _contract(T, msgs, range(h)), msgs[h:]
-    )
+    return (_sum_product(contract(T, msgs, range(h, n)), msgs[:h], contract)
+            + _sum_product(contract(T, msgs, range(h)), msgs[h:], contract))
 
 
 def _logsumexp(
@@ -193,26 +214,14 @@ def _logsumexp(
     return out if keepdims else out.squeeze(axis)
 
 
-def _log_resource(logW: np.ndarray, Q: np.ndarray, max_log: bool) -> np.ndarray:
-    """Normalised outgoing messages of one resource in log arithmetic from
-    its (M, ..., M, frames) table and incoming (slots, M, frames) messages;
-    max_log replaces each sum over combinations by a max."""
-    d = Q.shape[0]
+def _log_resource(logW: np.ndarray, Q: np.ndarray, reduce: Callable) -> np.ndarray:
+    """Normalised outgoing messages of one resource in log arithmetic from its
+    (M, ..., M, frames) log table and incoming (slots, M, frames) messages;
+    reduce is ``_logsumexp`` for sum-product or ``np.max`` for max-log."""
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
-    out = np.empty_like(Q)
-    reduce = np.max if max_log else _logsumexp
-    for p in range(d):
-        B = logW
-        for q in range(d):
-            if q != p:
-                shape = [1] * d + [Q.shape[2]]
-                shape[q] = Q.shape[1]
-                B = B + logQ[q].reshape(shape)
-        axes = tuple(ax for ax in range(d) if ax != p)
-        lr = reduce(B, axis=axes) if axes else B
-        out[p] = np.exp(lr - _logsumexp(lr, axis=0, keepdims=True))
-    return out
+    lr = np.stack(_sum_product(logW, list(logQ), partial(_log_contract, reduce=reduce)))
+    return np.exp(lr - _logsumexp(lr, axis=1, keepdims=True))
 
 
 def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -224,7 +233,14 @@ def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_inputs(y: np.ndarray, h: np.ndarray | None, n0: float) -> None:
+def _check_inputs(
+    y: np.ndarray, cbs: CodebookSet, h: np.ndarray | None, n0: float
+) -> None:
+    K, J = cbs.config.K, cbs.config.J
+    if y.ndim != 2 or y.shape[1] != K:
+        raise ValueError(f"y has shape {y.shape}, expected (frames, K) = (frames, {K})")
+    if h is not None and np.shape(h) != (len(y), K, J):
+        raise ValueError(f"h has shape {np.shape(h)}, expected {(len(y), K, J)}")
     if n0 <= 0.0:
         raise ValueError(f"n0 must be positive, got {n0}")
     if not np.isfinite(y).all():
@@ -247,31 +263,23 @@ def mpa_detect_batch(
     a probability vector over the M codewords.
     """
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ValueError("y must be (frames, K)")
-    _check_inputs(y, h, n0)
+    _check_inputs(y, cbs, h, n0)
     books, g = cbs.books, cbs.graph
     if not (g.row_degrees.all() and g.col_degrees.all()):
         raise ValueError("factor matrix has an isolated row or column")
     M, frames, user_edges = cbs.config.M, y.shape[0], g.user_edges
     edges = [slice(g.res_start[k], g.res_start[k + 1]) for k in range(g.K)]
 
-    # weight tables, one per resource, fixed across iterations: max-log
-    # keeps the log table, the linear domain only the flushed linear one, and
-    # the log domain both, the log table for the rescue
-    tables = (
-        _log_weights(y[:, k], [books[j, :, k] if h is None else
-                               h[:, k, j][None, :] * books[j, :, k][:, None]
-                               for j in g.resource_users(k)], n0, frames, M)
-        for k in range(g.K)
-    )
-    if cfg.max_log:
-        logW, W = list(tables), None
-    elif cfg.domain == "log":
-        logW = list(tables)
-        W = [_flushed_exp(lw) for lw in logW]
-    else:
-        logW, W = None, [_flushed_exp(lw, out=lw) for lw in tables]
+    def log_table(k: int, f: slice | np.ndarray = slice(None)) -> np.ndarray:
+        return _log_weights(y[f, k], [books[j, :, k] if h is None else
+                                      h[f, k, j][None, :] * books[j, :, k][:, None]
+                                      for j in g.resource_users(k)], n0)
+
+    # one weight table per resource, fixed across iterations: the log table
+    # for max-log, the flushed linear table otherwise
+    tables = [log_table(k) for k in range(g.K)]
+    if not cfg.max_log:
+        tables = [_flushed_exp(t, out=t) for t in tables]
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
@@ -282,16 +290,16 @@ def mpa_detect_batch(
     for _ in range(cfg.iterations):
         for k, e in enumerate(edges):
             if cfg.max_log:
-                R[e] = _log_resource(logW[k], Q[e], max_log=True)
+                R[e] = _log_resource(tables[k], Q[e], np.max)
                 continue
-            raw = np.stack(_sum_product(W[k], list(Q[e])), out=R[e])
+            raw = np.stack(_sum_product(tables[k], list(Q[e])), out=R[e])
             # frames to rescue, read before raw is normalised in place
             low = (np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
                    if cfg.domain == "log" else ())
             _normalize_rows(raw)
             if len(low):
                 R[e, :, low] = _log_resource(
-                    logW[k][..., low], Q[e, :, low], max_log=False)
+                    log_table(k, low), Q[e, :, low], _logsumexp)
         for cols, rest in zip(user_edges.T, others):
             out = _normalize_rows(_edge_product(R, rest))
             if cfg.damping > 0.0:
@@ -334,15 +342,6 @@ def _candidate_sums(scaled_books: np.ndarray) -> np.ndarray:
     return S
 
 
-def _decode_indices(flat: np.ndarray, J: int, M: int) -> np.ndarray:
-    out = np.empty(flat.shape + (J,), dtype=np.int64)
-    rem = flat.copy()
-    for j in range(J - 1, -1, -1):
-        out[..., j] = rem % M
-        rem //= M
-    return out
-
-
 def map_detect_batch(
     y: np.ndarray,
     cbs: CodebookSet,
@@ -353,9 +352,7 @@ def map_detect_batch(
     returns (frames, J) symbol indices.  Ties break toward the
     lexicographically smallest symbol tuple."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ValueError("y must be (frames, K)")
-    _check_inputs(y, h, n0)
+    _check_inputs(y, cbs, h, n0)
     cfg = cbs.config
     n_hyp = cfg.M ** cfg.J
     if n_hyp > MAP_ENUMERATION_LIMIT:
@@ -364,23 +361,23 @@ def map_detect_batch(
             f"({MAP_ENUMERATION_LIMIT}); use mpa_detect instead"
         )
     frames = y.shape[0]
+    best = np.empty(frames, dtype=np.int64)
     if h is None:
         cand = _candidate_sums(np.asarray(cbs.books))
         cnorm2 = (np.abs(cand) ** 2).sum(axis=1)
-        best = np.empty(frames, dtype=np.int64)
         chunk = max(1, 2 ** 22 // max(n_hyp, 1))
         for lo in range(0, frames, chunk):
             hi = min(lo + chunk, frames)
             metric = cnorm2[None, :] - 2.0 * (y[lo:hi] @ cand.conj().T).real
             best[lo:hi] = np.argmin(metric, axis=1)
-        return _decode_indices(best, cfg.J, cfg.M)
-    best = np.empty(frames, dtype=np.int64)
-    for f in range(frames):
-        scaled = cbs.books * h[f].T[:, None, :]  # (J, M, K)
-        cand = _candidate_sums(scaled)
-        metric = (np.abs(y[f][None, :] - cand) ** 2).sum(axis=1)
-        best[f] = int(np.argmin(metric))
-    return _decode_indices(best, cfg.J, cfg.M)
+    else:
+        for f in range(frames):
+            scaled = cbs.books * h[f].T[:, None, :]  # (J, M, K)
+            cand = _candidate_sums(scaled)
+            metric = (np.abs(y[f][None, :] - cand) ** 2).sum(axis=1)
+            best[f] = int(np.argmin(metric))
+    # hypothesis index digits in base M, user 0 the most significant
+    return np.stack(np.unravel_index(best, (cfg.M,) * cfg.J), axis=-1)
 
 
 def map_detect(

@@ -184,24 +184,30 @@ def builtin_template(name: str) -> StructureTemplate:
     return StructureTemplate(name=name, num_params=num_params, slots=np.asarray(slots))
 
 
-def instantiate(template: StructureTemplate, a: Sequence[complex]) -> CodebookSet:
-    """Fill the template slots with concrete parameter values: slot +-t
-    becomes +-a_t.  Linear in a."""
+def _params(template: StructureTemplate, a: Sequence[complex]) -> np.ndarray:
+    """a as a flat complex vector of the template's num_params parameters."""
     a = np.asarray(a, dtype=np.complex128).ravel()
     if a.size != template.num_params:
         raise MalformedParameterError(
             f"template {template.name} needs {template.num_params} parameters, "
             f"got {a.size}"
         )
+    return a
+
+
+def instantiate(template: StructureTemplate, a: Sequence[complex]) -> CodebookSet:
+    """Fill the template slots with concrete parameter values: slot +-t
+    becomes +-a_t.  Linear in a."""
+    a = _params(template, a)
     padded = np.concatenate(([0.0 + 0.0j], a))  # index 0 = structural zero
     books = np.sign(template.slots) * padded[np.abs(template.slots)]
     return CodebookSet(books, template.graph.F)
 
 
-def codeword_norms(template: StructureTemplate, a: np.ndarray) -> np.ndarray:
+def codeword_norms(template: StructureTemplate, a: Sequence[complex]) -> np.ndarray:
     """(J, M) Euclidean norms of the codewords instantiate(template, a)
     would produce."""
-    mag2 = np.concatenate(([0.0], np.abs(np.asarray(a)) ** 2))
+    mag2 = np.concatenate(([0.0], np.abs(_params(template, a)) ** 2))
     return np.sqrt(mag2[np.abs(template.slots)].sum(axis=2))
 
 
@@ -219,12 +225,7 @@ def normalize(
     sweeps elapse.  Returns the adjusted parameters and the final residual.
     Phases are never touched, only magnitudes.
     """
-    a = np.asarray(a, dtype=np.complex128).ravel().copy()
-    if a.size != template.num_params:
-        raise MalformedParameterError(
-            f"template {template.name} needs {template.num_params} parameters, "
-            f"got {a.size}"
-        )
+    a = _params(template, a).copy()
     param_sets = [
         [np.abs(template.slots[j, m][template.slots[j, m] != 0]) - 1
          for m in range(template.M)]

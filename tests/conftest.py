@@ -62,11 +62,14 @@ def brute_force_kpi(books: np.ndarray, rel_tol: float = 1e-3):
 
 
 def brute_force_marginals(
-    books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float
+    books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float,
+    max_log: bool = False,
 ) -> np.ndarray:
     """Exact posterior symbol marginals by enumerating every joint
     hypothesis.  The log posterior is shifted by its maximum, so a small n0
-    does not underflow every hypothesis."""
+    does not underflow every hypothesis.  With max_log, each marginal is the
+    normalised exp of the max-marginal log posterior instead, the fixed
+    point of max-log message passing on a tree."""
     J, M, K = books.shape
     scaled = books if h is None else books * h.T[:, None, :]
     log_post = np.zeros((M,) * J)
@@ -79,5 +82,7 @@ def brute_force_marginals(
     marginals = np.empty((J, M))
     for j in range(J):
         axes = tuple(a for a in range(J) if a != j)
-        marginals[j] = post.sum(axis=axes)
+        marginals[j] = post.max(axis=axes) if max_log else post.sum(axis=axes)
+    if max_log:
+        marginals /= marginals.sum(axis=1, keepdims=True)
     return marginals

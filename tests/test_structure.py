@@ -135,6 +135,12 @@ class TestInstantiate:
         with pytest.raises(MalformedParameterError):
             instantiate(builtin_template("6x4"), np.ones(5, complex))
 
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("func", [normalize, codeword_norms])
+    def test_wrong_length_rejected_by_every_parameter_reader(self, func, n):
+        with pytest.raises(MalformedParameterError, match="needs 6 parameters, got"):
+            func(builtin_template("6x4"), np.ones(n, complex))
+
 
 class TestNormalize:
     def feasible_point(self, u=0.37, seed=2):
