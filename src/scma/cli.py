@@ -170,12 +170,11 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
     cbs = _load_codebook(args.codebook)
     points = parse_snr_range(args.ebno)
-    mpa = MpaConfig(iterations=args.mpa_iters, domain=args.mpa_domain)
     estimates = sweep_ser(
         cbs,
         points,
         args.channel,
-        mpa=mpa,
+        mpa=MpaConfig(iterations=args.mpa_iters),
         seed=args.seed,
         frames=args.frames,
         target_errors=args.target_errors,
@@ -192,7 +191,6 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "target_errors": args.target_errors,
         "max_frames": args.max_frames,
         "mpa_iters": args.mpa_iters,
-        "mpa_domain": args.mpa_domain,
     }
     _write_manifest(
         out.parent, "simulate", argv, args.seed, config, [out.name], started,
@@ -310,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop a point after this many symbol errors")
     p.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
     p.add_argument("--mpa-iters", type=int, default=10)
-    p.add_argument("--mpa-domain", choices=("linear", "log"), default="linear")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True, help="output CSV path")

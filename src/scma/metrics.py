@@ -92,8 +92,8 @@ def i_lower_bound(sc: SumConstellation, n0: float) -> float:
     """Mutual-information lower bound (bits) for the sum constellation under
     complex Gaussian noise of total variance n0, clamped to its
     [0, log2(#points)] range."""
-    if n0 <= 0.0:
-        raise ValueError(f"n0 must be positive, got {n0}")
+    if not (np.isfinite(n0) and n0 > 0.0):
+        raise ValueError(f"n0 must be finite and positive, got {n0}")
     pts = sc.points
     T = pts.size
     d2 = np.abs(pts[:, None] - pts[None, :]) ** 2

@@ -74,6 +74,9 @@ class DeConfig:
             raise ValueError("alpha must be positive")
         if self.d % 2 != 0:
             raise ValueError("d must be even (interleaved re/im parts)")
+        for name in ("i_max", "plateau_window", "plateau_eps"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,25 @@ class TestSimulateCommand:
     def test_unknown_flag_is_usage_error(self, table2_file, capsys):
         assert main(["simulate", "--codebook", str(table2_file), "--nope"]) == 2
 
+    def test_mpa_domain_flag_is_gone(self, table2_file, tmp_path, capsys):
+        """Sum-product has one path, so there is no arithmetic to pick."""
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "10",
+            "--frames", "64", "--mpa-domain", "log", "--out", str(out),
+        ]) == 2
+        assert "--mpa-domain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_no_domain(self, table2_file, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "10",
+            "--frames", "64", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert "mpa_domain" not in manifest["config"]
+
 
 class TestOptimizeCommand:
     def test_zero_iterations_emits_initial_best(self, tmp_path, capsys):
@@ -277,6 +296,24 @@ class TestOptimizeCommand:
             "--out", str(out),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iter", "-3"), ("--plateau-window", "-1"), ("--plateau-eps", "-0.5"),
+    ])
+    def test_negative_stopping_control_is_usage_error(self, tmp_path, capsys,
+                                                      flag, value):
+        out = tmp_path / "run"
+        code = main([
+            "optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--frames-per-eval", "300", flag, value,
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
         code = main([

@@ -25,11 +25,12 @@ from scma.fixtures import load_codebook
 from conftest import brute_force_marginals, qpsk_set
 
 
-def per_slot_mpa(y, cbs, h, n0, cfg):
+def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
     """Sum-product with one resource update per outgoing message: a full
-    einsum over the weight table in the linear domain, broadcast plus
-    logsumexp (or max) in the log domain.  Frames-first layout throughout;
-    kept independent of the detector's shared-partials kernel."""
+    einsum over the weight table in linear arithmetic, or with log, broadcast
+    plus logsumexp in log arithmetic; max-log always takes the log path with
+    max.  Frames-first layout throughout; kept independent of the detector's
+    shared-partials kernel."""
     books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
     (K, J), M, frames = F.shape, books.shape[1], y.shape[0]
     res_users = [np.flatnonzero(F[k]) for k in range(K)]
@@ -65,7 +66,7 @@ def per_slot_mpa(y, cbs, h, n0, cfg):
     for _ in range(cfg.iterations):
         for k in range(K):
             d = len(res_users[k])
-            if cfg.domain == "linear":
+            if not (log or cfg.max_log):
                 for p in range(d):
                     others = [q for q in range(d) if q != p]
                     sub = ",".join(
@@ -120,14 +121,13 @@ def tree_system(seed=7):
 
 
 class TestTreeExactness:
-    @pytest.mark.parametrize("domain", ["linear", "log"])
-    def test_beliefs_match_exact_marginals(self, domain):
+    def test_beliefs_match_exact_marginals(self):
         cbs = tree_system()
         rng = np.random.default_rng(17)
         n0 = 0.35
         for _ in range(10):
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            beliefs = mpa_detect(y, cbs, None, n0, MpaConfig(iterations=2, domain=domain))
+            beliefs = mpa_detect(y, cbs, None, n0, MpaConfig(iterations=2))
             exact = brute_force_marginals(np.asarray(cbs.books), y, None, n0)
             assert np.abs(beliefs - exact).max() < 1e-10
 
@@ -174,29 +174,24 @@ class TestCycleFreeGraphs:
     K + J sweeps of max-log the exact max-marginals."""
 
     @settings(max_examples=60, deadline=None)
-    @given(tree_systems(), st.sampled_from([0.1, 0.4, 2.0]),
-           st.sampled_from(["linear", "log", "max-log"]))
-    def test_beliefs_equal_brute_force_marginals(self, system, n0, domain):
+    @given(tree_systems(), st.sampled_from([0.1, 0.4, 2.0]), st.booleans())
+    def test_beliefs_equal_brute_force_marginals(self, system, n0, max_log):
         cbs, y, h = system
-        max_log = domain == "max-log"
-        cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J,
-                        domain="log" if max_log else domain, max_log=max_log)
+        cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J, max_log=max_log)
         exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0, max_log)
         assert np.abs(mpa_detect(y, cbs, h, n0, cfg) - exact).max() <= 1e-9
 
-    def test_log_rescue_keeps_conflicting_tree_frame_exact(self):
+    @pytest.mark.parametrize("n0", [1e-3, 1.5e-3, 2e-3])
+    def test_log_rescue_keeps_conflicting_tree_frame_exact(self, n0):
         """User 0's two resources favour different symbols by hundreds of
-        nats.  Every linear sum of resource 1 underflows, so the linear
-        domain is far off, and the log domain's rescue keeps the exact
-        marginals."""
+        nats.  Every linear sum of resource 1 underflows or flushes, so
+        linear arithmetic alone makes its message uniform (off by 0.75), and
+        the rescue keeps the exact marginals."""
         cbs = tree_system(seed=8)
         books = np.asarray(cbs.books)
         y = np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
-        exact = brute_force_marginals(books, y, None, 1e-3)
-        log = mpa_detect(y, cbs, None, 1e-3, MpaConfig(iterations=2, domain="log"))
-        lin = mpa_detect(y, cbs, None, 1e-3, MpaConfig(iterations=2))
-        assert np.abs(log - exact).max() <= 1e-9
-        assert np.abs(lin - exact).max() > 0.5
+        exact = brute_force_marginals(books, y, None, n0)
+        assert np.abs(mpa_detect(y, cbs, None, n0) - exact).max() <= 1e-9
 
 
 class TestMpaBehavior:
@@ -208,17 +203,18 @@ class TestMpaBehavior:
     def test_beliefs_are_normalized(self, table2):
         n0 = ebn0_to_n0(6.0, table2.config)
         _, _, y = draw_frame_block(table2, "awgn", n0, 50, block_rng(2, 0, 0))
-        for domain in ("linear", "log"):
-            b = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain=domain))
-            assert (b >= 0).all()
-            assert np.abs(b.sum(axis=2) - 1.0).max() < 1e-9
+        b = mpa_detect_batch(y, table2, None, n0)
+        assert (b >= 0).all()
+        assert np.abs(b.sum(axis=2) - 1.0).max() < 1e-9
 
-    def test_linear_and_log_domains_agree(self, table2):
+    def test_linear_and_log_arithmetic_agree(self, table2):
         n0 = 0.05
         _, _, y = draw_frame_block(table2, "awgn", n0, 64, block_rng(3, 0, 0))
-        lin = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="linear"))
-        log = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="log"))
+        got = mpa_detect_batch(y, table2, None, n0)
+        lin = per_slot_mpa(y, table2, None, n0, MpaConfig())
+        log = per_slot_mpa(y, table2, None, n0, MpaConfig(), log=True)
         assert np.abs(lin - log).max() < 1e-7
+        assert np.abs(got - log).max() < 1e-7
 
     def test_permutation_equivariance(self, table2):
         n0 = 0.1
@@ -250,7 +246,7 @@ class TestMpaBehavior:
 
     def test_max_log_variant_decodes_noiseless(self, table2):
         symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 50, block_rng(7, 0, 0))
-        cfg = MpaConfig(domain="log", max_log=True)
+        cfg = MpaConfig(max_log=True)
         assert np.array_equal(
             hard_decision(mpa_detect_batch(y, table2, None, 1e-3, cfg)), symbols
         )
@@ -263,6 +259,14 @@ class TestMpaBehavior:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             mpa_detect_batch(bad, table2, None, 0.1)
+
+    @pytest.mark.parametrize("detect", [mpa_detect_batch, map_detect_batch])
+    @pytest.mark.parametrize("n0", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, table2, detect, n0):
+        """A NaN n0 made all-NaN beliefs that decided symbol 0, and an
+        infinite one uniform beliefs."""
+        with pytest.raises(ValueError, match="n0 must be finite and positive"):
+            detect(np.zeros((1, 4), complex), table2, None, n0)
 
     @pytest.mark.parametrize("detect", [mpa_detect_batch, map_detect_batch])
     @pytest.mark.parametrize("y_shape,h_shape", [
@@ -295,8 +299,6 @@ class TestMpaBehavior:
             MpaConfig(domain="fuzzy")
         with pytest.raises(ValueError):
             MpaConfig(damping=1.0)
-        with pytest.raises(ValueError):
-            MpaConfig(max_log=True, domain="linear")
 
 
 SHIPPED_SYSTEMS = [
@@ -319,15 +321,15 @@ class TestPerSlotParity:
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
         _, h, y = draw_frame_block(cbs, channel, n0, 256, block_rng(21, 0, 0))
         for damping in (0.0, 0.3):
-            for domain in ("linear", "log"):
-                cfg = MpaConfig(domain=domain, damping=damping)
-                ref = per_slot_mpa(y, cbs, h, n0, cfg)
-                got = mpa_detect_batch(y, cbs, h, n0, cfg)
-                assert np.abs(got - ref).max() < 1e-12, (domain, damping)
+            cfg = MpaConfig(damping=damping)
+            got = mpa_detect_batch(y, cbs, h, n0, cfg)
+            for log in (False, True):
+                ref = per_slot_mpa(y, cbs, h, n0, cfg, log=log)
+                assert np.abs(got - ref).max() < 1e-12, (log, damping)
                 assert np.array_equal(hard_decision(got), hard_decision(ref))
             # max-log adds a d_f = 4 resource's log-messages in another order
             # than the reference, so decisions may differ on last-bit ties
-            cfg = MpaConfig(domain="log", damping=damping, max_log=True)
+            cfg = MpaConfig(damping=damping, max_log=True)
             ref = per_slot_mpa(y, cbs, h, n0, cfg)
             got = mpa_detect_batch(y, cbs, h, n0, cfg)
             assert np.abs(got - ref).max() < 1e-12, ("max-log", damping)
@@ -387,10 +389,9 @@ class TestWeightTables:
         flush to 0 like any other entry below the floor, not to NaN."""
         symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 64, block_rng(70, 0, 0))
         with np.errstate(over="ignore"):
-            for domain in ("linear", "log"):
-                beliefs = mpa_detect_batch(y, table2, None, 1e-310, MpaConfig(domain=domain))
-                assert np.isfinite(beliefs).all()
-                assert np.array_equal(hard_decision(beliefs), symbols)
+            beliefs = mpa_detect_batch(y, table2, None, 1e-310)
+        assert np.isfinite(beliefs).all()
+        assert np.array_equal(hard_decision(beliefs), symbols)
 
 
 class TestLogRescue:
@@ -398,19 +399,16 @@ class TestLogRescue:
         """Every user sends symbol 0, but user 0's first resource carries the
         superposition with user 0 at symbol 2.  At n0 = 1e-4 the two
         resources' messages for user 0 share no symbol above the underflow
-        range, so the linear sums vanish and only log arithmetic keeps the
-        beliefs."""
+        range, so the linear sums vanish and only the rescue's log arithmetic
+        keeps the beliefs."""
         books, F = np.asarray(table2.books), np.asarray(table2.factor_matrix)
         y = books[:, 0, :].sum(axis=0)
         k0 = np.flatnonzero(F[:, 0])[0]
         y[k0] += books[0, 2, k0] - books[0, 0, k0]
         y = y[None, :]
         n0 = 1e-4
-        ref = per_slot_mpa(y, table2, None, n0, MpaConfig(domain="log"))
-        log = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="log"))
-        lin = mpa_detect_batch(y, table2, None, n0, MpaConfig(domain="linear"))
-        assert np.abs(log - ref).max() < 1e-12
-        assert np.abs(lin - ref).max() > 0.5
+        ref = per_slot_mpa(y, table2, None, n0, MpaConfig(), log=True)
+        assert np.abs(mpa_detect_batch(y, table2, None, n0) - ref).max() < 1e-12
 
     def test_resource_peak_in_the_newly_rescued_band(self, monkeypatch):
         """User 0's first resource favours symbol 0 and its second symbol 1,
@@ -424,12 +422,22 @@ class TestLogRescue:
         y = np.array([-0.26 + 0.05j, 1.43 - 0.09j])
         n0 = 1.5e-3
         exact = brute_force_marginals(np.asarray(cbs.books), y, None, n0)
-        cfg = MpaConfig(iterations=4, domain="log")
+        cfg = MpaConfig(iterations=4)
         assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() <= 1e-12
         monkeypatch.setattr(detector, "RESCUE_FLOOR", 1e-250)
         assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() > 0.5
 
-    @pytest.mark.xfail(strict=True, reason="log-domain messages are stored and "
+    def test_domain_selects_nothing(self):
+        """``MpaConfig.domain`` is inert: on a frame the rescue changes,
+        either value gives the default detector's bytes."""
+        cbs = tree_system(seed=8)
+        books = np.asarray(cbs.books)
+        y = np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
+        base = mpa_detect(y, cbs, None, 1.5e-3).tobytes()
+        for domain in ("linear", "log"):
+            assert mpa_detect(y, cbs, None, 1.5e-3, MpaConfig(domain=domain)).tobytes() == base
+
+    @pytest.mark.xfail(strict=True, reason="rescued messages are stored and "
                        "multiplied as linear probabilities at the user node")
     def test_user_node_product_underflow_keeps_log_beliefs(self):
         """One user on two resources whose evidence disagrees by more than
@@ -440,8 +448,7 @@ class TestLogRescue:
         cbs = CodebookSet(books, np.array([[1], [1]]))
         y = np.array([c[0], c[3] * np.exp(0.3j) + 0.05])
         exact = brute_force_marginals(books, y, None, 1e-4)
-        log = mpa_detect(y, cbs, None, 1e-4, MpaConfig(domain="log"))
-        assert np.abs(log - exact).max() <= 1e-9
+        assert np.abs(mpa_detect(y, cbs, None, 1e-4) - exact).max() <= 1e-9
 
 
 @st.composite

@@ -140,6 +140,7 @@ class TestLowerBound:
         assert per.shape == (4,)
         assert mean == pytest.approx(per.mean())
 
-    def test_bad_noise_rejected(self, table2):
-        with pytest.raises(ValueError):
-            i_lower_bound(sum_constellation(table2, 0), 0.0)
+    @pytest.mark.parametrize("n0", [0.0, np.nan, np.inf])
+    def test_bad_noise_rejected(self, table2, n0):
+        with pytest.raises(ValueError, match="n0 must be finite and positive"):
+            i_lower_bound(sum_constellation(table2, 0), n0)

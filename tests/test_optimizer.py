@@ -43,6 +43,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             plain_config(d=11)
 
+    @pytest.mark.parametrize("field,value", [
+        ("i_max", -3), ("plateau_window", -1), ("plateau_eps", -0.01),
+        ("plateau_eps", np.nan),
+    ])
+    def test_negative_stopping_controls_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            plain_config(**{field: value})
+
     def test_crn_mode_names(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(ebn0_db=10.0, crn_mode="weekly")

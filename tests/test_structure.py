@@ -192,6 +192,32 @@ class TestNormalize:
         out, _ = normalize(t, a)
         assert np.abs(np.angle(out) - np.angle(a)).max() < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["6x4", "12x6"]), st.data())
+    def test_random_parameters(self, name, data):
+        """Phases of nonzero parameters are kept, the residual is the
+        returned parameters' worst norm error, and DegenerateParameterError
+        is raised exactly when some codeword's parameters are all zero.  The
+        residual may exceed NORMALIZE_TOL once the sweep cap runs out."""
+        t = builtin_template(name)
+        magnitude = st.floats(1e-3, 1e3)
+        phase = st.floats(-np.pi, np.pi)
+        a = np.array([r * np.exp(1j * phi) for r, phi in data.draw(
+            st.lists(st.tuples(magnitude, phase),
+                     min_size=t.num_params, max_size=t.num_params))])
+        a[list(data.draw(st.sets(st.integers(0, t.num_params - 1), max_size=2)))] = 0.0
+        degenerate = any((a[np.abs(t.slots[j, m][t.slots[j, m] != 0]) - 1] == 0).all()
+                         for j in range(t.J) for m in range(t.M))
+        if degenerate:
+            with pytest.raises(DegenerateParameterError):
+                normalize(t, a)
+            return
+        out, residual = normalize(t, a)
+        nz = a != 0
+        assert (out[~nz] == 0).all()
+        assert np.abs(np.angle(out[nz] * np.conj(a[nz]))).max() <= 1e-12
+        assert residual == np.abs(codeword_norms(t, out) - 1).max()
+
     def test_zero_pair_raises(self):
         t = builtin_template("6x4")
         a = np.array([0, 1, 0, 1, 1, 1], dtype=complex)  # user 1 pairs a1 with a3
