@@ -17,16 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (
-    CodebookFormatError,
-    CodebookSet,
-    ScmaError,
-    read_codebook_json,
-    codebook_to_dict,
-)
+from .core import ScmaError, read_codebook_json, write_codebook_json
 from .channel import CHANNELS, ebn0_to_n0
 from .detector import MpaConfig
-from .fixtures import validate_codebook
 from .metrics import i_lower_bound_profile, kpi
 from .montecarlo import (
     DEFAULT_MAX_FRAMES,
@@ -35,7 +28,12 @@ from .montecarlo import (
     write_sweep_csv,
 )
 from .optimizer import CRN_MODES, DeConfig, ObjectiveConfig, optimize
-from .structure import builtin_template, instantiate, read_template_json
+from .structure import (
+    builtin_template,
+    instantiate,
+    read_template_json,
+    validate_codebook,
+)
 
 
 class UsageError(Exception):
@@ -80,13 +78,6 @@ def _default_threads() -> int:
         return 1
 
 
-def _load_codebook(path: str) -> CodebookSet:
-    try:
-        return read_codebook_json(path)
-    except CodebookFormatError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_template(name_or_path: str):
     """A built-in template by name, else a template JSON file."""
     try:
@@ -94,10 +85,7 @@ def _load_template(name_or_path: str):
     except KeyError as exc:
         if not Path(name_or_path).exists():
             raise UsageError(exc.args[0]) from None
-    try:
-        return read_template_json(name_or_path)
-    except CodebookFormatError as exc:
-        raise UsageError(str(exc)) from exc
+    return read_template_json(name_or_path)
 
 
 def _write_manifest(
@@ -123,7 +111,7 @@ def _write_manifest(
 
 
 def _cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
-    cbs = _load_codebook(args.codebook)
+    cbs = read_codebook_json(args.codebook)
     report = validate_codebook(cbs)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 1
@@ -131,7 +119,7 @@ def _cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
-    cbs = _load_codebook(args.codebook)
+    cbs = read_codebook_json(args.codebook)
     grid = parse_snr_range(args.n0_grid_db) if args.n0_grid_db else []
     if grid and not args.il_csv:
         raise UsageError("--il-csv is required when --n0-grid-db is given")
@@ -168,7 +156,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
-    cbs = _load_codebook(args.codebook)
+    cbs = read_codebook_json(args.codebook)
     points = parse_snr_range(args.ebno)
     estimates = sweep_ser(
         cbs,
@@ -232,10 +220,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     ]
     (outdir / "history.csv").write_text("\n".join(history_lines) + "\n")
 
-    best_set = instantiate(template, result.a_opt)
-    (outdir / "codebook.json").write_text(
-        json.dumps(codebook_to_dict(best_set)) + "\n"
-    )
+    write_codebook_json(instantiate(template, result.a_opt), outdir / "codebook.json")
 
     config = {
         "template": args.template,

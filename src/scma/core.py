@@ -210,7 +210,7 @@ def codebook_from_dict(doc: dict) -> CodebookSet:
     try:
         J, K, M = int(doc["J"]), int(doc["K"]), int(doc["M"])
         raw = doc["codebooks"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"missing or invalid field: {exc}") from exc
     books = [
         [
@@ -222,7 +222,7 @@ def codebook_from_dict(doc: dict) -> CodebookSet:
     ]
     try:
         return CodebookSet(np.array(books, complex), doc.get("F"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(str(exc)) from exc
 
 

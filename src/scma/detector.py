@@ -66,15 +66,14 @@ FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 
 @dataclass(frozen=True)
 class MpaConfig:
-    """Message-passing settings: sweep count, damping factor on the
-    user-to-resource messages, and max-log in place of sum-product, whose log
-    rescue always runs (see the module docstring).  ``domain`` is inert: it
-    is validated to "linear" or "log" but selects nothing, kept only because
-    the benchmark passes it, and goes in a later benchmark-only change."""
+    """Message-passing settings: sweep count, and max-log in place of
+    sum-product, whose log rescue always runs (see the module docstring).
+    ``domain`` is inert: it is validated to "linear" or "log" but selects
+    nothing, kept only because the benchmark passes it, and goes in a later
+    benchmark-only change."""
 
     iterations: int = 10
     domain: str = "linear"
-    damping: float = 0.0
     max_log: bool = False
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class MpaConfig:
             raise ValueError("iterations must be >= 1")
         if self.domain not in ("linear", "log"):
             raise ValueError(f"domain must be 'linear' or 'log', got {self.domain!r}")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
 
 
 def _normalize_rows(msg: np.ndarray) -> np.ndarray:
@@ -297,10 +294,7 @@ def mpa_detect_batch(
                 R[e, :, low] = _log_resource(
                     log_table(k, low), Q[e, :, low], _logsumexp)
         for cols, rest in zip(user_edges.T, others):
-            out = _normalize_rows(_edge_product(R, rest))
-            if cfg.damping > 0.0:
-                out = (1.0 - cfg.damping) * out + cfg.damping * Q[cols]
-            Q[cols] = out
+            Q[cols] = _normalize_rows(_edge_product(R, rest))
 
     beliefs = _normalize_rows(_edge_product(R, user_edges))
     return np.ascontiguousarray(beliefs.transpose(2, 0, 1))

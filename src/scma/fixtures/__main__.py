@@ -1,4 +1,4 @@
-"""Dump a fixture payload as JSON: python -m scma.fixtures <id> [out.json]"""
+"""Dump a fixture document as JSON: python -m scma.fixtures <id> [out.json]"""
 from __future__ import annotations
 
 import json
@@ -15,11 +15,11 @@ def main(argv: list[str] | None = None) -> int:
               f"ids: {', '.join(sorted(FIXTURE_IDS))}")
         return 0 if args else 2
     try:
-        fixture = load_fixture(args[0])
+        doc = load_fixture(args[0])
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    text = json.dumps(fixture.payload, indent=1) + "\n"
+    text = json.dumps(doc, indent=1) + "\n"
     if len(args) > 1:
         Path(args[1]).write_text(text)
     else:

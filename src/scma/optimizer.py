@@ -45,6 +45,8 @@ class ObjectiveConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.crn_mode not in CRN_MODES:
@@ -70,8 +72,8 @@ class DeConfig:
             raise ValueError("population size must be >= 4 (three donors plus target)")
         if not 0.0 <= self.c_r <= 1.0:
             raise ValueError("c_r must lie in [0, 1]")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.d % 2 != 0:
             raise ValueError("d must be even (interleaved re/im parts)")
         for name in ("i_max", "plateau_window", "plateau_eps"):

@@ -10,6 +10,10 @@ occupies, with the parameter pairs chosen so that constellations colliding on
 a resource never share a parameter (the Latin property).  A template's factor
 graph is derived from its slots: user j occupies resource k when any slot
 (j, m, k) is nonzero.
+
+Template slots and codebook entries obey the same structure rules,
+:func:`codebook_violations`; :func:`validate_codebook` reports them for a
+codebook set together with its codeword norms.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from .core import (
 
 NORMALIZE_TOL = 1e-9
 NORMALIZE_MAX_SWEEPS = 200
+NORM_WARNING_TOL = 1e-6
 
 
 def has_four_cycle(g: FactorGraph) -> bool:
@@ -39,6 +44,74 @@ def has_four_cycle(g: FactorGraph) -> bool:
     overlap = g.F @ g.F.T
     np.fill_diagonal(overlap, 0)
     return bool((overlap >= 2).any())
+
+
+def codebook_violations(x: np.ndarray, F: np.ndarray) -> list[str]:
+    """Structure rules of a (J, M, K) array of template slots or codebook
+    entries under its (K, J) factor matrix F.  Returns, in this order: each
+    codeword whose support is not its user's column of F, each pair of
+    identical codewords of one user, and per user the first codeword m that
+    is not the negation of codeword M-1-m."""
+    x = np.asarray(x)
+    M = x.shape[1]
+    wrong_support = ((x != 0) != np.asarray(F, bool).T[:, None, :]).any(axis=2)
+    out = [
+        f"user {j} codeword {m}: support does not match factor matrix column"
+        for j, m in zip(*np.nonzero(wrong_support))
+    ]
+    same = np.triu((x[:, :, None] == x[:, None]).all(axis=3), k=1)
+    out += [
+        f"user {j}: codewords {m} and {n} are identical"
+        for j, m, n in zip(*np.nonzero(same))
+    ]
+    for j, broken in enumerate((x != -x[:, ::-1]).any(axis=2)):
+        if broken.any():
+            m = int(np.argmax(broken))
+            out.append(
+                f"user {j}: codeword {m} is not the negation of codeword {M - 1 - m}"
+            )
+    return out
+
+
+@dataclass
+class ValidationReport:
+    """Structural check results; norm deviations are reported as warnings,
+    never violations."""
+
+    violations: list[str] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    codeword_norms: np.ndarray | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        return {
+            "ok": self.ok,
+            "violations": self.violations,
+            "warnings": self.warnings,
+            "codeword_norms": None
+            if self.codeword_norms is None
+            else np.round(self.codeword_norms, 10).tolist(),
+        }
+
+
+def validate_codebook(cbs: CodebookSet) -> ValidationReport:
+    """Check a codebook set against :func:`codebook_violations` and report
+    its per-codeword norms, warning when any is off unit norm."""
+    norms = np.linalg.norm(cbs.books, axis=2)
+    report = ValidationReport(
+        codebook_violations(cbs.books, cbs.factor_matrix), codeword_norms=norms
+    )
+    off = np.abs(norms - 1.0)
+    if (off > NORM_WARNING_TOL).any():
+        worst = float(norms.flat[np.argmax(off)])
+        report.warnings.append(
+            f"{int((off > NORM_WARNING_TOL).sum())} codewords deviate from unit "
+            f"norm (worst {worst:.4f})"
+        )
+    return report
 
 
 @dataclass(frozen=True)
@@ -59,8 +132,9 @@ class StructureTemplate:
             raise ValueError("slot references a parameter beyond num_params")
         object.__setattr__(self, "slots", _frozen(slots))
         object.__setattr__(self, "graph", FactorGraph((slots != 0).any(axis=1).T))
-        self._check_supports()
-        self._check_antipodal()
+        violations = codebook_violations(slots, self.graph.F)
+        if violations:
+            raise ValueError(f"template {self.name}: {violations[0]}")
         self._check_latin()
 
     @property
@@ -74,20 +148,6 @@ class StructureTemplate:
     @property
     def K(self) -> int:
         return self.slots.shape[2]
-
-    def _check_supports(self) -> None:
-        # every codeword must individually occupy the full user support
-        per_cw = self.slots != 0  # (J, M, K)
-        if not (per_cw == per_cw[:, :1, :]).all():
-            raise ValueError(
-                f"template {self.name}: codewords of one user differ in support"
-            )
-
-    def _check_antipodal(self) -> None:
-        if not np.array_equal(self.slots, -self.slots[:, ::-1, :]):
-            raise ValueError(
-                f"template {self.name}: symbols m and M-1-m are not negations"
-            )
 
     def _check_latin(self) -> None:
         for k in range(self.K):
@@ -212,18 +272,17 @@ def codeword_norms(template: StructureTemplate, a: Sequence[complex]) -> np.ndar
 
 
 def normalize(
-    template: StructureTemplate,
-    a: Sequence[complex],
-    tol: float = NORMALIZE_TOL,
-    max_sweeps: int = NORMALIZE_MAX_SWEEPS,
+    template: StructureTemplate, a: Sequence[complex]
 ) -> tuple[np.ndarray, float]:
     """Rescale the parameters so every codeword has unit Euclidean norm.
 
     Cyclic projection: visit codewords in (user ascending, symbol ascending)
     order and divide each codeword's parameters by its current norm, sweeping
-    until the worst deviation |norm - 1| drops below ``tol`` or ``max_sweeps``
-    sweeps elapse.  Returns the adjusted parameters and the final residual.
-    Phases are never touched, only magnitudes.
+    until the worst deviation |norm - 1| drops below ``NORMALIZE_TOL`` or
+    ``NORMALIZE_MAX_SWEEPS`` sweeps elapse.  Returns the adjusted parameters
+    and the final residual.  Phases are never touched, only magnitudes.  A
+    norm whose squares underflow to 0 or overflow to inf is taken relative to
+    the codeword's largest magnitude instead.
     """
     a = _params(template, a).copy()
     param_sets = [
@@ -232,18 +291,21 @@ def normalize(
         for j in range(template.J)
     ]
     residual = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(NORMALIZE_MAX_SWEEPS):
         for j in range(template.J):
             for m in range(template.M):
                 ids = param_sets[j][m]
                 norm = np.sqrt((np.abs(a[ids]) ** 2).sum())
-                if norm == 0.0:
-                    raise DegenerateParameterError(
-                        f"codeword ({j}, {m}) has zero norm during normalization"
-                    )
+                if not 0.0 < norm < np.inf:
+                    scale = np.abs(a[ids]).max()
+                    if scale == 0.0:
+                        raise DegenerateParameterError(
+                            f"codeword ({j}, {m}) has zero norm during normalization"
+                        )
+                    norm = scale * np.sqrt((np.abs(a[ids] / scale) ** 2).sum())
                 a[ids] /= norm
         residual = float(np.abs(codeword_norms(template, a) - 1.0).max())
-        if residual < tol:
+        if residual < NORMALIZE_TOL:
             break
     return a, residual
 
@@ -293,29 +355,32 @@ def template_to_dict(template: StructureTemplate) -> dict:
     }
 
 
+def _slot_from_cell(cell) -> int:
+    """A template JSON slot cell, the int 0 or {"p": int >= 0, "s": +-1}, as
+    a signed 1-based parameter reference."""
+    if isinstance(cell, dict):
+        p, s = cell.get("p"), cell.get("s")
+        if type(p) is int and p >= 0 and type(s) is int and s in (1, -1):
+            return s * (p + 1)
+    elif type(cell) is int and cell == 0:
+        return 0
+    raise CodebookFormatError(f"malformed slot entry: {cell!r}")
+
+
 def template_from_dict(doc: dict) -> StructureTemplate:
     try:
         name = str(doc["name"])
         num_params = int(doc["num_params"])
         F = np.asarray(doc["F"], dtype=np.int64)
         raw = doc["slots"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"missing or invalid template field: {exc}") from exc
     try:
         slots = np.array(
-            [
-                [
-                    [
-                        0 if cell == 0 else int(cell["s"]) * (int(cell["p"]) + 1)
-                        for cell in row
-                    ]
-                    for row in book
-                ]
-                for book in raw
-            ],
+            [[[_slot_from_cell(cell) for cell in row] for row in book] for book in raw],
             dtype=np.int64,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"malformed slot entry: {exc}") from exc
     try:
         template = StructureTemplate(name=name, num_params=num_params, slots=slots)

@@ -47,7 +47,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 class TestCriterion1KpiRegression:
     def test_distance_indicators_match_published_tables(self, table2, table3):
         started = time.perf_counter()
-        expected = load_fixture("table4_kpi").payload
+        expected = load_fixture("table4_kpi")
         results = {}
         for name, cbs, key in [
             ("awgn", table2, "proposed_awgn"),

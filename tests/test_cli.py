@@ -57,16 +57,21 @@ class TestValidateCommand:
         assert main(["validate", "--codebook", str(bad)]) == 2
 
     def test_malformed_entries_are_usage_errors(self, tmp_path, capsys):
-        """A non-list codebooks field, a numeric codeword and a null in an
-        [re, im] pair each end in one error line and exit 2."""
-        for case in range(3):
+        """A non-list codebooks field, a numeric codeword, a null in an
+        [re, im] pair, an infinite J and an infinite F entry each end in one
+        error line and exit 2."""
+        for case in range(5):
             doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
             if case == 0:
                 doc["codebooks"] = 5
             elif case == 1:
                 doc["codebooks"][2][1] = 0.5
-            else:
+            elif case == 2:
                 doc["codebooks"][1][3][0] = [None, 0.0]
+            elif case == 3:
+                doc["J"] = float("inf")
+            else:
+                doc["F"][0][0] = float("inf")
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert main(["validate", "--codebook", str(bad)]) == 2
@@ -314,6 +319,42 @@ class TestOptimizeCommand:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--f", "nan", "alpha"), ("--f", "inf", "alpha"),
+        ("--ebno", "nan", "ebn0_db"), ("--ebno", "inf", "ebn0_db"),
+    ])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flag,
+                                             value, field):
+        """A NaN mutation factor used to simulate the whole initial
+        population before failing on a non-finite received signal."""
+        out = tmp_path / "run"
+        code = main([
+            "optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+            "--max-iter", "1", "--frames-per-eval", "300", flag, value,
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {field} must be finite")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_malformed_template_file_is_usage_error(self, tmp_path, capsys):
+        from scma.structure import builtin_template, template_to_dict
+
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["slots"][0][0][0] = {"p": 0, "s": 2}
+        tfile = tmp_path / "bad.json"
+        tfile.write_text(json.dumps(doc))
+        code = main([
+            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: malformed slot entry: {'p': 0, 's': 2}\n"
+        )
 
     def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
         code = main([

@@ -49,12 +49,12 @@ class TestPackUnpack:
             assert np.array_equal(pack_params(unpack_params(p)), p)
 
     def test_worked_example_solution_packs_to_best_row(self):
-        doc = load_fixture("example1_vectors").payload
+        doc = load_fixture("example1_vectors")
         a_opt = [complex(re, im) for re, im in doc["a_opt"]]
         assert pack_params(a_opt).tolist() == doc["best_row"]
 
     def test_worked_example_best_row_unpacks_to_solution(self):
-        doc = load_fixture("example1_vectors").payload
+        doc = load_fixture("example1_vectors")
         a_opt = np.array([complex(re, im) for re, im in doc["a_opt"]])
         assert np.array_equal(unpack_params(doc["best_row"]), a_opt)
 

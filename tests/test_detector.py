@@ -96,10 +96,7 @@ def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
                 out = np.ones((frames, M))
                 for msg in incoming[:t] + incoming[t + 1:]:
                     out = out * msg
-                out = normalize(out)
-                if cfg.damping > 0.0:
-                    out = (1.0 - cfg.damping) * out + cfg.damping * Q[k][pos[(k, j)]]
-                Q[k][pos[(k, j)]] = out
+                Q[k][pos[(k, j)]] = normalize(out)
     beliefs = np.empty((frames, J, M))
     for j in range(J):
         b = np.ones((frames, M))
@@ -235,15 +232,6 @@ class TestMpaBehavior:
         scaled = mpa_detect_batch(c * y, table2, c * h, abs(c) ** 2 * n0, MpaConfig())
         assert np.abs(scaled - base).max() < 1e-9
 
-    def test_damping_preserves_fixed_point(self, table2):
-        n0 = 0.05
-        _, _, y = draw_frame_block(table2, "awgn", n0, 32, block_rng(6, 0, 0))
-        plain = mpa_detect_batch(y, table2, None, n0, MpaConfig(iterations=30))
-        damped = mpa_detect_batch(
-            y, table2, None, n0, MpaConfig(iterations=30, damping=0.3)
-        )
-        assert np.abs(plain - damped).max() < 1e-6
-
     def test_max_log_variant_decodes_noiseless(self, table2):
         symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 50, block_rng(7, 0, 0))
         cfg = MpaConfig(max_log=True)
@@ -297,8 +285,6 @@ class TestMpaBehavior:
             MpaConfig(iterations=0)
         with pytest.raises(ValueError):
             MpaConfig(domain="fuzzy")
-        with pytest.raises(ValueError):
-            MpaConfig(damping=1.0)
 
 
 SHIPPED_SYSTEMS = [
@@ -320,22 +306,20 @@ class TestPerSlotParity:
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
         _, h, y = draw_frame_block(cbs, channel, n0, 256, block_rng(21, 0, 0))
-        for damping in (0.0, 0.3):
-            cfg = MpaConfig(damping=damping)
-            got = mpa_detect_batch(y, cbs, h, n0, cfg)
-            for log in (False, True):
-                ref = per_slot_mpa(y, cbs, h, n0, cfg, log=log)
-                assert np.abs(got - ref).max() < 1e-12, (log, damping)
-                assert np.array_equal(hard_decision(got), hard_decision(ref))
-            # max-log adds a d_f = 4 resource's log-messages in another order
-            # than the reference, so decisions may differ on last-bit ties
-            cfg = MpaConfig(damping=damping, max_log=True)
-            ref = per_slot_mpa(y, cbs, h, n0, cfg)
-            got = mpa_detect_batch(y, cbs, h, n0, cfg)
-            assert np.abs(got - ref).max() < 1e-12, ("max-log", damping)
-            top2 = np.sort(ref, axis=-1)[..., -2:]
-            clear = top2[..., 1] - top2[..., 0] > 1e-12
-            assert np.array_equal(hard_decision(got)[clear], hard_decision(ref)[clear])
+        got = mpa_detect_batch(y, cbs, h, n0, MpaConfig())
+        for log in (False, True):
+            ref = per_slot_mpa(y, cbs, h, n0, MpaConfig(), log=log)
+            assert np.abs(got - ref).max() < 1e-12, log
+            assert np.array_equal(hard_decision(got), hard_decision(ref))
+        # max-log adds a d_f = 4 resource's log-messages in another order
+        # than the reference, so decisions may differ on last-bit ties
+        cfg = MpaConfig(max_log=True)
+        ref = per_slot_mpa(y, cbs, h, n0, cfg)
+        got = mpa_detect_batch(y, cbs, h, n0, cfg)
+        assert np.abs(got - ref).max() < 1e-12, "max-log"
+        top2 = np.sort(ref, axis=-1)[..., -2:]
+        clear = top2[..., 1] - top2[..., 0] > 1e-12
+        assert np.array_equal(hard_decision(got)[clear], hard_decision(ref)[clear])
 
 
 def resource_tables(name, channel, ebn0_db, frames=256):

@@ -3,34 +3,34 @@ import numpy as np
 import pytest
 
 from scma.core import CodebookSet, codebook_from_dict, pack_params
-from scma.fixtures import (
-    FIXTURE_IDS,
-    load_codebook,
-    load_factor_matrix,
-    load_fixture,
+from scma.fixtures import FIXTURE_IDS, load_codebook, load_factor_matrix, load_fixture
+from scma.fixtures.__main__ import main as fixtures_main
+from scma.structure import (
+    FactorGraph,
+    builtin_template,
+    codebook_violations,
+    has_four_cycle,
+    instantiate,
     validate_codebook,
 )
-from scma.fixtures.__main__ import main as fixtures_main
-from scma.structure import FactorGraph, builtin_template, has_four_cycle, instantiate
 
 
 class TestLoading:
     @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
     def test_every_fixture_loads_with_metadata(self, fixture_id):
-        fixture = load_fixture(fixture_id)
-        assert fixture.id == fixture_id
-        assert fixture.source
-        assert fixture.precision
+        meta = load_fixture(fixture_id)["meta"]
+        assert meta["source"]
+        assert meta["precision"]
 
     def test_unknown_id_lists_available(self):
         with pytest.raises(KeyError, match="table2_awgn_6x4"):
             load_fixture("table9")
 
     def test_kind_guards(self):
-        with pytest.raises(ValueError):
-            load_fixture("eq2_factor_6x4").codebook_set()
-        with pytest.raises(ValueError):
-            load_fixture("table2_awgn_6x4").matrix()
+        with pytest.raises(ValueError, match="not a codebook"):
+            load_codebook("eq2_factor_6x4")
+        with pytest.raises(ValueError, match="not a factor matrix"):
+            load_factor_matrix("table2_awgn_6x4")
 
     @pytest.mark.parametrize(
         "fixture_id,J,K",
@@ -46,9 +46,31 @@ class TestLoading:
         assert cbs.config.J == J and cbs.config.K == K and cbs.config.M == 4
 
     def test_round_trip_lossless(self, table5):
-        doc = load_fixture("table5_awgn_12x6").payload
+        doc = load_fixture("table5_awgn_12x6")
         again = codebook_from_dict(doc)
         assert np.array_equal(again.books, table5.books)
+
+
+def loop_violations(books, F):
+    """Reference for ``codebook_violations``: one Python loop per rule."""
+    J, M, _ = books.shape
+    out = [
+        f"user {j} codeword {m}: support does not match factor matrix column"
+        for j in range(J) for m in range(M)
+        if not np.array_equal(np.abs(books[j, m]) > 0, F[:, j].astype(bool))
+    ]
+    out += [
+        f"user {j}: codewords {m} and {n} are identical"
+        for j in range(J) for m in range(M) for n in range(m + 1, M)
+        if np.array_equal(books[j, m], books[j, n])
+    ]
+    for j in range(J):
+        for m in range(M):
+            if not np.array_equal(books[j, m], -books[j, M - 1 - m]):
+                out.append(f"user {j}: codeword {m} is not the negation of "
+                           f"codeword {M - 1 - m}")
+                break
+    return out
 
 
 class TestStructuralChecks:
@@ -87,6 +109,30 @@ class TestStructuralChecks:
         report = validate_codebook(CodebookSet(books, table2.factor_matrix))
         assert any("negation" in v for v in report.violations)
 
+    @pytest.mark.parametrize("fixture_id", ["table3_fading_6x4", "table6_fading_12x6"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rules_match_loop_reference(self, fixture_id, seed):
+        """The vectorised rules give the messages of a per-codeword loop, in
+        its order, on single faults of a published set."""
+        cbs = load_codebook(fixture_id)
+        rng = np.random.default_rng(seed)
+        J, M, K = cbs.books.shape
+        j, m, k = rng.integers(J), rng.integers(M), rng.integers(K)
+        faults = []
+        for fault in range(4):
+            books, F = np.array(cbs.books), np.array(cbs.factor_matrix)
+            if fault == 0:
+                books[j, m, k] *= 1.0001
+            elif fault == 1:
+                books[j, (m + 1) % M] = books[j, m]
+            elif fault == 2:
+                F[k, j] ^= 1
+            else:
+                books[j] = 0
+            faults.append((books, F))
+        for books, F in faults:
+            assert codebook_violations(books, F) == loop_violations(books, F)
+
     def test_table5_supports_match_12x6_factor_matrix(self, table5):
         assert np.array_equal(table5.supports(), load_factor_matrix("eq10_factor_12x6"))
 
@@ -100,7 +146,7 @@ class TestConsistencyWithTemplates:
         assert np.abs(rebuilt.books - b).max() < 1e-4
 
     def test_example_vectors_consistent(self):
-        doc = load_fixture("example1_vectors").payload
+        doc = load_fixture("example1_vectors")
         a_opt = [complex(re, im) for re, im in doc["a_opt"]]
         assert pack_params(a_opt).tolist() == doc["best_row"]
         assert len(doc["initial_rows"]) == 3
@@ -116,7 +162,7 @@ class TestConsistencyWithTemplates:
         assert not has_four_cycle(FactorGraph(f12))
 
     def test_kpi_reference_values_present(self):
-        doc = load_fixture("table4_kpi").payload
+        doc = load_fixture("table4_kpi")
         for key in ("proposed_awgn", "proposed_fading"):
             assert set(doc[key]) == {"d_e_min", "tau_e", "d_p_min", "tau_p"}
 

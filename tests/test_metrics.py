@@ -17,7 +17,7 @@ from conftest import brute_force_kpi, qpsk_set
 
 class TestKpi:
     def test_awgn_table_matches_published_indicators(self, table2):
-        expect = load_fixture("table4_kpi").payload["proposed_awgn"]
+        expect = load_fixture("table4_kpi")["proposed_awgn"]
         report = kpi(table2, rel_tol=1e-3)
         assert report.d_e_min == pytest.approx(expect["d_e_min"], abs=1e-3)
         assert report.tau_e == expect["tau_e"]
@@ -25,7 +25,7 @@ class TestKpi:
         assert report.tau_p == expect["tau_p"]
 
     def test_fading_table_matches_published_indicators(self, table3):
-        expect = load_fixture("table4_kpi").payload["proposed_fading"]
+        expect = load_fixture("table4_kpi")["proposed_fading"]
         report = kpi(table3, rel_tol=1e-3)
         assert report.d_e_min == pytest.approx(expect["d_e_min"], abs=1e-3)
         assert report.tau_e == expect["tau_e"]

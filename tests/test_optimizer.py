@@ -51,6 +51,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             plain_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, value):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            plain_config(alpha=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ebn0_rejected(self, value):
+        with pytest.raises(ValueError, match="ebn0_db must be finite"):
+            ObjectiveConfig(ebn0_db=value)
+
     def test_crn_mode_names(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(ebn0_db=10.0, crn_mode="weekly")

@@ -11,7 +11,8 @@ from scma.core import (
     MalformedParameterError,
     unpack_params,
 )
-from scma.fixtures import load_factor_matrix, load_fixture, validate_codebook
+from scma import structure
+from scma.fixtures import load_factor_matrix, load_fixture
 from scma.structure import (
     FactorGraph,
     StructureTemplate,
@@ -24,6 +25,7 @@ from scma.structure import (
     read_template_json,
     template_from_dict,
     template_to_dict,
+    validate_codebook,
     write_template_json,
 )
 
@@ -91,6 +93,24 @@ class TestTemplateValidation:
         with pytest.raises(CodebookFormatError, match="match F"):
             template_from_dict(doc)
 
+    def test_codewords_differing_in_support_rejected(self):
+        t = builtin_template("6x4")
+        slots = np.array(t.slots)
+        slots[0, [0, 3], 0] = 0  # codewords 0 and 3 leave resource 0, 1 and 2 keep it
+        with pytest.raises(ValueError, match=r"template bad: user 0 codeword 0: "
+                                             r"support does not match"):
+            StructureTemplate("bad", 6, slots)
+
+    def test_identical_codewords_rejected(self):
+        """Antipodal and Latin, but user 0 sends only two distinct
+        codewords; every codebook it produced failed validation."""
+        t = builtin_template("6x4")
+        slots = np.array(t.slots)
+        slots[0, 1], slots[0, 2] = slots[0, 0], slots[0, 3]
+        with pytest.raises(ValueError, match=r"template bad: user 0: codewords 0 "
+                                             r"and 1 are identical"):
+            StructureTemplate("bad", 6, slots)
+
     def test_broken_antipodal_rejected(self):
         t = builtin_template("6x4")
         slots = np.array(t.slots)
@@ -113,7 +133,7 @@ class TestInstantiate:
         assert np.abs(cbs.books - table2.books).max() < 1e-12
 
     def test_worked_example_first_codeword(self):
-        a = unpack_params(load_fixture("example1_vectors").payload["best_row"])
+        a = unpack_params(load_fixture("example1_vectors")["best_row"])
         cbs = instantiate(builtin_template("6x4"), a)
         assert np.array_equal(cbs.books[0, 0], [-0.33 + 0.63j, 0, 0.71, 0])
 
@@ -167,7 +187,7 @@ class TestNormalize:
 
     def test_worked_example_row_reaches_unit_norms(self):
         t = builtin_template("6x4")
-        row = load_fixture("example1_vectors").payload["initial_rows"][0]
+        row = load_fixture("example1_vectors")["initial_rows"][0]
         a, residual = normalize(t, unpack_params(row))
         assert residual < 1e-9
         norms = np.linalg.norm(instantiate(t, a).books, axis=2)
@@ -217,6 +237,22 @@ class TestNormalize:
         assert (out[~nz] == 0).all()
         assert np.abs(np.angle(out[nz] * np.conj(a[nz]))).max() <= 1e-12
         assert residual == np.abs(codeword_norms(t, out) - 1).max()
+
+    @pytest.mark.parametrize("name", ["6x4", "12x6"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_magnitudes_normalized(self, name, scale):
+        """Squared magnitudes under- or overflow here, which raised
+        DegenerateParameterError; the norm is now taken relative to the
+        codeword's largest magnitude.  From so far off unit scale the 6x4
+        sweeps do not converge within the cap, so only 12x6 asserts it."""
+        t = builtin_template(name)
+        a = random_params(t.num_params, seed=31)
+        with np.errstate(over="ignore"):
+            out, residual = normalize(t, scale * a)
+        assert np.abs(np.angle(out * np.conj(a))).max() <= 1e-12
+        assert residual == np.abs(codeword_norms(t, out) - 1).max()
+        if name == "12x6":
+            assert residual < structure.NORMALIZE_TOL
 
     def test_zero_pair_raises(self):
         t = builtin_template("6x4")
@@ -290,6 +326,12 @@ class TestTemplateFiles:
         assert np.array_equal(back.graph.F, relabelled.graph.F)
         assert np.array_equal(back.graph.F, t.graph.F[resources][:, users])
 
+    def test_infinite_parameter_count_rejected(self):
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["num_params"] = float("inf")
+        with pytest.raises(CodebookFormatError, match="invalid template field"):
+            template_from_dict(json.loads(json.dumps(doc)))
+
     def test_user_supplied_template_accepted(self):
         doc = template_to_dict(builtin_template("6x4"))
         doc["name"] = "custom"
@@ -297,17 +339,34 @@ class TestTemplateFiles:
         assert t.name == "custom"
         assert t.num_params == 6
 
-    def test_malformed_slots_rejected(self):
+    @pytest.mark.parametrize("cell", [
+        {"p": 0},
+        {"p": 0, "s": 2},
+        {"p": -3, "s": 1},
+        {"p": 1.7, "s": 1},
+        {"p": 0, "s": True},
+        {"p": True, "s": 1},
+        {"p": 0, "s": 1.0},
+        {"p": 10 ** 30, "s": 1},
+        False,
+        [0],
+    ])
+    def test_malformed_slots_rejected(self, cell):
+        """A cell is the int 0 or {"p": int >= 0, "s": 1 or -1}; a sign of 2,
+        a negative or fractional index or a boolean is not coerced into
+        some other parameter reference."""
         doc = template_to_dict(builtin_template("6x4"))
-        doc["slots"][0][0][0] = {"p": 0}
-        with pytest.raises(CodebookFormatError):
+        doc["slots"][0][0][0] = cell
+        with pytest.raises(CodebookFormatError, match="malformed slot entry"):
             template_from_dict(doc)
 
 
 class TestNormalizeCap:
-    def test_sweep_cap_returns_residual_without_hanging(self):
+    def test_sweep_cap_returns_residual_without_hanging(self, monkeypatch):
+        monkeypatch.setattr(structure, "NORMALIZE_TOL", 0.0)
+        monkeypatch.setattr(structure, "NORMALIZE_MAX_SWEEPS", 50)
         t = builtin_template("6x4")
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dtype=complex)
-        out, residual = normalize(t, a, tol=0.0, max_sweeps=50)
+        out, residual = normalize(t, a)
         assert np.isfinite(residual)
         assert np.abs(codeword_norms(t, out) - 1.0).max() == residual
