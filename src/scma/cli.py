@@ -1,9 +1,10 @@
 """Command-line front end: validate / analyze / simulate / optimize.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or parse error.  Every
-command is deterministic given its arguments and seed; the worker count
-(--threads, default from SCMA_THREADS) never changes any output file.  Each
-invocation that writes files also writes a manifest JSON next to them.
+Exit codes: 0 success, 1 validation failure or an output pipe closed by its
+reader, 2 usage or parse error.  Every command is deterministic given its
+arguments and seed; the worker count (--threads, default from SCMA_THREADS)
+never changes any output file.  Each invocation that writes files also
+writes a manifest JSON next to them.
 """
 from __future__ import annotations
 
@@ -322,7 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _run(list(sys.argv[1:] if argv is None else argv))
+        # flushed here, so a reader that closed the pipe is caught below
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -280,11 +280,19 @@ def normalize(
     order and divide each codeword's parameters by its current norm, sweeping
     until the worst deviation |norm - 1| drops below ``NORMALIZE_TOL`` or
     ``NORMALIZE_MAX_SWEEPS`` sweeps elapse.  Returns the adjusted parameters
-    and the final residual.  Phases are never touched, only magnitudes.  A
-    norm whose squares underflow to 0 or overflow to inf is taken relative to
-    the codeword's largest magnitude instead.
+    and the final residual.  Phases are never touched, only magnitudes.
+    Parameters whose largest magnitude lies outside [1/16, 16] are first
+    scaled by the power of two that brings it into [1/2, 1): from far off
+    unit scale the sweeps stall short of ``NORMALIZE_TOL``.  A norm whose
+    squares underflow to 0 or overflow to inf is taken relative to the
+    codeword's largest magnitude instead.
     """
     a = _params(template, a).copy()
+    peak = np.abs(a).max()
+    if not 1 / 16 <= peak <= 16:
+        shift = -np.frexp(peak)[1]
+        np.ldexp(a.real, shift, out=a.real)
+        np.ldexp(a.imag, shift, out=a.imag)
     param_sets = [
         [np.abs(template.slots[j, m][template.slots[j, m] != 0]) - 1
          for m in range(template.M)]

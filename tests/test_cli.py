@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 import json
+import os
+import sys
 
 import pytest
 
@@ -50,6 +52,18 @@ class TestValidateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert report["warnings"]  # norm deviations reported, not fatal
+
+    def test_closed_output_pipe_exits_without_traceback(self, table2_file, monkeypatch):
+        """`scma validate ... | head -2` raised BrokenPipeError once the
+        reader closed the pipe."""
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        stdout = open(write_fd, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["validate", "--codebook", str(table2_file)]) == 1
+        finally:
+            stdout.close()
 
     def test_truncated_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

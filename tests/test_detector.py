@@ -1,4 +1,6 @@
 """Message-passing detection against exact references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -376,6 +378,54 @@ class TestWeightTables:
             beliefs = mpa_detect_batch(y, table2, None, 1e-310)
         assert np.isfinite(beliefs).all()
         assert np.array_equal(hard_decision(beliefs), symbols)
+
+
+class TestFrameSlabs:
+    """A 4096-frame 12x6 block is detected in four 1024-frame slabs."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        cbs = load_codebook("table6_fading_12x6")
+        n0 = ebn0_to_n0(18.0, cbs.config)
+        _, h, y = draw_frame_block(cbs, "rayleigh", n0, 4096, block_rng(1, 0, 0))
+        return y, cbs, h, n0
+
+    @pytest.mark.parametrize("max_log", [False, True])
+    def test_beliefs_do_not_depend_on_the_split(self, block, max_log):
+        """Frames never mix, so calls of any size but 1 give the whole
+        block's bytes; calls of 2 and 7 frames cover the first 32 calls."""
+        y, cbs, h, n0 = block
+        cfg = MpaConfig(max_log=max_log)
+        whole = mpa_detect_batch(y, cbs, h, n0, cfg)
+        for size in (2, 7, 513, 1024, 1025):
+            for lo in range(0, min(len(y), 32 * size), size):
+                f = slice(lo, lo + size)
+                got = mpa_detect_batch(y[f], cbs, h[f], n0, cfg)
+                assert got.tobytes() == whole[f].tobytes(), (size, lo)
+
+    def test_slabs_are_near_equal_and_never_one_frame(self, monkeypatch):
+        for cap in (1, 2, 3, 5, 16):
+            monkeypatch.setattr(detector, "SLAB_BYTES", 8 * cap)
+            for frames in range(50):
+                slabs = detector._slabs(frames, 8)
+                sizes = [f.stop - f.start for f in slabs]
+                assert [f.start for f in slabs[1:]] == [f.stop for f in slabs[:-1]]
+                assert (slabs[0].start, slabs[-1].stop) == (0, frames)
+                assert max(sizes) - min(sizes) <= 1
+                assert min(sizes) >= min(frames, 2)
+                # a 2-frame cap on an odd count leaves one 3-frame slab
+                assert max(sizes) <= max(cap, 2 + frames % 2)
+
+    def test_peak_memory_of_a_block(self, block):
+        """Whole-block tables held 6 x 8 MiB and peaked at ~65 MiB; slab
+        tables of 2 MiB peak at ~18 MiB."""
+        tracemalloc.start()
+        try:
+            mpa_detect_batch(*block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestLogRescue:
