@@ -111,20 +111,28 @@ def _normalize_rows(msg: np.ndarray) -> np.ndarray:
 
 
 def _log_weights(
-    y_col: np.ndarray, contribs: list[np.ndarray], n0: float
+    y_col: np.ndarray,
+    contribs: list[np.ndarray],
+    n0: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame.
+    """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame,
+    written to ``out`` if given.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
     (M, frames); axis p of the result indexes the p-th colliding user.  The
     real and imaginary parts are built separately and in place, rounding
     exactly as the complex formula does: the sum ((c0 + c1) + ...), then
-    (y - sum) squared per part, added, divided by -n0.  Each part is made
-    contiguous before it broadcasts, which is faster than reading the
-    strided part of a complex array.  Frames do not mix, so a table built on
-    a subset of frames equals that slice of the full one."""
+    (y - sum) squared per part, added, divided by -n0.  The real part's
+    difference is written straight into the result, and the imaginary part's
+    into one temporary: the sum itself where that already has the table's
+    shape.  Each part is made contiguous before it broadcasts, which is
+    faster than reading the strided part of a complex array.  Frames do not
+    mix, so a table built on a subset of frames equals that slice of the full
+    one."""
     d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
-    squares = []
+    table_shape = (M,) * d + (frames,)
+    A = np.empty(table_shape) if out is None else out
     for part in (np.real, np.imag):
         S = None
         for p, c in enumerate(contribs):
@@ -134,9 +142,15 @@ def _log_weights(
                 shape[d] = frames
             c = np.ascontiguousarray(part(c)).reshape(shape)
             S = c if S is None else S + c
-        diff = np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)) - S
-        squares.append(np.square(diff, out=diff))
-    A = np.add(*squares, out=squares[0])
+        if part is np.real:
+            dst = A
+        else:
+            dst = S if d > 1 and S.shape == table_shape else None
+        diff = np.subtract(
+            np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)), S, out=dst
+        )
+        np.square(diff, out=diff)
+    np.add(A, diff, out=A)
     np.divide(A, -n0, out=A)
     A -= A.max(axis=tuple(range(d)), keepdims=True)
     return A
@@ -313,14 +327,21 @@ def _detect_slab(
     M, frames, user_edges = cbs.config.M, y.shape[0], g.user_edges
     edges = [slice(g.res_start[k], g.res_start[k + 1]) for k in range(g.K)]
 
-    def log_table(k: int, f: slice | np.ndarray = slice(None)) -> np.ndarray:
+    def log_table(k: int, f: slice | np.ndarray = slice(None), out=None) -> np.ndarray:
         return _log_weights(y[f, k], [books[j, :, k] if h is None else
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
-                                      for j in g.resource_users(k)], n0)
+                                      for j in g.resource_users(k)], n0, out)
 
     # one weight table per resource, fixed across iterations: the log table
-    # for max-log, the flushed linear table otherwise
-    tables = [log_table(k) for k in range(g.K)]
+    # for max-log, the flushed linear table otherwise.  All of them share one
+    # buffer: freeing a buffer this large raises glibc's mmap and trim
+    # thresholds above what a call frees, so later calls reuse heap pages
+    # instead of mapping fresh ones
+    shapes = [(M,) * len(g.resource_users(k)) + (frames,) for k in range(g.K)]
+    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    buf = np.empty(ends[-1])
+    tables = [log_table(k, out=buf[ends[k]:ends[k + 1]].reshape(shapes[k]))
+              for k in range(g.K)]
     if not cfg.max_log:
         tables = [_flushed_exp(t, out=t) for t in tables]
 

@@ -12,12 +12,27 @@ after the first block at which the running error count reaches the error
 target, or at the frame cap.  The stop point therefore does not depend on
 the worker count, and neither does the estimate.  A fixed frame count is the
 same loop with an error target that is never reached.
+
+An error ``bound`` lets a run stop inside a block.  A bounded block is drawn
+whole and detected in consecutive pieces: ``FIRST_PIECE`` frames, then the
+frames its error rate so far projects it needs to reach the bound, rounded
+up to a multiple of ``PIECE_STEP``; no piece leaves a 1-frame rest, because a
+1-frame detector call rounds differently.  The block stops at the end of the
+first piece where its errors plus those counted before its wave reach the
+bound.  Beliefs do not depend on the split, so a bound the run never reaches
+gives the unbounded estimate exactly, and a reached one gives at least
+``bound`` errors in at most the frames asked.  Whether a run stops depends
+only on its full error count, so not on ``threads``; its frame count when it
+stops may, because the blocks of a wave all start from the count before the
+wave.  Unbounded runs detect each block in one call.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,6 +44,11 @@ from .detector import MpaConfig, hard_decision, mpa_detect_batch
 
 DEFAULT_TARGET_ERRORS = 200
 DEFAULT_MAX_FRAMES = 10 ** 6
+
+# a bounded block's first piece, and the multiple its later pieces round up
+# to: detector calls below ~512 frames lose throughput to fixed costs
+FIRST_PIECE = 1024
+PIECE_STEP = 256
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,20 @@ def _require_positive(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _next_piece(done: int, errors: int, need: float, left: int) -> int:
+    """Frames of a bounded block's next piece, after ``done`` frames with
+    ``errors`` errors, ``need`` errors short of the bound and ``left`` frames
+    from the block's end; see the module docstring."""
+    if done == 0:
+        n = FIRST_PIECE
+    elif errors == 0:
+        n = left
+    else:
+        n = -(-math.ceil(need * done / errors) // PIECE_STEP) * PIECE_STEP
+    n = min(n, left)
+    return left if left - n == 1 else n
+
+
 def _simulate(
     cbs: CodebookSet,
     ebn0_db: float,
@@ -93,32 +127,52 @@ def _simulate(
     seed: int,
     stream: int,
     threads: int,
+    bound: float | None = None,
 ) -> SerEstimate:
     """Run blocks of at most FRAME_BLOCK frames until ``target_errors``
-    symbol errors are counted or ``max_frames`` frames are simulated."""
+    symbol errors are counted at a block's end, ``bound`` errors at a
+    piece's end, or ``max_frames`` frames are simulated."""
     n0 = ebn0_to_n0(ebn0_db, cbs.config)
     n_blocks = -(-max_frames // FRAME_BLOCK)
+    stop = target_errors if bound is None else min(target_errors, bound)
 
-    def run_block(block: int) -> np.ndarray:
+    def run_block(block: int, prior: int) -> tuple[np.ndarray, int]:
+        """Per-user errors and frames detected of one block, whose wave
+        started with ``prior`` errors."""
         nb = min(FRAME_BLOCK, max_frames - block * FRAME_BLOCK)
         rng = block_rng(seed, stream, block)
         symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
-        decided = hard_decision(mpa_detect_batch(y, cbs, h, n0, mpa))
-        return (decided != symbols).sum(axis=0)
+        errs = np.zeros(cbs.config.J, dtype=np.int64)
+        done = 0
+        while done < nb:
+            found = int(errs.sum())
+            n = nb if bound is None else _next_piece(
+                done, found, bound - prior - found, nb - done)
+            f = slice(done, done + n)
+            hf = None if h is None else h[f]
+            decided = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa))
+            errs += (decided != symbols[f]).sum(axis=0)
+            done += n
+            if bound is not None and prior + errs.sum() >= bound:
+                break
+        return errs, done
 
     def in_block_order(run):
         for first in range(0, n_blocks, threads):
             wave = range(first, min(first + threads, n_blocks))
-            # read the whole wave, so that a failing block always raises
-            yield from list(run(run_block, wave))
+            # a wave starts once the previous one is reduced, so per_user
+            # holds every earlier block; read the whole wave, so that a
+            # failing block always raises
+            yield from list(run(run_block, wave, repeat(int(per_user.sum()))))
 
     per_user = np.zeros(cbs.config.J, dtype=np.int64)
+    frames = 0
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for block, user_errs in enumerate(in_block_order(pool.map if pool else map)):
+        for user_errs, done in in_block_order(pool.map if pool else map):
             per_user += user_errs
-            if per_user.sum() >= target_errors:
+            frames += done
+            if per_user.sum() >= stop:
                 break
-    frames = min(max_frames, (block + 1) * FRAME_BLOCK)
     errors = int(per_user.sum())
     sent = frames * cbs.config.J
     return SerEstimate(
@@ -142,13 +196,18 @@ def estimate_ser(
     seed: int = 0,
     stream: int = 0,
     threads: int = 1,
+    bound: int | None = None,
 ) -> SerEstimate:
     """Simulate ``frames`` independent frames and count per-user symbol
     errors.  Identical (seed, stream, frames, config) always produce the
-    identical estimate."""
+    identical estimate.  With an error ``bound`` the run may stop early, at
+    the end of the first detector piece where the count reaches it (see the
+    module docstring); the estimate then covers the frames detected."""
     _require_positive(frames=frames, threads=threads)
+    if bound is not None and not bound >= 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     return _simulate(
-        cbs, ebn0_db, channel, frames, np.inf, mpa, seed, stream, threads
+        cbs, ebn0_db, channel, frames, np.inf, mpa, seed, stream, threads, bound
     )
 
 

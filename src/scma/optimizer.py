@@ -9,6 +9,17 @@ row only on strictly lower SER.
 Trials are built from the pre-generation population snapshot, so selection
 outcomes do not depend on evaluation order.
 
+Each trial races its row on the same frames: once its running error count
+reaches the row's, it has lost, whatever its remaining frames hold.  So
+``step_generation`` passes the row's fitness as the trial's bound, and the
+SER objective hands ``estimate_ser`` the matching error count, at which it
+stops (see ``scma.montecarlo``).  A stopped SER is at least the row's, so
+the strict ``<`` rejects it with no special case, and an accepted trial
+never stops, so every recorded fitness is a full estimate.  The population
+init and the survivor refresh run unbounded, because they set the bounds.
+A stopped trial's frame count may depend on ``threads``; whether it stops,
+and so every output, does not.
+
 The SER objective is stochastic; two stream policies are supported:
 
 * ``per-generation`` (default): all rows and trials of generation G are
@@ -25,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .channel import CHANNELS
 from .core import _frozen, pack_params, unpack_params
 from .detector import MpaConfig
 from .montecarlo import estimate_ser
@@ -47,10 +59,14 @@ class ObjectiveConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.ebn0_db):
             raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        if self.channel not in CHANNELS:
+            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.crn_mode not in CRN_MODES:
             raise ValueError(f"crn_mode must be one of {CRN_MODES}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,9 @@ class Population:
         return float(self.fitness.min())
 
 
-Objective = Callable[[np.ndarray], float]
+# objective(row, bound): the row's value, or any value at least ``bound``
+# where the row's value is at least ``bound``; None means no bound
+Objective = Callable[[np.ndarray, float | None], float]
 
 
 def de_rng(seed: int) -> np.random.Generator:
@@ -111,15 +129,25 @@ def de_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 0x0DE)))
 
 
+def _error_bound(ser: float | None, symbols: int) -> int | None:
+    """The fewest errors among ``symbols`` whose rate is at least ``ser``;
+    None for no bound."""
+    if ser is None or not np.isfinite(ser):
+        return None
+    errors = max(0, round(ser * symbols))
+    return errors if errors / symbols >= ser else errors + 1
+
+
 def make_objective(
     template: StructureTemplate, cfg: DeConfig
-) -> Callable[[np.ndarray, int], float]:
+) -> Callable[[np.ndarray, int, float | None], float]:
     """SER of the codebook a row encodes; ``stream`` selects the common
     random numbers (callers pass the generation index, or 0 under the fixed
-    policy)."""
+    policy), and an SER ``bound`` lets the estimate stop once the row's SER
+    is known to be at least that high."""
     ev = cfg.eval
 
-    def objective(row: np.ndarray, stream: int) -> float:
+    def objective(row: np.ndarray, stream: int, bound: float | None = None) -> float:
         cbs = instantiate(template, unpack_params(row))
         est = estimate_ser(
             cbs,
@@ -130,6 +158,7 @@ def make_objective(
             seed=cfg.seed,
             stream=stream,
             threads=ev.threads,
+            bound=_error_bound(bound, ev.frames * cbs.config.J),
         )
         return est.ser
 
@@ -157,7 +186,7 @@ def init_population(
     objective: Objective,
 ) -> Population:
     """Rows i.i.d. uniform on [-1, 1], each renormalized to unit codeword
-    norms, then evaluated once."""
+    norms, then evaluated once without a bound."""
     if cfg.d != 2 * template.num_params:
         raise ValueError(
             f"d={cfg.d} does not match template {template.name} "
@@ -166,7 +195,7 @@ def init_population(
     rows = rng.uniform(-1.0, 1.0, size=(cfg.s_p, cfg.d))
     for i in range(cfg.s_p):
         rows[i] = _renormalized(template, rows[i])
-    fitness = np.array([objective(rows[i]) for i in range(cfg.s_p)])
+    fitness = np.array([objective(rows[i], None) for i in range(cfg.s_p)])
     return Population(rows=rows, fitness=fitness, generation=0)
 
 
@@ -193,11 +222,12 @@ def step_generation(
 ) -> Population:
     """One generation: build a normalized trial per row from the population
     snapshot and keep whichever of (row, trial) has strictly lower objective
-    value.  The input population is untouched if the objective raises."""
+    value.  Each trial is evaluated with its row's fitness as the bound.  The
+    input population is untouched if the objective raises."""
     trials = [
         _renormalized(template, make_trial(pop, i, cfg, rng)) for i in range(cfg.s_p)
     ]
-    trial_fit = np.array([objective(t) for t in trials])
+    trial_fit = np.array([objective(t, f) for t, f in zip(trials, pop.fitness)])
     rows = np.array(pop.rows)
     fitness = np.array(pop.fitness)
     for i in range(cfg.s_p):
@@ -238,16 +268,18 @@ def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
     raw_objective = make_objective(template, cfg)
     fixed = cfg.eval.crn_mode == "fixed"
 
-    pop = init_population(cfg, template, rng, lambda row: raw_objective(row, 0))
+    pop = init_population(
+        cfg, template, rng, lambda row, bound: raw_objective(row, 0, bound)
+    )
     history = [pop.best_fitness]
     stop_reason = "iteration cap"
     for gen in range(1, cfg.i_max + 1):
         stream = 0 if fixed else gen
-        objective = lambda row: raw_objective(row, stream)  # noqa: E731
+        objective = lambda row, bound: raw_objective(row, stream, bound)  # noqa: E731
         if not fixed:
             # fresh streams: re-measure survivors so row-vs-trial comparisons
             # stay paired under this generation's common random numbers
-            refreshed = np.array([objective(pop.rows[i]) for i in range(cfg.s_p)])
+            refreshed = np.array([objective(pop.rows[i], None) for i in range(cfg.s_p)])
             pop = replace(pop, fitness=refreshed)
         pop = step_generation(pop, cfg, objective, rng, template)
         history.append(pop.best_fitness)

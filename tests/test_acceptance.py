@@ -298,9 +298,9 @@ class TestCriterion9PropertySuites:
         from scma.optimizer import Population, de_rng, step_generation
 
         rows = rng.uniform(-1, 1, (6, 12))
-        objective = lambda r: float(np.sum(r ** 2))  # noqa: E731
+        objective = lambda r, bound: float(np.sum(r ** 2))  # noqa: E731
         pop = Population(
-            rows=rows, fitness=np.array([objective(r) for r in rows]), generation=0
+            rows=rows, fitness=np.array([objective(r, None) for r in rows]), generation=0
         )
         cfg = DeConfig(s_p=6, d=12, seed=1, eval=ObjectiveConfig(ebn0_db=10.0))
         stepped = step_generation(pop, cfg, objective, de_rng(2), builtin_template("6x4"))

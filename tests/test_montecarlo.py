@@ -1,6 +1,7 @@
 """Seed-reproducible SER estimation and sweeps."""
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scma
-from scma.channel import FRAME_BLOCK, ebn0_to_n0
-from scma.detector import MpaConfig
+import scma.montecarlo as mc
+from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
+from scma.detector import MpaConfig, hard_decision, mpa_detect_batch
 from scma.montecarlo import (
     estimate_ser,
     sweep_csv_lines,
@@ -254,6 +256,102 @@ class TestThreadIndependence:
             kwargs = dict(seed=seed, threads=t)
             assert estimate_ser(table2, 5.0, "awgn", frames, **kwargs) == ref
             assert sweep_ser(table2, [5.0], "awgn", frames=frames, **kwargs) == [ref]
+
+
+def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0) -> np.ndarray:
+    """(frames, J) symbol-error indicators of an unbounded run, each block
+    detected in one call."""
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    out = []
+    for block, lo in enumerate(range(0, frames, FRAME_BLOCK)):
+        nb = min(FRAME_BLOCK, frames - lo)
+        symbols, h, y = draw_frame_block(
+            cbs, channel, n0, nb, block_rng(seed, stream, block))
+        out.append(hard_decision(mpa_detect_batch(y, cbs, h, n0)) != symbols)
+    return np.concatenate(out)
+
+
+@pytest.fixture
+def detector_calls(monkeypatch):
+    """Frame counts of every detector call the Monte-Carlo loop makes."""
+    calls = []
+
+    def spy(y, *args, **kwargs):
+        calls.append(len(y))
+        return mpa_detect_batch(y, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "mpa_detect_batch", spy)
+    return calls
+
+
+class TestBound:
+    """An error bound stops a run at the end of the first detector piece
+    where the running error count reaches it."""
+
+    def test_reached_bound_stops_early(self, table2, detector_calls):
+        full = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21)
+        bound = full.symbol_errors // 3
+        est = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21, bound=bound)
+        assert est.symbol_errors >= bound
+        assert est.frames < 4000
+        assert est.ser >= bound / (4000 * table2.config.J)
+        assert sum(detector_calls) == 4000 + est.frames
+
+    def test_unreached_bound_gives_the_unbounded_estimate(self, table2):
+        for channel, frames in (("awgn", 9000), ("rayleigh", 5000)):
+            full = estimate_ser(table2, 6.0, channel, frames=frames, seed=22)
+            for bound in (full.symbol_errors + 1, 10 ** 9):
+                est = estimate_ser(
+                    table2, 6.0, channel, frames=frames, seed=22, bound=bound)
+                assert est == full
+                assert pickle.dumps(est) == pickle.dumps(full)
+
+    def test_bound_reached_in_second_block_counts_a_prefix(self, table2):
+        errs = frame_errors(table2, 4.0, "awgn", 9000, seed=23)
+        first = int(errs[:FRAME_BLOCK].sum())
+        bound = first + int(errs[FRAME_BLOCK:2 * FRAME_BLOCK].sum()) // 2
+        est = estimate_ser(table2, 4.0, "awgn", frames=9000, seed=23, bound=bound)
+        assert FRAME_BLOCK < est.frames < 2 * FRAME_BLOCK
+        prefix = errs[:est.frames]
+        assert est.symbol_errors == int(prefix.sum()) >= bound
+        assert est.symbols_sent == est.frames * table2.config.J
+        assert est.per_user_ser == tuple(prefix.sum(axis=0) / est.frames)
+        # it stopped at the end of the first piece that reached the bound
+        assert int(errs[:est.frames - mc.PIECE_STEP].sum()) < bound
+
+    @pytest.mark.parametrize("frames", [1025, 2049, 5121, 9000])
+    def test_no_piece_holds_a_single_frame(self, table2, detector_calls, frames):
+        for bound in (1, 40, 150, 400, 10 ** 9):
+            detector_calls.clear()
+            est = estimate_ser(
+                table2, 3.0, "awgn", frames=frames, seed=24, bound=bound)
+            assert 1 not in detector_calls
+            assert sum(detector_calls) == est.frames
+
+    def test_negative_bound_rejected(self, table2):
+        with pytest.raises(ValueError, match="bound"):
+            estimate_ser(table2, 10.0, "awgn", frames=100, bound=-1)
+
+    @settings(max_examples=12, deadline=None)
+    @example(seed=0, bound=0, frames=3 * FRAME_BLOCK - 1)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        bound=st.integers(0, 1500),
+        frames=PARTIAL_FRAMES,
+    )
+    def test_whether_it_stops_does_not_depend_on_threads(
+        self, table2, seed, bound, frames
+    ):
+        full = estimate_ser(table2, 4.0, "awgn", frames, seed=seed)
+        for t in (1, 2, 3):
+            est = estimate_ser(table2, 4.0, "awgn", frames, seed=seed, threads=t,
+                               bound=bound)
+            stopped = est.symbol_errors >= bound
+            assert stopped == (full.symbol_errors >= bound)
+            if stopped:
+                assert est.ser >= bound / (frames * table2.config.J)
+            else:
+                assert est == full
 
 
 class TestCsv:

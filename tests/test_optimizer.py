@@ -2,11 +2,15 @@
 import numpy as np
 import pytest
 
+import scma.montecarlo as mc
+import scma.optimizer as opt
 from scma.core import pack_params, unpack_params
+from scma.detector import MpaConfig
 from scma.optimizer import (
     DeConfig,
     ObjectiveConfig,
     Population,
+    _error_bound,
     _pick_donors,
     de_rng,
     init_population,
@@ -26,7 +30,7 @@ def plain_config(**kw) -> DeConfig:
     return DeConfig(**base)
 
 
-def zero_objective(row: np.ndarray) -> float:
+def zero_objective(row: np.ndarray, bound: float | None) -> float:
     return 0.0
 
 
@@ -64,6 +68,15 @@ class TestConfigValidation:
     def test_crn_mode_names(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(ebn0_db=10.0, crn_mode="weekly")
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            ObjectiveConfig(ebn0_db=10.0, threads=threads)
+
+    def test_unknown_channel_rejected(self):
+        with pytest.raises(ValueError, match="channel"):
+            ObjectiveConfig(ebn0_db=10.0, channel="rician")
 
 
 class TestInitPopulation:
@@ -151,7 +164,7 @@ class TestStepGeneration:
         rows = rng.uniform(-1, 1, size=(8, 12))
         pop = Population(rows=rows, fitness=np.full(8, 0.5), generation=0)
         cfg = plain_config(s_p=8)
-        new = step_generation(pop, cfg, lambda r: 0.5, de_rng(1), SIX_BY_FOUR)
+        new = step_generation(pop, cfg, lambda r, bound: 0.5, de_rng(1), SIX_BY_FOUR)
         assert np.array_equal(new.rows, pop.rows)
         assert new.generation == 1
 
@@ -169,7 +182,7 @@ class TestStepGeneration:
         # distance to a feasible (unit-norm) target, searched over normalized rows
         raw = unpack_params(np.linspace(-0.8, 0.9, 12))
         target = pack_params(normalize(SIX_BY_FOUR, raw)[0])
-        objective = lambda row: float(np.sum((row - target) ** 2))  # noqa: E731
+        objective = lambda row, bound: float(np.sum((row - target) ** 2))  # noqa: E731
         cfg = plain_config(s_p=20, c_r=0.9, alpha=0.5, seed=5)
         rng = de_rng(cfg.seed)
         pop = init_population(cfg, SIX_BY_FOUR, rng, objective)
@@ -182,8 +195,8 @@ class TestStepGeneration:
     def test_elitist_selection(self):
         rng = np.random.default_rng(10)
         rows = rng.uniform(-1, 1, size=(6, 12))
-        objective = lambda row: float(np.sum(row ** 2))  # noqa: E731
-        fitness = np.array([objective(r) for r in rows])
+        objective = lambda row, bound: float(np.sum(row ** 2))  # noqa: E731
+        fitness = np.array([objective(r, None) for r in rows])
         pop = Population(rows=rows, fitness=fitness, generation=0)
         cfg = plain_config(s_p=6)
         for seed in range(5):
@@ -235,3 +248,72 @@ class TestOptimize:
         result = optimize(builtin_template("6x4"), cfg)
         assert result.generations == 2
         assert len(result.history) == 3
+
+
+class TestErrorBound:
+    """The SER bound a trial gets is turned into the row's error count."""
+
+    @pytest.mark.parametrize("symbols", [6 * 1500, 6 * 5000, 12 * 1025])
+    def test_recovers_the_count_behind_an_estimate(self, symbols):
+        for errors in range(symbols + 1):
+            assert _error_bound(errors / symbols, symbols) == errors
+
+    def test_fewest_errors_whose_rate_reaches_the_bound(self):
+        for ser in np.random.default_rng(4).uniform(0.0, 1.0, 500):
+            n = _error_bound(ser, 9000)
+            assert n / 9000 >= ser and (n == 0 or (n - 1) / 9000 < ser)
+
+    @pytest.mark.parametrize("ser", [None, np.inf])
+    def test_no_bound(self, ser):
+        assert _error_bound(ser, 9000) is None
+
+
+class TestRace:
+    """Trials race their rows: a bounded evaluation stops once the trial has
+    lost, and the search is byte for byte the one that evaluates every trial
+    in full."""
+
+    @staticmethod
+    def run(monkeypatch, cfg, full):
+        frames = []
+        detect = mc.mpa_detect_batch
+        estimate = opt.estimate_ser
+
+        def counting_detect(y, *args, **kwargs):
+            frames.append(len(y))
+            return detect(y, *args, **kwargs)
+
+        def unbounded_estimate(*args, bound=None, **kwargs):
+            return estimate(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(mc, "mpa_detect_batch", counting_detect)
+            if full:
+                m.setattr(opt, "estimate_ser", unbounded_estimate)
+            return optimize(SIX_BY_FOUR, cfg), sum(frames)
+
+    @pytest.mark.parametrize("frames", [1500, 5000])
+    @pytest.mark.parametrize("crn_mode", ["fixed", "per-generation"])
+    @pytest.mark.parametrize("channel,ebn0_db", [("awgn", 8.0), ("rayleigh", 14.0)])
+    def test_equals_full_evaluation(self, monkeypatch, channel, ebn0_db, crn_mode,
+                                    frames):
+        # 12 evaluations per run either way: under fixed streams the second
+        # generation's bounds include fitness cached from accepted trials
+        i_max = 2 if crn_mode == "fixed" else 1
+        raced_frames = full_frames = 0
+        for seed in (31, 32, 33):
+            cfg = plain_config(
+                s_p=4, i_max=i_max, seed=seed,
+                eval=ObjectiveConfig(ebn0_db=ebn0_db, channel=channel,
+                                     frames=frames, mpa=MpaConfig(iterations=3),
+                                     crn_mode=crn_mode))
+            raced, n = self.run(monkeypatch, cfg, full=False)
+            raced_frames += n
+            full, n = self.run(monkeypatch, cfg, full=True)
+            full_frames += n
+            assert raced.history.tobytes() == full.history.tobytes()
+            assert raced.best_row.tobytes() == full.best_row.tobytes()
+            assert raced.population.rows.tobytes() == full.population.rows.tobytes()
+            assert (raced.population.fitness.tobytes()
+                    == full.population.fitness.tobytes())
+        assert raced_frames < full_frames
