@@ -72,11 +72,13 @@ def parse_snr_range(text: str) -> list[float]:
     return [a + i * step for i in range(int(n))]
 
 
-def _default_threads() -> int:
+def _default_threads() -> int | None:
+    """SCMA_THREADS, 1 if unset, or None (``_run`` rejects it) if invalid."""
     try:
-        return max(1, int(os.environ.get("SCMA_THREADS", "1")))
+        threads = int(os.environ.get("SCMA_THREADS", "1"))
     except ValueError:
-        return 1
+        return None
+    return threads if threads >= 1 else None
 
 
 def _load_template(name_or_path: str):
@@ -124,6 +126,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     grid = parse_snr_range(args.n0_grid_db) if args.n0_grid_db else []
     if grid and not args.il_csv:
         raise UsageError("--il-csv is required when --n0-grid-db is given")
+    if args.il_csv and not grid:
+        raise UsageError("--n0-grid-db is required when --il-csv is given")
     report = kpi(cbs, rel_tol=args.rel_tol)
     out: dict = {"codebook": args.codebook, "kpi": report.to_dict()}
     outputs: list[str] = []
@@ -157,6 +161,9 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
+    if args.frames is not None and args.max_frames is not None:
+        raise UsageError("--max-frames caps --target-errors runs, not --frames")
+    max_frames = DEFAULT_MAX_FRAMES if args.max_frames is None else args.max_frames
     cbs = read_codebook_json(args.codebook)
     points = parse_snr_range(args.ebno)
     estimates = sweep_ser(
@@ -167,7 +174,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         seed=args.seed,
         frames=args.frames,
         target_errors=args.target_errors,
-        max_frames=args.max_frames,
+        max_frames=max_frames,
         threads=args.threads,
     )
     out = Path(args.out)
@@ -178,7 +185,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         "ebno": args.ebno,
         "frames": args.frames,
         "target_errors": args.target_errors,
-        "max_frames": args.max_frames,
+        "max_frames": max_frames,
         "mpa_iters": args.mpa_iters,
     }
     _write_manifest(
@@ -292,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fixed frames per SNR point")
     group.add_argument("--target-errors", type=int, default=DEFAULT_TARGET_ERRORS,
                        help="stop a point after this many symbol errors")
-    p.add_argument("--max-frames", type=int, default=DEFAULT_MAX_FRAMES)
+    p.add_argument("--max-frames", type=int, default=None,
+                   help=f"--target-errors frame cap (default {DEFAULT_MAX_FRAMES})")
     p.add_argument("--mpa-iters", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())
@@ -344,6 +352,10 @@ def _run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # only simulate and optimize have --threads
+        if getattr(args, "threads", 1) is None:
+            raise UsageError("SCMA_THREADS must be a positive integer, "
+                             f"got {os.environ['SCMA_THREADS']!r}")
         return args.func(args, argv)
     except (UsageError, ScmaError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
 so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The contraction
 is its argument: ``np.einsum`` on linear tables, or on log tables an add of
-log-messages reduced by ``np.max`` (max-log) or ``_logsumexp`` (log rescue).
+log-messages reduced by ``_logsumexp`` (the log rescue).
 The one table per resource is built once per call, its exponent shifted by
 its per-(frame, resource) maximum, which cancels in the normalization and
 keeps the linear kernel alive at very small noise levels.
@@ -49,8 +49,7 @@ each term lost to underflow or to the flush is at most ~1.5e-58 of the peak,
 so even M^{d_f - 1} of them shift a normalised entry by less than 1e-55.
 Where some message of a resource peaks below the floor, its messages are
 recomputed on those frames in log arithmetic from log tables rebuilt for
-them.  Max-log uses log arithmetic on all frames: its max is exact there,
-while a linear max-product rounds products and breaks exact ties otherwise.
+them.
 
 ``map_detect`` is the brute-force joint maximum-likelihood oracle used to
 verify the message-passing detector on small systems.
@@ -58,7 +57,6 @@ verify the message-passing detector on small systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -81,15 +79,13 @@ SLAB_BYTES = 2 * 2 ** 20
 
 @dataclass(frozen=True)
 class MpaConfig:
-    """Message-passing settings: sweep count, and max-log in place of
-    sum-product, whose log rescue always runs (see the module docstring).
-    ``domain`` is inert: it is validated to "linear" or "log" but selects
-    nothing, kept only because the benchmark passes it, and goes in a later
-    benchmark-only change."""
+    """Message-passing settings: the sweep count of sum-product, whose log
+    rescue always runs (see the module docstring).  ``domain`` is inert: it
+    is validated to "linear" or "log" but selects nothing, kept only because
+    the benchmark passes it, and goes in a later benchmark-only change."""
 
     iterations: int = 10
     domain: str = "linear"
-    max_log: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -183,18 +179,14 @@ def _contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
     return np.einsum(*ops, [a for a in range(n + 1) if a not in axes])
 
 
-def _log_contract(
-    T: np.ndarray, msgs: list[np.ndarray], axes: range, reduce: Callable
-) -> np.ndarray:
+def _log_contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
     """``_contract`` in log arithmetic: add the log-message msgs[a] along
-    each slot axis a of T in axis order, then reduce those axes with reduce,
-    ``np.max`` for max-log or ``_logsumexp``."""
+    each slot axis a of T in axis order, then log-sum-exp those axes."""
     n, B = T.ndim - 1, None
     for a in axes:
         m = np.expand_dims(msgs[a], [i for i in range(n) if i != a])
-        # add in place after the first add: fresh arrays ran max-log ~1.9x slower
         B = T + m if B is None else np.add(B, m, out=B)
-    return reduce(B, axis=tuple(axes))
+    return _logsumexp(B, axis=tuple(axes))
 
 
 def _sum_product(
@@ -216,7 +208,7 @@ def _logsumexp(
 ) -> np.ndarray:
     """log(sum(exp(a))) over axis.
 
-    The arithmetic is fixed so the rescue and max-log bytes do not depend on an
+    The arithmetic is fixed so the rescue's bytes do not depend on an
     installed library: the m entries equal to the maximum a_max are split
     out of the sum s = sum exp(a - a_max) over the rest, which is divided by
     m where nonzero, and the result is log1p(s) + log(m) + a_max.  Where that
@@ -239,13 +231,12 @@ def _logsumexp(
     return out if keepdims else out.squeeze(axis)
 
 
-def _log_resource(logW: np.ndarray, Q: np.ndarray, reduce: Callable) -> np.ndarray:
+def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Normalised outgoing messages of one resource in log arithmetic from its
-    (M, ..., M, frames) log table and incoming (slots, M, frames) messages;
-    reduce is ``_logsumexp`` for sum-product or ``np.max`` for max-log."""
+    (M, ..., M, frames) log table and incoming (slots, M, frames) messages."""
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
-    lr = np.stack(_sum_product(logW, list(logQ), partial(_log_contract, reduce=reduce)))
+    lr = np.stack(_sum_product(logW, list(logQ), _log_contract))
     return np.exp(lr - _logsumexp(lr, axis=1, keepdims=True))
 
 
@@ -332,18 +323,17 @@ def _detect_slab(
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
                                       for j in g.resource_users(k)], n0, out)
 
-    # one weight table per resource, fixed across iterations: the log table
-    # for max-log, the flushed linear table otherwise.  All of them share one
-    # buffer: freeing a buffer this large raises glibc's mmap and trim
-    # thresholds above what a call frees, so later calls reuse heap pages
-    # instead of mapping fresh ones
+    # one flushed linear weight table per resource, fixed across iterations
+    # and built in place from its log table.  All of them share one buffer:
+    # freeing a buffer this large raises glibc's mmap and trim thresholds
+    # above what a call frees, so later calls reuse heap pages instead of
+    # mapping fresh ones
     shapes = [(M,) * len(g.resource_users(k)) + (frames,) for k in range(g.K)]
     ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
     buf = np.empty(ends[-1])
     tables = [log_table(k, out=buf[ends[k]:ends[k + 1]].reshape(shapes[k]))
               for k in range(g.K)]
-    if not cfg.max_log:
-        tables = [_flushed_exp(t, out=t) for t in tables]
+    tables = [_flushed_exp(t, out=t) for t in tables]
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
@@ -353,16 +343,12 @@ def _detect_slab(
     others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for _ in range(cfg.iterations):
         for k, e in enumerate(edges):
-            if cfg.max_log:
-                R[e] = _log_resource(tables[k], Q[e], np.max)
-                continue
             raw = np.stack(_sum_product(tables[k], list(Q[e])), out=R[e])
             # frames to rescue, read before raw is normalised in place
             low = np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
             _normalize_rows(raw)
             if len(low):
-                R[e, :, low] = _log_resource(
-                    log_table(k, low), Q[e, :, low], _logsumexp)
+                R[e, :, low] = _log_resource(log_table(k, low), Q[e, :, low])
         for cols, rest in zip(user_edges.T, others):
             Q[cols] = _normalize_rows(_edge_product(R, rest))
 

@@ -62,14 +62,11 @@ def brute_force_kpi(books: np.ndarray, rel_tol: float = 1e-3):
 
 
 def brute_force_marginals(
-    books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float,
-    max_log: bool = False,
+    books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float
 ) -> np.ndarray:
     """Exact posterior symbol marginals by enumerating every joint
     hypothesis.  The log posterior is shifted by its maximum, so a small n0
-    does not underflow every hypothesis.  With max_log, each marginal is the
-    normalised exp of the max-marginal log posterior instead, the fixed
-    point of max-log message passing on a tree."""
+    does not underflow every hypothesis."""
     J, M, K = books.shape
     scaled = books if h is None else books * h.T[:, None, :]
     log_post = np.zeros((M,) * J)
@@ -82,7 +79,5 @@ def brute_force_marginals(
     marginals = np.empty((J, M))
     for j in range(J):
         axes = tuple(a for a in range(J) if a != j)
-        marginals[j] = post.max(axis=axes) if max_log else post.sum(axis=axes)
-    if max_log:
-        marginals /= marginals.sum(axis=1, keepdims=True)
+        marginals[j] = post.sum(axis=axes)
     return marginals

@@ -8,6 +8,7 @@ import pytest
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
+from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
 
 
 @pytest.fixture()
@@ -123,10 +124,18 @@ class TestAnalyzeCommand:
         assert len(lines) == 1 + 3 * 5
         assert (tmp_path / "il.csv.manifest.json").exists()
 
-    def test_grid_without_csv_path_is_usage_error(self, table2_file):
-        assert main([
-            "analyze", "--codebook", str(table2_file), "--n0-grid-db", "0:10:20",
-        ]) == 2
+    @pytest.mark.parametrize("flag,value,missing", [
+        ("--n0-grid-db", "0:10:20", "--il-csv"),
+        ("--il-csv", "il.csv", "--n0-grid-db"),
+    ])
+    def test_grid_and_csv_path_come_together(self, table2_file, tmp_path, monkeypatch,
+                                             capsys, flag, value, missing):
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--codebook", str(table2_file), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {missing} is required when {flag} is given\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
 
     def test_unused_resource_grid_is_clean_error(self, tmp_path, capsys):
         """Resource 0 carries no user: the KPIs still print, and the bound
@@ -245,6 +254,37 @@ class TestSimulateCommand:
         assert err.startswith("error: " + flag[2:].replace("-", "_"))
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_max_frames_with_fixed_frames_is_usage_error(self, table2_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "10",
+            "--frames", "64", "--max-frames", "10", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --max-frames caps --target-errors runs, not --frames\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
+
+    @pytest.mark.parametrize(
+        "flags,max_frames",
+        [
+            (["--frames", "64"], DEFAULT_MAX_FRAMES),
+            (["--max-frames", "64"], 64),
+            (["--target-errors", "5", "--max-frames", "64"], 64),
+        ],
+    )
+    def test_manifest_records_the_frame_cap(self, table2_file, tmp_path, flags,
+                                            max_frames):
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "0",
+            *flags, "--out", str(out),
+        ]) == 0
+        config = json.loads((tmp_path / "x.csv.manifest.json").read_text())["config"]
+        assert config["max_frames"] == max_frames
+        assert config["frames"] == (64 if flags[0] == "--frames" else None)
+        assert config["target_errors"] == (5 if "5" in flags else DEFAULT_TARGET_ERRORS)
 
     def test_unknown_flag_is_usage_error(self, table2_file, capsys):
         assert main(["simulate", "--codebook", str(table2_file), "--nope"]) == 2
@@ -388,3 +428,47 @@ class TestThreadsDefault:
             ["simulate", "--codebook", "x", "--ebno", "1", "--out", "y"]
         )
         assert args.threads == 5
+
+    def test_unset_variable_means_one_thread(self, monkeypatch):
+        monkeypatch.delenv("SCMA_THREADS", raising=False)
+        args = build_parser().parse_args(
+            ["optimize", "--template", "6x4", "--ebno", "1", "--out", "y"]
+        )
+        assert args.threads == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--codebook", "table2.json", "--ebno", "10", "--frames", "64",
+         "--out", "x.csv"],
+        ["optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+         "--max-iter", "0", "--frames-per-eval", "64", "--out", "run"],
+    ], ids=["simulate", "optimize"])
+    def test_invalid_variable_is_usage_error(self, table2_file, tmp_path, monkeypatch,
+                                             capsys, command, value):
+        monkeypatch.setenv("SCMA_THREADS", value)
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: SCMA_THREADS must be a positive integer, got {value!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
+
+    def test_threads_flag_overrides_invalid_variable(self, table2_file, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("SCMA_THREADS", "abc")
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "10",
+            "--frames", "64", "--threads", "2", "--out", str(out),
+        ]) == 0
+        assert out.exists()
+
+    def test_commands_without_threads_ignore_the_variable(self, table2_file, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setenv("SCMA_THREADS", "abc")
+        assert main(["validate", "--codebook", str(table2_file)]) == 0
+        csv = tmp_path / "il.csv"
+        assert main([
+            "analyze", "--codebook", str(table2_file),
+            "--n0-grid-db", "0", "--il-csv", str(csv),
+        ]) == 0
+        assert csv.exists()

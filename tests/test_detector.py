@@ -30,9 +30,8 @@ from conftest import brute_force_marginals, qpsk_set
 def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
     """Sum-product with one resource update per outgoing message: a full
     einsum over the weight table in linear arithmetic, or with log, broadcast
-    plus logsumexp in log arithmetic; max-log always takes the log path with
-    max.  Frames-first layout throughout; kept independent of the detector's
-    shared-partials kernel."""
+    plus logsumexp in log arithmetic.  Frames-first layout throughout; kept
+    independent of the detector's shared-partials kernel."""
     books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
     (K, J), M, frames = F.shape, books.shape[1], y.shape[0]
     res_users = [np.flatnonzero(F[k]) for k in range(K)]
@@ -68,7 +67,7 @@ def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
     for _ in range(cfg.iterations):
         for k in range(K):
             d = len(res_users[k])
-            if not (log or cfg.max_log):
+            if not log:
                 for p in range(d):
                     others = [q for q in range(d) if q != p]
                     sub = ",".join(
@@ -90,7 +89,7 @@ def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
                         shape[1 + q] = M
                         B = B + logQ[q].reshape(shape)
                 axes = tuple(ax for ax in range(1, 1 + d) if ax != 1 + p)
-                lr = B.max(axis=axes) if cfg.max_log else logsumexp(B, axis=axes)
+                lr = logsumexp(B, axis=axes)
                 R[k][p] = np.exp(lr - logsumexp(lr, axis=1, keepdims=True))
         for j in range(J):
             incoming = [R[k][pos[(k, j)]] for k in user_res[j]]
@@ -169,15 +168,14 @@ def tree_systems(draw):
 
 
 class TestCycleFreeGraphs:
-    """On a tree, K + J sweeps of sum-product give the exact marginals, and
-    K + J sweeps of max-log the exact max-marginals."""
+    """On a tree, K + J sweeps of sum-product give the exact marginals."""
 
     @settings(max_examples=60, deadline=None)
-    @given(tree_systems(), st.sampled_from([0.1, 0.4, 2.0]), st.booleans())
-    def test_beliefs_equal_brute_force_marginals(self, system, n0, max_log):
+    @given(tree_systems(), st.sampled_from([0.1, 0.4, 2.0]))
+    def test_beliefs_equal_brute_force_marginals(self, system, n0):
         cbs, y, h = system
-        cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J, max_log=max_log)
-        exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0, max_log)
+        cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J)
+        exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0)
         assert np.abs(mpa_detect(y, cbs, h, n0, cfg) - exact).max() <= 1e-9
 
     @pytest.mark.parametrize("n0", [1e-3, 1.5e-3, 2e-3])
@@ -233,13 +231,6 @@ class TestMpaBehavior:
         base = mpa_detect_batch(y, table2, h, n0, MpaConfig())
         scaled = mpa_detect_batch(c * y, table2, c * h, abs(c) ** 2 * n0, MpaConfig())
         assert np.abs(scaled - base).max() < 1e-9
-
-    def test_max_log_variant_decodes_noiseless(self, table2):
-        symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 50, block_rng(7, 0, 0))
-        cfg = MpaConfig(max_log=True)
-        assert np.array_equal(
-            hard_decision(mpa_detect_batch(y, table2, None, 1e-3, cfg)), symbols
-        )
 
     def test_input_validation(self, table2):
         y = np.zeros((1, 4), complex)
@@ -313,15 +304,6 @@ class TestPerSlotParity:
             ref = per_slot_mpa(y, cbs, h, n0, MpaConfig(), log=log)
             assert np.abs(got - ref).max() < 1e-12, log
             assert np.array_equal(hard_decision(got), hard_decision(ref))
-        # max-log adds a d_f = 4 resource's log-messages in another order
-        # than the reference, so decisions may differ on last-bit ties
-        cfg = MpaConfig(max_log=True)
-        ref = per_slot_mpa(y, cbs, h, n0, cfg)
-        got = mpa_detect_batch(y, cbs, h, n0, cfg)
-        assert np.abs(got - ref).max() < 1e-12, "max-log"
-        top2 = np.sort(ref, axis=-1)[..., -2:]
-        clear = top2[..., 1] - top2[..., 0] > 1e-12
-        assert np.array_equal(hard_decision(got)[clear], hard_decision(ref)[clear])
 
 
 def resource_tables(name, channel, ebn0_db, frames=256):
@@ -390,17 +372,15 @@ class TestFrameSlabs:
         _, h, y = draw_frame_block(cbs, "rayleigh", n0, 4096, block_rng(1, 0, 0))
         return y, cbs, h, n0
 
-    @pytest.mark.parametrize("max_log", [False, True])
-    def test_beliefs_do_not_depend_on_the_split(self, block, max_log):
+    def test_beliefs_do_not_depend_on_the_split(self, block):
         """Frames never mix, so calls of any size but 1 give the whole
         block's bytes; calls of 2 and 7 frames cover the first 32 calls."""
         y, cbs, h, n0 = block
-        cfg = MpaConfig(max_log=max_log)
-        whole = mpa_detect_batch(y, cbs, h, n0, cfg)
+        whole = mpa_detect_batch(y, cbs, h, n0)
         for size in (2, 7, 513, 1024, 1025):
             for lo in range(0, min(len(y), 32 * size), size):
                 f = slice(lo, lo + size)
-                got = mpa_detect_batch(y[f], cbs, h[f], n0, cfg)
+                got = mpa_detect_batch(y[f], cbs, h[f], n0)
                 assert got.tobytes() == whole[f].tobytes(), (size, lo)
 
     def test_slabs_are_near_equal_and_never_one_frame(self, monkeypatch):
