@@ -1,10 +1,11 @@
 """Command-line front end: validate / analyze / simulate / optimize.
 
 Exit codes: 0 success, 1 validation failure or an output pipe closed by its
-reader, 2 usage or parse error.  Every command is deterministic given its
-arguments and seed; the worker count (--threads, default from SCMA_THREADS)
-never changes any output file.  Each invocation that writes files also
-writes a manifest JSON next to them.
+reader, 2 usage or parse error, or an output path that cannot be written,
+found before any work.  Every command is deterministic given its arguments
+and seed; the worker count (--threads, default from SCMA_THREADS) never
+changes any output file.  Each invocation that writes files also writes a
+manifest JSON next to them.
 """
 from __future__ import annotations
 
@@ -81,6 +82,22 @@ def _default_threads() -> int | None:
     return threads if threads >= 1 else None
 
 
+def _output_path(text: str, directory: bool = False) -> Path:
+    """``text`` as a Path, checked before any work is done: a file must go
+    into an existing writable directory and not be a directory itself; a
+    directory output must exist or be makeable under its nearest existing
+    ancestor."""
+    path = Path(text)
+    base = path.parent
+    if directory:
+        base = next(p for p in (path, *path.parents) if p.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise UsageError(f"cannot write {text}: {base} is not a writable directory")
+    if not directory and path.is_dir():
+        raise UsageError(f"cannot write {text}: it is a directory")
+    return path
+
+
 def _load_template(name_or_path: str):
     """A built-in template by name, else a template JSON file."""
     try:
@@ -128,6 +145,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError("--il-csv is required when --n0-grid-db is given")
     if args.il_csv and not grid:
         raise UsageError("--n0-grid-db is required when --il-csv is given")
+    path = _output_path(args.il_csv) if grid else None
     report = kpi(cbs, rel_tol=args.rel_tol)
     out: dict = {"codebook": args.codebook, "kpi": report.to_dict()}
     outputs: list[str] = []
@@ -141,7 +159,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
                 rows.append(f"{g:.10g},{k},{val:.10g}")
             rows.append(f"{g:.10g},mean,{mean:.10g}")
             means.append(mean)
-        path = Path(args.il_csv)
         path.write_text("\n".join(rows) + "\n")
         outputs.append(path.name)
         out["il"] = {"grid_db": grid, "mean": means, "csv": str(path)}
@@ -164,6 +181,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     if args.frames is not None and args.max_frames is not None:
         raise UsageError("--max-frames caps --target-errors runs, not --frames")
     max_frames = DEFAULT_MAX_FRAMES if args.max_frames is None else args.max_frames
+    out = _output_path(args.out)
     cbs = read_codebook_json(args.codebook)
     points = parse_snr_range(args.ebno)
     estimates = sweep_ser(
@@ -177,7 +195,6 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         max_frames=max_frames,
         threads=args.threads,
     )
-    out = Path(args.out)
     write_sweep_csv(estimates, out)
     config = {
         "codebook": args.codebook,
@@ -198,6 +215,7 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     started = time.perf_counter()
+    outdir = _output_path(args.out, directory=True)
     template = _load_template(args.template)
     eval_cfg = ObjectiveConfig(
         ebn0_db=args.ebno,
@@ -219,7 +237,6 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
         eval=eval_cfg,
     )
     result = optimize(template, cfg)
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     history_lines = ["generation,best_ser"]

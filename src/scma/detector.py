@@ -1,8 +1,8 @@
 """Multi-user detection on the factor graph.
 
-``mpa_detect`` runs sum-product message passing between resource nodes and
-user nodes, exchanging length-M probability vectors stored frames last.  One
-recursion yields all d_f outgoing messages of a resource from its
+``mpa_detect_batch`` runs sum-product message passing between resource nodes
+and user nodes, exchanging length-M probability vectors stored frames last.
+One recursion yields all d_f outgoing messages of a resource from its
 M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
 so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The contraction
@@ -24,12 +24,14 @@ A block is detected in frame slabs.  A resource's table takes 8 * M^{d_f}
 bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
 ``mpa_detect_batch`` splits the frames into the fewest near-equal slabs
 whose largest table fits ``SLAB_BYTES`` and runs the tables, the sweeps and
-the rescue on one slab at a time.  Frames never mix in any of them, so the
-beliefs are byte-identical to those of an unsplit block.  No slab holds a
-single frame of a longer block, because a 1-frame einsum takes another path
-and rounds differently.  A 4096-frame block is 4 slabs of 1024 frames on
-12x6 and one slab on 6x4; one 12x6 call's peak allocation falls from ~65 to
-~18 MiB.
+the rescue on one slab at a time.  A 4096-frame block is 4 slabs of 1024
+frames on 12x6 and one slab on 6x4; one 12x6 call's peak allocation falls
+from ~65 to ~18 MiB.
+
+A frame's beliefs do not depend on the call that holds it: frames never mix
+in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
+would take another path and round differently, is detected as two copies of
+its frame.
 
 A sum term is lost or coarsely rounded only below the normal range
 (``tiny`` ~2.2e-308), and arithmetic on such subnormal numbers is many times
@@ -51,8 +53,8 @@ Where some message of a resource peaks below the floor, its messages are
 recomputed on those frames in log arithmetic from log tables rebuilt for
 them.
 
-``map_detect`` is the brute-force joint maximum-likelihood oracle used to
-verify the message-passing detector on small systems.
+``map_detect_batch`` is the brute-force joint maximum-likelihood oracle used
+to verify the message-passing detector on small systems.
 """
 from __future__ import annotations
 
@@ -266,11 +268,10 @@ def _check_inputs(
 
 
 def _slabs(frames: int, frame_bytes: int) -> list[slice]:
-    """The fewest consecutive near-equal slices covering range(frames) that
-    keep each at most ``SLAB_BYTES // frame_bytes`` frames, with none of 1
-    frame unless frames is 1; see the module docstring."""
-    cap = max(2, SLAB_BYTES // frame_bytes)
-    n = max(1, min(-(-frames // cap), frames // 2))
+    """The fewest consecutive near-equal slices covering range(frames), each
+    of at most max(1, SLAB_BYTES // frame_bytes) frames; one empty slice for
+    0 frames."""
+    n = max(1, -(-frames // max(1, SLAB_BYTES // frame_bytes)))
     bounds = [frames * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -286,8 +287,9 @@ def mpa_detect_batch(
 
     y is (frames, K); h is (frames, K, J) complex gains or None for all-ones
     (AWGN) gains.  Returns beliefs of shape (frames, J, M): per frame and user
-    a probability vector over the M codewords.  The frames are detected in
-    slabs (see the module docstring); the beliefs do not depend on the split.
+    a probability vector over the M codewords.  A frame's beliefs do not
+    depend on the call: detected alone or in any batch, it gives the same
+    bytes (see the module docstring).
     """
     y = np.asarray(y, dtype=np.complex128)
     _check_inputs(y, cbs, h, n0)
@@ -296,8 +298,12 @@ def mpa_detect_batch(
         raise ValueError("factor matrix has an isolated row or column")
     out = None
     for f in _slabs(y.shape[0], 8 * M ** int(g.row_degrees.max())):
-        hf = None if h is None else h[f]
-        beliefs = _detect_slab(y[f], cbs, hf, n0, cfg).transpose(2, 0, 1)
+        # a lone frame is detected as two copies of itself; see the module
+        # docstring
+        n = f.stop - f.start
+        rows = [f.start] * 2 if n == 1 else f
+        hf = None if h is None else h[rows]
+        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg).transpose(2, 0, 1)[:n]
         if out is None:
             # allocated once the first slab's tables are freed, so a block of
             # one slab peaks no higher than its detection
@@ -355,22 +361,6 @@ def _detect_slab(
     return _normalize_rows(_edge_product(R, user_edges))
 
 
-def mpa_detect(
-    y: np.ndarray,
-    cbs: CodebookSet,
-    h: np.ndarray | None,
-    n0: float,
-    cfg: MpaConfig = MpaConfig(),
-) -> np.ndarray:
-    """Single-frame sum-product detection; returns (J, M) beliefs.
-
-    h is the (K, J) gain matrix or None for AWGN.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    hb = None if h is None else np.asarray(h, dtype=np.complex128)[None, :, :]
-    return mpa_detect_batch(y[None, :], cbs, hb, n0, cfg)[0]
-
-
 def hard_decision(belief: np.ndarray) -> np.ndarray:
     """Per-user argmax over the last axis; ties resolve to the smaller
     index."""
@@ -403,7 +393,7 @@ def map_detect_batch(
     if n_hyp > MAP_ENUMERATION_LIMIT:
         raise ValueError(
             f"M^J = {n_hyp} hypotheses exceed the enumeration limit "
-            f"({MAP_ENUMERATION_LIMIT}); use mpa_detect instead"
+            f"({MAP_ENUMERATION_LIMIT}); use mpa_detect_batch instead"
         )
     frames = y.shape[0]
     best = np.empty(frames, dtype=np.int64)
@@ -423,15 +413,3 @@ def map_detect_batch(
             best[f] = int(np.argmin(metric))
     # hypothesis index digits in base M, user 0 the most significant
     return np.stack(np.unravel_index(best, (cfg.M,) * cfg.J), axis=-1)
-
-
-def map_detect(
-    y: np.ndarray,
-    cbs: CodebookSet,
-    h: np.ndarray | None,
-    n0: float,
-) -> np.ndarray:
-    """Single-frame joint ML oracle; returns (J,) symbol indices."""
-    y = np.asarray(y, dtype=np.complex128)
-    hb = None if h is None else np.asarray(h, dtype=np.complex128)[None, :, :]
-    return map_detect_batch(y[None, :], cbs, hb, n0)[0]

@@ -21,7 +21,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = json.dumps(doc, indent=1) + "\n"
     if len(args) > 1:
-        Path(args[1]).write_text(text)
+        try:
+            Path(args[1]).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args[1]}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

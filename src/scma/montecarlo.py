@@ -16,15 +16,16 @@ same loop with an error target that is never reached.
 An error ``bound`` lets a run stop inside a block.  A bounded block is drawn
 whole and detected in consecutive pieces: ``FIRST_PIECE`` frames, then the
 frames its error rate so far projects it needs to reach the bound, rounded
-up to a multiple of ``PIECE_STEP``; no piece leaves a 1-frame rest, because a
-1-frame detector call rounds differently.  The block stops at the end of the
-first piece where its errors plus those counted before its wave reach the
-bound.  Beliefs do not depend on the split, so a bound the run never reaches
-gives the unbounded estimate exactly, and a reached one gives at least
-``bound`` errors in at most the frames asked.  Whether a run stops depends
-only on its full error count, so not on ``threads``; its frame count when it
-stops may, because the blocks of a wave all start from the count before the
-wave.  Unbounded runs detect each block in one call.
+up to a multiple of ``PIECE_STEP``, or the rest of the block once the
+projection reaches its end.  The block stops at the end of the first piece
+where its errors plus those counted before its wave reach the bound.  A
+frame's beliefs do not depend on the detector call, so a bound the run never
+reaches, an infinite one included, gives the unbounded estimate exactly, and
+a reached one gives at least ``bound`` errors in at most the frames asked.
+Whether a run stops depends only on its full error count, so not on
+``threads``; its frame count when it stops may, because the blocks of a wave
+all start from the count before the wave.  Unbounded runs detect each block
+in one call.
 """
 from __future__ import annotations
 
@@ -109,12 +110,11 @@ def _next_piece(done: int, errors: int, need: float, left: int) -> int:
     from the block's end; see the module docstring."""
     if done == 0:
         n = FIRST_PIECE
-    elif errors == 0:
+    elif errors * left <= need * done:
         n = left
     else:
         n = -(-math.ceil(need * done / errors) // PIECE_STEP) * PIECE_STEP
-    n = min(n, left)
-    return left if left - n == 1 else n
+    return min(n, left)
 
 
 def _simulate(
@@ -196,7 +196,7 @@ def estimate_ser(
     seed: int = 0,
     stream: int = 0,
     threads: int = 1,
-    bound: int | None = None,
+    bound: float | None = None,
 ) -> SerEstimate:
     """Simulate ``frames`` independent frames and count per-user symbol
     errors.  Identical (seed, stream, frames, config) always produce the

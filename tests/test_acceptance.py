@@ -26,7 +26,6 @@ from scma.detector import (
     MpaConfig,
     hard_decision,
     map_detect_batch,
-    mpa_detect,
     mpa_detect_batch,
 )
 from scma.fixtures import load_fixture
@@ -125,7 +124,8 @@ class TestCriterion3TreeExactness:
         worst = 0.0
         for _ in range(20):
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            beliefs = mpa_detect(y, cbs, None, 0.4, MpaConfig(iterations=2))
+            cfg = MpaConfig(iterations=2)
+            beliefs = mpa_detect_batch(y[None], cbs, None, 0.4, cfg)[0]
             exact = brute_force_marginals(np.asarray(cbs.books), y, None, 0.4)
             worst = max(worst, float(np.abs(beliefs - exact).max()))
         report(3, worst < 1e-10, f"max belief deviation {worst:.2e} (target < 1e-10)")

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from scma import montecarlo
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
+from scma.fixtures.__main__ import main as fixtures_main
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
 
 
@@ -418,6 +420,51 @@ class TestOptimizeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "9x5" in err and "12x6" in err and "Traceback" not in err
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is a one-line usage error,
+    raised before any frame is simulated, and no file is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_frames(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a frame was simulated")
+
+        monkeypatch.setattr(montecarlo, "draw_frame_block", draw)
+
+    @pytest.mark.parametrize("command,where", [
+        (["simulate", "--codebook", "table2.json", "--ebno", "10", "--frames", "64",
+          "--out"], "missing/x.csv"),
+        (["simulate", "--codebook", "table2.json", "--ebno", "10", "--frames", "64",
+          "--out"], "."),
+        (["analyze", "--codebook", "table2.json", "--n0-grid-db", "0:10:20",
+          "--il-csv"], "missing/il.csv"),
+        (["optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+          "--max-iter", "1", "--frames-per-eval", "256", "--out"], "table2.json"),
+        (["optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+          "--max-iter", "1", "--frames-per-eval", "256", "--out"], "table2.json/run"),
+    ], ids=["simulate-missing-dir", "simulate-dir", "analyze-missing-dir",
+            "optimize-existing-file", "optimize-under-a-file"])
+    def test_unwritable_path_is_usage_error(self, table2_file, tmp_path, monkeypatch,
+                                            capsys, command, where):
+        monkeypatch.chdir(tmp_path)
+        before = table2_file.read_bytes()
+        assert main(command + [where]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {where}: ")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
+        assert table2_file.read_bytes() == before
+
+    def test_fixture_dump_to_missing_dir_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert fixtures_main(["table2_awgn_6x4", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThreadsDefault:

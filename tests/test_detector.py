@@ -17,9 +17,7 @@ from scma.detector import (
     _log_weights,
     _logsumexp,
     hard_decision,
-    map_detect,
     map_detect_batch,
-    mpa_detect,
     mpa_detect_batch,
 )
 from scma.fixtures import load_codebook
@@ -125,7 +123,7 @@ class TestTreeExactness:
         n0 = 0.35
         for _ in range(10):
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            beliefs = mpa_detect(y, cbs, None, n0, MpaConfig(iterations=2))
+            beliefs = mpa_detect_batch(y[None], cbs, None, n0, MpaConfig(iterations=2))[0]
             exact = brute_force_marginals(np.asarray(cbs.books), y, None, n0)
             assert np.abs(beliefs - exact).max() < 1e-10
 
@@ -134,7 +132,7 @@ class TestTreeExactness:
         rng = np.random.default_rng(18)
         h = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        beliefs = mpa_detect(y, cbs, h, 0.5, MpaConfig(iterations=2))
+        beliefs = mpa_detect_batch(y[None], cbs, h[None], 0.5, MpaConfig(iterations=2))[0]
         exact = brute_force_marginals(np.asarray(cbs.books), y, h, 0.5)
         assert np.abs(beliefs - exact).max() < 1e-10
 
@@ -176,7 +174,8 @@ class TestCycleFreeGraphs:
         cbs, y, h = system
         cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J)
         exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0)
-        assert np.abs(mpa_detect(y, cbs, h, n0, cfg) - exact).max() <= 1e-9
+        hb = None if h is None else h[None]
+        assert np.abs(mpa_detect_batch(y[None], cbs, hb, n0, cfg) - exact).max() <= 1e-9
 
     @pytest.mark.parametrize("n0", [1e-3, 1.5e-3, 2e-3])
     def test_log_rescue_keeps_conflicting_tree_frame_exact(self, n0):
@@ -188,7 +187,7 @@ class TestCycleFreeGraphs:
         books = np.asarray(cbs.books)
         y = np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
         exact = brute_force_marginals(books, y, None, n0)
-        assert np.abs(mpa_detect(y, cbs, None, n0) - exact).max() <= 1e-9
+        assert np.abs(mpa_detect_batch(y[None], cbs, None, n0) - exact).max() <= 1e-9
 
 
 class TestMpaBehavior:
@@ -373,17 +372,34 @@ class TestFrameSlabs:
         return y, cbs, h, n0
 
     def test_beliefs_do_not_depend_on_the_split(self, block):
-        """Frames never mix, so calls of any size but 1 give the whole
-        block's bytes; calls of 2 and 7 frames cover the first 32 calls."""
+        """Calls of any size give the whole block's bytes, a lone frame
+        included; calls of 1, 2 and 7 frames cover the first 32 calls."""
         y, cbs, h, n0 = block
         whole = mpa_detect_batch(y, cbs, h, n0)
-        for size in (2, 7, 513, 1024, 1025):
+        for size in (1, 2, 7, 513, 1024, 1025):
             for lo in range(0, min(len(y), 32 * size), size):
                 f = slice(lo, lo + size)
                 got = mpa_detect_batch(y[f], cbs, h[f], n0)
                 assert got.tobytes() == whole[f].tobytes(), (size, lo)
 
-    def test_slabs_are_near_equal_and_never_one_frame(self, monkeypatch):
+    @pytest.mark.parametrize("fixture_id, channel", [
+        ("table2_awgn_6x4", "awgn"), ("table3_fading_6x4", "rayleigh"),
+        ("table5_awgn_12x6", "awgn"), ("table6_fading_12x6", "rayleigh"),
+    ])
+    def test_a_lone_frame_equals_its_row(self, fixture_id, channel):
+        """On each shipped system, from 0 dB to 40 dB where the rescue runs,
+        a frame detected alone gives its row of a 16-frame call."""
+        cbs = load_codebook(fixture_id)
+        for ebno_db in (0.0, 16.0, 40.0):
+            n0 = ebn0_to_n0(ebno_db, cbs.config)
+            _, h, y = draw_frame_block(cbs, channel, n0, 16, block_rng(2, 0, 0))
+            whole = mpa_detect_batch(y, cbs, h, n0)
+            for i in range(16):
+                hi = None if h is None else h[i:i + 1]
+                got = mpa_detect_batch(y[i:i + 1], cbs, hi, n0)
+                assert got.tobytes() == whole[i].tobytes(), (ebno_db, i)
+
+    def test_slabs_are_near_equal(self, monkeypatch):
         for cap in (1, 2, 3, 5, 16):
             monkeypatch.setattr(detector, "SLAB_BYTES", 8 * cap)
             for frames in range(50):
@@ -392,9 +408,8 @@ class TestFrameSlabs:
                 assert [f.start for f in slabs[1:]] == [f.stop for f in slabs[:-1]]
                 assert (slabs[0].start, slabs[-1].stop) == (0, frames)
                 assert max(sizes) - min(sizes) <= 1
-                assert min(sizes) >= min(frames, 2)
-                # a 2-frame cap on an odd count leaves one 3-frame slab
-                assert max(sizes) <= max(cap, 2 + frames % 2)
+                assert max(sizes) <= cap
+                assert len(slabs) == max(1, -(-frames // cap))
 
     def test_peak_memory_of_a_block(self, block):
         """Whole-block tables held 6 x 8 MiB and peaked at ~65 MiB; slab
@@ -437,9 +452,9 @@ class TestLogRescue:
         n0 = 1.5e-3
         exact = brute_force_marginals(np.asarray(cbs.books), y, None, n0)
         cfg = MpaConfig(iterations=4)
-        assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() <= 1e-12
+        assert np.abs(mpa_detect_batch(y[None], cbs, None, n0, cfg) - exact).max() <= 1e-12
         monkeypatch.setattr(detector, "RESCUE_FLOOR", 1e-250)
-        assert np.abs(mpa_detect(y, cbs, None, n0, cfg) - exact).max() > 0.5
+        assert np.abs(mpa_detect_batch(y[None], cbs, None, n0, cfg) - exact).max() > 0.5
 
     def test_domain_selects_nothing(self):
         """``MpaConfig.domain`` is inert: on a frame the rescue changes,
@@ -447,9 +462,10 @@ class TestLogRescue:
         cbs = tree_system(seed=8)
         books = np.asarray(cbs.books)
         y = np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
-        base = mpa_detect(y, cbs, None, 1.5e-3).tobytes()
+        base = mpa_detect_batch(y[None], cbs, None, 1.5e-3).tobytes()
         for domain in ("linear", "log"):
-            assert mpa_detect(y, cbs, None, 1.5e-3, MpaConfig(domain=domain)).tobytes() == base
+            cfg = MpaConfig(domain=domain)
+            assert mpa_detect_batch(y[None], cbs, None, 1.5e-3, cfg).tobytes() == base
 
     @pytest.mark.xfail(strict=True, reason="rescued messages are stored and "
                        "multiplied as linear probabilities at the user node")
@@ -462,7 +478,7 @@ class TestLogRescue:
         cbs = CodebookSet(books, np.array([[1], [1]]))
         y = np.array([c[0], c[3] * np.exp(0.3j) + 0.05])
         exact = brute_force_marginals(books, y, None, 1e-4)
-        assert np.abs(mpa_detect(y, cbs, None, 1e-4) - exact).max() <= 1e-9
+        assert np.abs(mpa_detect_batch(y[None], cbs, None, 1e-4) - exact).max() <= 1e-9
 
 
 @st.composite
@@ -507,10 +523,6 @@ class TestMapOracle:
         nearest = np.argmin(np.abs(y - cbs.books[0, :, 0][None, :]) ** 2, axis=1)
         assert np.array_equal(decided, nearest)
 
-    def test_single_frame_wrapper(self, table2):
-        _, _, y = draw_frame_block(table2, "awgn", 0.05, 1, block_rng(9, 0, 0))
-        assert map_detect(y[0], table2, None, 0.05).shape == (6,)
-
     def test_agreement_with_mpa_at_moderate_snr(self, table2):
         n0 = ebn0_to_n0(10.0, table2.config)
         symbols, _, y = draw_frame_block(table2, "awgn", n0, 10 ** 4, block_rng(10, 0, 0))
@@ -525,7 +537,7 @@ class TestMapOracle:
         books = np.zeros((13, 4, 2), complex)
         books[:, :, 0] = np.arange(52).reshape(13, 4)
         big = CodebookSet(books)
-        with pytest.raises(ValueError, match="mpa_detect"):
+        with pytest.raises(ValueError, match="mpa_detect_batch"):
             map_detect_batch(np.zeros((1, 2), complex), big, None, 0.1)
 
     def test_fading_path_matches_awgn_with_unit_gains(self, table2):
