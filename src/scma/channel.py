@@ -12,6 +12,8 @@ Within a block the draw order is symbols, then fading gains, then noise.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import CodebookSet, SystemConfig
@@ -23,9 +25,17 @@ CHANNELS = ("awgn", "rayleigh")
 
 def ebn0_to_n0(ebn0_db: float, cfg: SystemConfig) -> float:
     """Noise variance for a given Eb/N0 in dB under the unit-codeword-energy
-    convention (E_b = 1/log2 M)."""
+    convention (E_b = 1/log2 M); ``ValueError`` if it is not finite and
+    positive (beyond about +-3000 dB, or NaN)."""
     eb = 1.0 / cfg.bits_per_symbol
-    return eb / 10.0 ** (ebn0_db / 10.0)
+    try:
+        n0 = eb / 10.0 ** (ebn0_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        n0 = math.nan
+    if not (math.isfinite(n0) and n0 > 0.0):
+        raise ValueError(f"Eb/N0 {ebn0_db:g} dB is out of range: its noise "
+                         "variance is not finite and positive")
+    return n0
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:

@@ -1,11 +1,13 @@
-"""Command-line front end: validate / analyze / simulate / optimize.
+"""Command-line front end: validate / analyze / simulate / optimize / fixture.
 
 Exit codes: 0 success, 1 validation failure or an output pipe closed by its
-reader, 2 usage or parse error, or an output path that cannot be written,
-found before any work.  Every command is deterministic given its arguments
-and seed; the worker count (--threads, default from SCMA_THREADS) never
-changes any output file.  Each invocation that writes files also writes a
-manifest JSON next to them.
+reader, 2 usage or parse error (an Eb/N0 whose noise variance is out of
+range included), or an output path that cannot be written, found before any
+work.  Every command is deterministic given its arguments and seed; the
+worker count (--threads, default from SCMA_THREADS) never changes any output
+file.  Each invocation of analyze, simulate or optimize that writes files
+also writes a manifest JSON next to them; ``fixture`` writes none, because
+its output is a verbatim copy of shipped data.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from . import __version__
 from .core import ScmaError, read_codebook_json, write_codebook_json
 from .channel import CHANNELS, ebn0_to_n0
 from .detector import MpaConfig
+from .fixtures import FIXTURE_IDS, load_fixture
 from .metrics import i_lower_bound_profile, kpi
 from .montecarlo import (
     DEFAULT_MAX_FRAMES,
@@ -146,14 +149,14 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     if args.il_csv and not grid:
         raise UsageError("--n0-grid-db is required when --il-csv is given")
     path = _output_path(args.il_csv) if grid else None
+    n0s = [ebn0_to_n0(g, cbs.config) for g in grid]
     report = kpi(cbs, rel_tol=args.rel_tol)
     out: dict = {"codebook": args.codebook, "kpi": report.to_dict()}
     outputs: list[str] = []
     if grid:
         rows = ["snr_db,resource,il_bits"]
         means = []
-        for g in grid:
-            n0 = ebn0_to_n0(g, cbs.config)
+        for g, n0 in zip(grid, n0s):
             per, mean = i_lower_bound_profile(cbs, n0)
             for k, val in enumerate(per):
                 rows.append(f"{g:.10g},{k},{val:.10g}")
@@ -286,6 +289,15 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
+def _cmd_fixture(args: argparse.Namespace, argv: list[str]) -> int:
+    text = json.dumps(load_fixture(args.id), indent=1) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _output_path(args.out).write_text(text)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scma",
@@ -344,6 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_optimize)
+
+    p = sub.add_parser("fixture", help="dump a shipped artifact as JSON")
+    p.add_argument("id", choices=sorted(FIXTURE_IDS))
+    p.add_argument("out", nargs="?", default=None,
+                   help="output JSON path (default: stdout)")
+    p.set_defaults(func=_cmd_fixture)
     return parser
 
 

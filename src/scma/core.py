@@ -151,6 +151,16 @@ class CodebookSet:
         return used.T.astype(np.int64)
 
 
+def superpositions(books: np.ndarray) -> np.ndarray:
+    """(M^J, K) sums of one codeword per user of (J, M, K) ``books``, in
+    lexicographic symbol order with user 0 as the most significant digit."""
+    J, M, K = books.shape
+    S = np.zeros((1, K), dtype=np.complex128)
+    for j in range(J):
+        S = (S[:, None, :] + books[j][None, :, :]).reshape(-1, K)
+    return S
+
+
 def pack_params(a: Iterable[complex]) -> np.ndarray:
     """Interleave complex parameters into a real vector
     [Re a_1, Im a_1, Re a_2, Im a_2, ...]."""

@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CodebookSet
+from .core import CodebookSet, superpositions
 
 MAP_ENUMERATION_LIMIT = 2 ** 24
 
@@ -367,16 +367,6 @@ def hard_decision(belief: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(belief), axis=-1)
 
 
-def _candidate_sums(scaled_books: np.ndarray) -> np.ndarray:
-    """(M^J, K) superpositions of one codeword per user, in lexicographic
-    symbol order with user 0 as the most significant digit."""
-    J, M, K = scaled_books.shape
-    S = np.zeros((1, K), dtype=np.complex128)
-    for j in range(J):
-        S = (S[:, None, :] + scaled_books[j][None, :, :]).reshape(-1, K)
-    return S
-
-
 def map_detect_batch(
     y: np.ndarray,
     cbs: CodebookSet,
@@ -398,7 +388,7 @@ def map_detect_batch(
     frames = y.shape[0]
     best = np.empty(frames, dtype=np.int64)
     if h is None:
-        cand = _candidate_sums(np.asarray(cbs.books))
+        cand = superpositions(cbs.books)
         cnorm2 = (np.abs(cand) ** 2).sum(axis=1)
         chunk = max(1, 2 ** 22 // max(n_hyp, 1))
         for lo in range(0, frames, chunk):
@@ -408,7 +398,7 @@ def map_detect_batch(
     else:
         for f in range(frames):
             scaled = cbs.books * h[f].T[:, None, :]  # (J, M, K)
-            cand = _candidate_sums(scaled)
+            cand = superpositions(scaled)
             metric = (np.abs(y[f][None, :] - cand) ** 2).sum(axis=1)
             best[f] = int(np.argmin(metric))
     # hypothesis index digits in base M, user 0 the most significant

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodebookSet, ScmaError
+from .core import CodebookSet, ScmaError, superpositions
 
 PRODUCT_DIMENSION_TOL = 1e-12
 
@@ -82,9 +82,7 @@ def sum_constellation(cbs: CodebookSet, resource: int) -> SumConstellation:
     users = cbs.graph.resource_users(resource)
     if users.size == 0:
         raise ScmaError(f"resource {resource} has no users attached")
-    points = np.zeros(1, dtype=np.complex128)
-    for j in users:
-        points = (points[:, None] + cbs.books[j, :, resource][None, :]).ravel()
+    points = superpositions(cbs.books[users][:, :, [resource]])[:, 0]
     return SumConstellation(resource=int(resource), points=points)
 
 

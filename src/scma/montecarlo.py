@@ -13,15 +13,15 @@ target, or at the frame cap.  The stop point therefore does not depend on
 the worker count, and neither does the estimate.  A fixed frame count is the
 same loop with an error target that is never reached.
 
-An error ``bound`` lets a run stop inside a block.  A bounded block is drawn
-whole and detected in consecutive pieces: ``FIRST_PIECE`` frames, then the
-frames its error rate so far projects it needs to reach the bound, rounded
-up to a multiple of ``PIECE_STEP``, or the rest of the block once the
-projection reaches its end.  The block stops at the end of the first piece
-where its errors plus those counted before its wave reach the bound.  A
-frame's beliefs do not depend on the detector call, so a bound the run never
-reaches, an infinite one included, gives the unbounded estimate exactly, and
-a reached one gives at least ``bound`` errors in at most the frames asked.
+An SER ``bound`` lets a run stop inside a block, once its errors over the
+symbols asked, ``frames * J``, reach it.  A bounded block is drawn whole and
+detected in consecutive pieces: ``FIRST_PIECE`` frames, then the frames its
+error rate so far projects it needs to reach the bound, rounded up to a
+multiple of ``PIECE_STEP``, or the rest of the block once the projection
+reaches its end.  The block stops at the end of the first piece where its
+errors plus those counted before its wave reach the bound.  A frame's
+beliefs do not depend on the detector call, so a bound the run never
+reaches, infinity (no bound) included, gives the unbounded estimate exactly.
 Whether a run stops depends only on its full error count, so not on
 ``threads``; its frame count when it stops may, because the blocks of a wave
 all start from the count before the wave.  Unbounded runs detect each block
@@ -104,7 +104,7 @@ def _require_positive(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _next_piece(done: int, errors: int, need: float, left: int) -> int:
+def _next_piece(done: int, errors: int, need: int, left: int) -> int:
     """Frames of a bounded block's next piece, after ``done`` frames with
     ``errors`` errors, ``need`` errors short of the bound and ``left`` frames
     from the block's end; see the module docstring."""
@@ -120,6 +120,7 @@ def _next_piece(done: int, errors: int, need: float, left: int) -> int:
 def _simulate(
     cbs: CodebookSet,
     ebn0_db: float,
+    n0: float,
     channel: str,
     max_frames: int,
     target_errors: float,
@@ -127,14 +128,20 @@ def _simulate(
     seed: int,
     stream: int,
     threads: int,
-    bound: float | None = None,
+    bound: float = math.inf,
 ) -> SerEstimate:
     """Run blocks of at most FRAME_BLOCK frames until ``target_errors``
-    symbol errors are counted at a block's end, ``bound`` errors at a
-    piece's end, or ``max_frames`` frames are simulated."""
-    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    symbol errors are counted at a block's end, an SER of ``bound`` over the
+    frames asked at a piece's end, or ``max_frames`` frames are simulated."""
     n_blocks = -(-max_frames // FRAME_BLOCK)
-    stop = target_errors if bound is None else min(target_errors, bound)
+    # the fewest errors whose rate over the symbols asked reaches the bound
+    asked = max_frames * cbs.config.J
+    goal = math.inf
+    if bound <= 1:
+        goal = max(0, round(bound * asked))
+        if goal / asked < bound:
+            goal += 1
+    stop = min(target_errors, goal)
 
     def run_block(block: int, prior: int) -> tuple[np.ndarray, int]:
         """Per-user errors and frames detected of one block, whose wave
@@ -146,14 +153,14 @@ def _simulate(
         done = 0
         while done < nb:
             found = int(errs.sum())
-            n = nb if bound is None else _next_piece(
-                done, found, bound - prior - found, nb - done)
+            n = nb if goal == math.inf else _next_piece(
+                done, found, goal - prior - found, nb - done)
             f = slice(done, done + n)
             hf = None if h is None else h[f]
             decided = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa))
             errs += (decided != symbols[f]).sum(axis=0)
             done += n
-            if bound is not None and prior + errs.sum() >= bound:
+            if prior + errs.sum() >= goal:
                 break
         return errs, done
 
@@ -196,18 +203,21 @@ def estimate_ser(
     seed: int = 0,
     stream: int = 0,
     threads: int = 1,
-    bound: float | None = None,
+    bound: float | None = math.inf,
 ) -> SerEstimate:
     """Simulate ``frames`` independent frames and count per-user symbol
     errors.  Identical (seed, stream, frames, config) always produce the
-    identical estimate.  With an error ``bound`` the run may stop early, at
-    the end of the first detector piece where the count reaches it (see the
-    module docstring); the estimate then covers the frames detected."""
+    identical estimate.  With an SER ``bound`` the run may stop early, at the
+    end of the first detector piece where its errors divided by ``frames * J``
+    reach it (see the module docstring); the estimate then covers the frames
+    detected, and its SER is at least ``bound``.  Infinity or None: no bound."""
     _require_positive(frames=frames, threads=threads)
-    if bound is not None and not bound >= 0:
+    bound = math.inf if bound is None else bound
+    if not bound >= 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
     return _simulate(
-        cbs, ebn0_db, channel, frames, np.inf, mpa, seed, stream, threads, bound
+        cbs, ebn0_db, n0, channel, frames, np.inf, mpa, seed, stream, threads, bound
     )
 
 
@@ -227,8 +237,9 @@ def sweep_ser(
     otherwise each point stops early once ``target_errors`` symbol errors are
     collected, capped at ``max_frames`` frames.  All points share the same
     underlying random draws (paired comparison across SNR).  Every count must
-    be at least 1, including the unused ones, or ``ValueError`` is raised
-    before any frame is simulated."""
+    be at least 1, including the unused ones, and every point must map to a
+    noise variance, or ``ValueError`` is raised before any frame is
+    simulated."""
     points = list(ebno_list)
     if not points:
         raise ValueError("ebno_list must not be empty")
@@ -238,11 +249,12 @@ def sweep_ser(
     if frames is not None:
         _require_positive(frames=frames)
         max_frames, target_errors = frames, np.inf
+    n0s = [ebn0_to_n0(ebn0, cbs.config) for ebn0 in points]
     return [
         _simulate(
-            cbs, ebn0, channel, max_frames, target_errors, mpa, seed, 0, threads
+            cbs, ebn0, n0, channel, max_frames, target_errors, mpa, seed, 0, threads
         )
-        for ebn0 in points
+        for ebn0, n0 in zip(points, n0s)
     ]
 
 

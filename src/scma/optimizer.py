@@ -12,11 +12,12 @@ outcomes do not depend on evaluation order.
 Each trial races its row on the same frames: once its running error count
 reaches the row's, it has lost, whatever its remaining frames hold.  So
 ``step_generation`` passes the row's fitness as the trial's bound, and the
-SER objective hands ``estimate_ser`` the matching error count, at which it
-stops (see ``scma.montecarlo``).  A stopped SER is at least the row's, so
-the strict ``<`` rejects it with no special case, and an accepted trial
-never stops, so every recorded fitness is a full estimate.  The population
-init and the survivor refresh run unbounded, because they set the bounds.
+SER objective hands it unchanged to ``estimate_ser``, which stops once the
+trial's SER is known to be at least that high (see ``scma.montecarlo``).  A
+stopped SER is at least the row's, so the strict ``<`` rejects it with no
+special case, and an accepted trial never stops, so every recorded fitness
+is a full estimate.  The population init and the survivor refresh run with
+an infinite bound, that is none, because they set the bounds.
 A stopped trial's frame count may depend on ``threads``; whether it stops,
 and so every output, does not.
 
@@ -31,6 +32,7 @@ The SER objective is stochastic; two stream policies are supported:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -119,8 +121,8 @@ class Population:
 
 
 # objective(row, bound): the row's value, or any value at least ``bound``
-# where the row's value is at least ``bound``; None means no bound
-Objective = Callable[[np.ndarray, float | None], float]
+# where the row's value is at least ``bound``; infinity means no bound
+Objective = Callable[[np.ndarray, float], float]
 
 
 def de_rng(seed: int) -> np.random.Generator:
@@ -129,25 +131,16 @@ def de_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 0x0DE)))
 
 
-def _error_bound(ser: float | None, symbols: int) -> int | None:
-    """The fewest errors among ``symbols`` whose rate is at least ``ser``;
-    None for no bound."""
-    if ser is None or not np.isfinite(ser):
-        return None
-    errors = max(0, round(ser * symbols))
-    return errors if errors / symbols >= ser else errors + 1
-
-
 def make_objective(
     template: StructureTemplate, cfg: DeConfig
-) -> Callable[[np.ndarray, int, float | None], float]:
+) -> Callable[[np.ndarray, int, float], float]:
     """SER of the codebook a row encodes; ``stream`` selects the common
     random numbers (callers pass the generation index, or 0 under the fixed
     policy), and an SER ``bound`` lets the estimate stop once the row's SER
     is known to be at least that high."""
     ev = cfg.eval
 
-    def objective(row: np.ndarray, stream: int, bound: float | None = None) -> float:
+    def objective(row: np.ndarray, stream: int, bound: float = math.inf) -> float:
         cbs = instantiate(template, unpack_params(row))
         est = estimate_ser(
             cbs,
@@ -158,7 +151,7 @@ def make_objective(
             seed=cfg.seed,
             stream=stream,
             threads=ev.threads,
-            bound=_error_bound(bound, ev.frames * cbs.config.J),
+            bound=bound,
         )
         return est.ser
 
@@ -195,7 +188,7 @@ def init_population(
     rows = rng.uniform(-1.0, 1.0, size=(cfg.s_p, cfg.d))
     for i in range(cfg.s_p):
         rows[i] = _renormalized(template, rows[i])
-    fitness = np.array([objective(rows[i], None) for i in range(cfg.s_p)])
+    fitness = np.array([objective(rows[i], math.inf) for i in range(cfg.s_p)])
     return Population(rows=rows, fitness=fitness, generation=0)
 
 
@@ -279,7 +272,7 @@ def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
         if not fixed:
             # fresh streams: re-measure survivors so row-vs-trial comparisons
             # stay paired under this generation's common random numbers
-            refreshed = np.array([objective(pop.rows[i], None) for i in range(cfg.s_p)])
+            refreshed = np.array([objective(row, math.inf) for row in pop.rows])
             pop = replace(pop, fitness=refreshed)
         pop = step_generation(pop, cfg, objective, rng, template)
         history.append(pop.best_fitness)

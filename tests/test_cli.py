@@ -5,11 +5,10 @@ import sys
 
 import pytest
 
-from scma import montecarlo
+from scma import cli, montecarlo
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
-from scma.fixtures.__main__ import main as fixtures_main
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
 
 
@@ -67,6 +66,19 @@ class TestValidateCommand:
             assert main(["validate", "--codebook", str(table2_file)]) == 1
         finally:
             stdout.close()
+
+    def test_closed_pipe_on_fixture_dump_exits_without_traceback(self, monkeypatch,
+                                                                 capsys):
+        """`scma fixture <id> | head -c 0` exits 1 with nothing on stderr."""
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        stdout = open(write_fd, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["fixture", "table2_awgn_6x4"]) == 1
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == ""
 
     def test_truncated_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -460,11 +472,51 @@ class TestOutputPaths:
 
     def test_fixture_dump_to_missing_dir_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"
-        assert fixtures_main(["table2_awgn_6x4", str(path)]) == 2
+        assert main(["fixture", "table2_awgn_6x4", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEbn0Range:
+    """An Eb/N0 whose noise variance is not finite and positive is a one-line
+    usage error, raised before any point runs, and no file is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_points(self, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("a point was run")
+
+        monkeypatch.setattr(montecarlo, "draw_frame_block", run)
+        monkeypatch.setattr(cli, "i_lower_bound_profile", run)
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--ebno=5000"],
+        ["simulate", "--ebno=-5000"],
+        ["simulate", "--ebno=-3100"],
+        ["simulate", "--ebno=0:1000:4000"],
+        ["analyze", "--n0-grid-db=5000"],
+        ["analyze", "--n0-grid-db=0:2500:5000"],
+        ["analyze", "--n0-grid-db=-5000"],
+        ["optimize", "--ebno=5000"],
+    ], ids=lambda c: " ".join(c))
+    def test_out_of_range_is_usage_error(self, table2_file, tmp_path, monkeypatch,
+                                         capsys, command):
+        rest = {
+            "simulate": ["--codebook", "table2.json", "--frames", "64",
+                         "--out", "x.csv"],
+            "analyze": ["--codebook", "table2.json", "--il-csv", "il.csv"],
+            "optimize": ["--template", "6x4", "--np", "4", "--max-iter", "1",
+                         "--frames-per-eval", "64", "--out", "run"],
+        }[command[0]]
+        monkeypatch.chdir(tmp_path)
+        assert main(command + rest) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Eb/N0 ") and "out of range" in err
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
 
 
 class TestThreadsDefault:

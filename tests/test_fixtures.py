@@ -1,10 +1,12 @@
 """Shipped artifacts and the structural validator."""
+import json
+
 import numpy as np
 import pytest
 
 from scma.core import CodebookSet, codebook_from_dict, pack_params
 from scma.fixtures import FIXTURE_IDS, load_codebook, load_factor_matrix, load_fixture
-from scma.fixtures.__main__ import main as fixtures_main
+from scma.cli import main as cli_main
 from scma.structure import (
     FactorGraph,
     builtin_template,
@@ -170,9 +172,20 @@ class TestConsistencyWithTemplates:
 class TestDumpTool:
     def test_dump_to_file(self, tmp_path):
         out = tmp_path / "cb.json"
-        assert fixtures_main(["table3_fading_6x4", str(out)]) == 0
-        cbs = codebook_from_dict(__import__("json").loads(out.read_text()))
+        assert cli_main(["fixture", "table3_fading_6x4", str(out)]) == 0
+        cbs = codebook_from_dict(json.loads(out.read_text()))
         assert cbs.config.J == 6
+        assert list(tmp_path.iterdir()) == [out]  # no manifest
+
+    @pytest.mark.parametrize("fixture_id", sorted(FIXTURE_IDS))
+    def test_stdout_equals_the_file_bytes(self, tmp_path, capsysbinary, fixture_id):
+        out = tmp_path / "doc.json"
+        assert cli_main(["fixture", fixture_id, str(out)]) == 0
+        assert cli_main(["fixture", fixture_id]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        assert out.read_text() == json.dumps(load_fixture(fixture_id), indent=1) + "\n"
 
     def test_unknown_id_fails(self, capsys):
-        assert fixtures_main(["nope"]) == 2
+        assert cli_main(["fixture", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "table2_awgn_6x4" in err

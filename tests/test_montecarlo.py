@@ -285,22 +285,26 @@ def detector_calls(monkeypatch):
 
 
 class TestBound:
-    """An error bound stops a run at the end of the first detector piece
-    where the running error count reaches it."""
+    """An SER bound stops a run at the end of the first detector piece where
+    the running error count over the symbols asked reaches it; bounds are
+    given here as ``n / (frames * J)`` for an error count ``n``."""
 
     def test_reached_bound_stops_early(self, table2, detector_calls):
         full = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21)
-        bound = full.symbol_errors // 3
+        n = full.symbol_errors // 3
+        bound = n / (4000 * table2.config.J)
         est = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21, bound=bound)
-        assert est.symbol_errors >= bound
+        assert est.symbol_errors >= n
         assert est.frames < 4000
-        assert est.ser >= bound / (4000 * table2.config.J)
+        assert est.ser >= bound
         assert sum(detector_calls) == 4000 + est.frames
 
     def test_unreached_bound_gives_the_unbounded_estimate(self, table2):
         for channel, frames in (("awgn", 9000), ("rayleigh", 5000)):
             full = estimate_ser(table2, 6.0, channel, frames=frames, seed=22)
-            for bound in (full.symbol_errors + 1, 10 ** 9, float("inf")):
+            symbols = frames * table2.config.J
+            for bound in ((full.symbol_errors + 1) / symbols, 10 ** 9 / symbols,
+                          float("inf"), None):
                 est = estimate_ser(
                     table2, 6.0, channel, frames=frames, seed=22, bound=bound)
                 assert est == full
@@ -309,23 +313,38 @@ class TestBound:
     def test_bound_reached_in_second_block_counts_a_prefix(self, table2):
         errs = frame_errors(table2, 4.0, "awgn", 9000, seed=23)
         first = int(errs[:FRAME_BLOCK].sum())
-        bound = first + int(errs[FRAME_BLOCK:2 * FRAME_BLOCK].sum()) // 2
+        n = first + int(errs[FRAME_BLOCK:2 * FRAME_BLOCK].sum()) // 2
+        bound = n / (9000 * table2.config.J)
         est = estimate_ser(table2, 4.0, "awgn", frames=9000, seed=23, bound=bound)
         assert FRAME_BLOCK < est.frames < 2 * FRAME_BLOCK
         prefix = errs[:est.frames]
-        assert est.symbol_errors == int(prefix.sum()) >= bound
+        assert est.symbol_errors == int(prefix.sum()) >= n
         assert est.symbols_sent == est.frames * table2.config.J
         assert est.per_user_ser == tuple(prefix.sum(axis=0) / est.frames)
         # it stopped at the end of the first piece that reached the bound
-        assert int(errs[:est.frames - mc.PIECE_STEP].sum()) < bound
+        assert int(errs[:est.frames - mc.PIECE_STEP].sum()) < n
+
+    @pytest.mark.parametrize("frames", [1109, 1116])
+    def test_bound_of_the_first_piece_errors_stops_there(self, table2, frames):
+        """``n / symbols * symbols`` rounds above ``n`` at 1109 frames and
+        below it at 1116; either way the bound ``n / symbols`` stops the run
+        exactly when ``n`` errors are counted."""
+        symbols = frames * table2.config.J
+        n = int(frame_errors(table2, 4.0, "awgn", frames, seed=25)[:1024].sum())
+        assert n / symbols * symbols != n
+        est = estimate_ser(table2, 4.0, "awgn", frames, seed=25, bound=n / symbols)
+        assert (est.frames, est.symbol_errors) == (1024, n)
+        est = estimate_ser(table2, 4.0, "awgn", frames, seed=25,
+                           bound=(n + 1) / symbols)
+        assert est.frames > 1024
 
     @pytest.mark.parametrize("frames", [1025, 2049, 5121, 9000])
     def test_detector_calls_cover_the_frames_detected(self, table2, detector_calls,
                                                        frames):
-        for bound in (1, 40, 150, 400, 10 ** 9):
+        for n in (1, 40, 150, 400, 10 ** 9):
             detector_calls.clear()
-            est = estimate_ser(
-                table2, 3.0, "awgn", frames=frames, seed=24, bound=bound)
+            est = estimate_ser(table2, 3.0, "awgn", frames=frames, seed=24,
+                               bound=n / (frames * table2.config.J))
             assert sum(detector_calls) == est.frames
 
     def test_negative_bound_rejected(self, table2):
@@ -333,23 +352,24 @@ class TestBound:
             estimate_ser(table2, 10.0, "awgn", frames=100, bound=-1)
 
     @settings(max_examples=12, deadline=None)
-    @example(seed=0, bound=0, frames=3 * FRAME_BLOCK - 1)
+    @example(seed=0, n=0, frames=3 * FRAME_BLOCK - 1)
     @given(
         seed=st.integers(0, 2 ** 16),
-        bound=st.integers(0, 1500),
+        n=st.integers(0, 1500),
         frames=PARTIAL_FRAMES,
     )
     def test_whether_it_stops_does_not_depend_on_threads(
-        self, table2, seed, bound, frames
+        self, table2, seed, n, frames
     ):
         full = estimate_ser(table2, 4.0, "awgn", frames, seed=seed)
+        bound = n / (frames * table2.config.J)
         for t in (1, 2, 3):
             est = estimate_ser(table2, 4.0, "awgn", frames, seed=seed, threads=t,
                                bound=bound)
-            stopped = est.symbol_errors >= bound
-            assert stopped == (full.symbol_errors >= bound)
+            stopped = est.symbol_errors >= n
+            assert stopped == (full.symbol_errors >= n)
             if stopped:
-                assert est.ser >= bound / (frames * table2.config.J)
+                assert est.ser >= bound
             else:
                 assert est == full
 

@@ -1,4 +1,6 @@
 """Differential-evolution mechanics and end-to-end search behavior."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from scma.optimizer import (
     DeConfig,
     ObjectiveConfig,
     Population,
-    _error_bound,
     _pick_donors,
     de_rng,
     init_population,
@@ -30,7 +31,7 @@ def plain_config(**kw) -> DeConfig:
     return DeConfig(**base)
 
 
-def zero_objective(row: np.ndarray, bound: float | None) -> float:
+def zero_objective(row: np.ndarray, bound: float) -> float:
     return 0.0
 
 
@@ -196,7 +197,7 @@ class TestStepGeneration:
         rng = np.random.default_rng(10)
         rows = rng.uniform(-1, 1, size=(6, 12))
         objective = lambda row, bound: float(np.sum(row ** 2))  # noqa: E731
-        fitness = np.array([objective(r, None) for r in rows])
+        fitness = np.array([objective(r, math.inf) for r in rows])
         pop = Population(rows=rows, fitness=fitness, generation=0)
         cfg = plain_config(s_p=6)
         for seed in range(5):
@@ -248,24 +249,6 @@ class TestOptimize:
         result = optimize(builtin_template("6x4"), cfg)
         assert result.generations == 2
         assert len(result.history) == 3
-
-
-class TestErrorBound:
-    """The SER bound a trial gets is turned into the row's error count."""
-
-    @pytest.mark.parametrize("symbols", [6 * 1500, 6 * 5000, 12 * 1025])
-    def test_recovers_the_count_behind_an_estimate(self, symbols):
-        for errors in range(symbols + 1):
-            assert _error_bound(errors / symbols, symbols) == errors
-
-    def test_fewest_errors_whose_rate_reaches_the_bound(self):
-        for ser in np.random.default_rng(4).uniform(0.0, 1.0, 500):
-            n = _error_bound(ser, 9000)
-            assert n / 9000 >= ser and (n == 0 or (n - 1) / 9000 < ser)
-
-    @pytest.mark.parametrize("ser", [None, np.inf])
-    def test_no_bound(self, ser):
-        assert _error_bound(ser, 9000) is None
 
 
 class TestRace:
