@@ -30,7 +30,7 @@ from .structure import (
 )
 from .channel import ebn0_to_n0
 from .detector import MpaConfig, hard_decision, map_detect_batch, mpa_detect_batch
-from .metrics import KpiReport, SumConstellation, i_lower_bound, kpi, sum_constellation
+from .metrics import KpiReport, i_lower_bound, kpi, sum_constellation
 from .montecarlo import SerEstimate, estimate_ser, sweep_ser
 from .optimizer import DeConfig, ObjectiveConfig, OptimizeResult, Population, optimize
 
@@ -61,7 +61,6 @@ __all__ = [
     "map_detect_batch",
     "hard_decision",
     "KpiReport",
-    "SumConstellation",
     "kpi",
     "sum_constellation",
     "i_lower_bound",

@@ -27,6 +27,8 @@ def ebn0_to_n0(ebn0_db: float, cfg: SystemConfig) -> float:
     """Noise variance for a given Eb/N0 in dB under the unit-codeword-energy
     convention (E_b = 1/log2 M); ``ValueError`` if it is not finite and
     positive (beyond about +-3000 dB, or NaN)."""
+    # a Python float, so a numpy scalar overflows into the except, not a warning
+    ebn0_db = float(ebn0_db)
     eb = 1.0 / cfg.bits_per_symbol
     try:
         n0 = eb / 10.0 ** (ebn0_db / 10.0)

@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop a point after this many symbol errors")
     p.add_argument("--max-frames", type=int, default=None,
                    help=f"--target-errors frame cap (default {DEFAULT_MAX_FRAMES})")
-    p.add_argument("--mpa-iters", type=int, default=10)
+    p.add_argument("--mpa-iters", type=int, default=MpaConfig.iterations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True, help="output CSV path")
@@ -339,20 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="differential-evolution codebook search")
     p.add_argument("--template", required=True,
                    help="6x4, 12x6, or a template JSON file")
-    p.add_argument("--channel", choices=CHANNELS, default="awgn")
+    p.add_argument("--channel", choices=CHANNELS, default=ObjectiveConfig.channel)
     p.add_argument("--ebno", type=float, required=True,
                    help="optimization Eb/N0 in dB")
-    p.add_argument("--np", type=int, default=20, help="population size")
-    p.add_argument("--cr", type=float, default=0.95, help="crossover rate")
-    p.add_argument("--f", type=float, default=0.6, help="mutation scaling factor")
-    p.add_argument("--max-iter", type=int, default=80)
-    p.add_argument("--plateau-eps", type=float, default=0.02)
-    p.add_argument("--plateau-window", type=int, default=5)
-    p.add_argument("--frames-per-eval", type=int, default=20000)
-    p.add_argument("--mpa-iters", type=int, default=10)
-    p.add_argument("--crn", choices=CRN_MODES, default="per-generation",
+    p.add_argument("--np", type=int, default=DeConfig.s_p, help="population size")
+    p.add_argument("--cr", type=float, default=DeConfig.c_r, help="crossover rate")
+    p.add_argument("--f", type=float, default=DeConfig.alpha, help="mutation scaling factor")
+    p.add_argument("--max-iter", type=int, default=DeConfig.i_max)
+    p.add_argument("--plateau-eps", type=float, default=DeConfig.plateau_eps)
+    p.add_argument("--plateau-window", type=int, default=DeConfig.plateau_window)
+    p.add_argument("--frames-per-eval", type=int, default=ObjectiveConfig.frames)
+    p.add_argument("--mpa-iters", type=int, default=MpaConfig.iterations)
+    p.add_argument("--crn", choices=CRN_MODES, default=ObjectiveConfig.crn_mode,
                    help="common-random-number stream policy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DeConfig.seed)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_optimize)

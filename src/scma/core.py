@@ -240,11 +240,16 @@ def write_codebook_json(cbs: CodebookSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(codebook_to_dict(cbs)) + "\n")
 
 
-def read_codebook_json(path: str | Path) -> CodebookSet:
+def _read_json_object(path: str | Path) -> dict:
+    """A JSON file whose top level is an object, else a format error."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CodebookFormatError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CodebookFormatError(f"{path}: top level must be an object")
-    return codebook_from_dict(doc)
+    return doc
+
+
+def read_codebook_json(path: str | Path) -> CodebookSet:
+    return codebook_from_dict(_read_json_object(path))

@@ -35,16 +35,6 @@ class KpiReport:
         }
 
 
-@dataclass(frozen=True)
-class SumConstellation:
-    """All M^{d} superpositions of the colliding users' entries on one
-    resource, in lexicographic symbol order (lowest user index most
-    significant)."""
-
-    resource: int
-    points: np.ndarray
-
-
 def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
     """Minimum Euclidean / product distances and kissing numbers.
 
@@ -77,24 +67,23 @@ def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
                      rel_tol=rel_tol)
 
 
-def sum_constellation(cbs: CodebookSet, resource: int) -> SumConstellation:
-    """Enumerate the superimposed values seen on one resource."""
+def sum_constellation(cbs: CodebookSet, resource: int) -> np.ndarray:
+    """The (M^d,) superpositions of the users' entries on one resource, in
+    lexicographic symbol order (lowest user index most significant)."""
     users = cbs.graph.resource_users(resource)
     if users.size == 0:
         raise ScmaError(f"resource {resource} has no users attached")
-    points = superpositions(cbs.books[users][:, :, [resource]])[:, 0]
-    return SumConstellation(resource=int(resource), points=points)
+    return superpositions(cbs.books[users][:, :, [resource]])[:, 0]
 
 
-def i_lower_bound(sc: SumConstellation, n0: float) -> float:
-    """Mutual-information lower bound (bits) for the sum constellation under
-    complex Gaussian noise of total variance n0, clamped to its
-    [0, log2(#points)] range."""
+def i_lower_bound(points: np.ndarray, n0: float) -> float:
+    """Mutual-information lower bound (bits) for a sum constellation's
+    ``points`` under complex Gaussian noise of total variance n0, clamped to
+    its [0, log2(#points)] range."""
     if not (np.isfinite(n0) and n0 > 0.0):
         raise ValueError(f"n0 must be finite and positive, got {n0}")
-    pts = sc.points
-    T = pts.size
-    d2 = np.abs(pts[:, None] - pts[None, :]) ** 2
+    T = points.size
+    d2 = np.abs(points[:, None] - points[None, :]) ** 2
     cross = float(np.exp(-d2 / (4.0 * n0)).sum() - T)  # off-diagonal terms
     val = np.log2(T) - np.log2(1.0 + cross / T)
     return float(np.clip(val, 0.0, np.log2(T)))

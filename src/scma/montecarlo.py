@@ -30,6 +30,7 @@ in one call.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -98,10 +99,11 @@ class SerEstimate:
         }
 
 
-def _require_positive(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+def _require_int(low: int, **values: int) -> None:
+    """Each value an integer (numpy integers included) of at least ``low``."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
 def _next_piece(done: int, errors: int, need: int, left: int) -> int:
@@ -211,7 +213,8 @@ def estimate_ser(
     end of the first detector piece where its errors divided by ``frames * J``
     reach it (see the module docstring); the estimate then covers the frames
     detected, and its SER is at least ``bound``.  Infinity or None: no bound."""
-    _require_positive(frames=frames, threads=threads)
+    _require_int(1, frames=frames, threads=threads)
+    _require_int(0, seed=seed, stream=stream)
     bound = math.inf if bound is None else bound
     if not bound >= 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
@@ -243,11 +246,12 @@ def sweep_ser(
     points = list(ebno_list)
     if not points:
         raise ValueError("ebno_list must not be empty")
-    _require_positive(
-        target_errors=target_errors, max_frames=max_frames, threads=threads
-    )
+    if not target_errors >= 1:
+        raise ValueError(f"target_errors must be >= 1, got {target_errors}")
+    _require_int(1, max_frames=max_frames, threads=threads)
+    _require_int(0, seed=seed)
     if frames is not None:
-        _require_positive(frames=frames)
+        _require_int(1, frames=frames)
         max_frames, target_errors = frames, np.inf
     n0s = [ebn0_to_n0(ebn0, cbs.config) for ebn0 in points]
     return [

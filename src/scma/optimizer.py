@@ -41,7 +41,7 @@ import numpy as np
 from .channel import CHANNELS
 from .core import _frozen, pack_params, unpack_params
 from .detector import MpaConfig
-from .montecarlo import estimate_ser
+from .montecarlo import _require_int, estimate_ser
 from .structure import StructureTemplate, instantiate, normalize
 
 CRN_MODES = ("per-generation", "fixed")
@@ -63,12 +63,9 @@ class ObjectiveConfig:
             raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if self.channel not in CHANNELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        _require_int(1, frames=self.frames, threads=self.threads)
         if self.crn_mode not in CRN_MODES:
             raise ValueError(f"crn_mode must be one of {CRN_MODES}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,7 @@ class DeConfig:
         for name in ("i_max", "plateau_window", "plateau_eps"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _require_int(0, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -131,16 +129,14 @@ def de_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 0x0DE)))
 
 
-def make_objective(
-    template: StructureTemplate, cfg: DeConfig
-) -> Callable[[np.ndarray, int, float], float]:
+def make_objective(template: StructureTemplate, cfg: DeConfig, stream: int) -> Objective:
     """SER of the codebook a row encodes; ``stream`` selects the common
     random numbers (callers pass the generation index, or 0 under the fixed
     policy), and an SER ``bound`` lets the estimate stop once the row's SER
     is known to be at least that high."""
     ev = cfg.eval
 
-    def objective(row: np.ndarray, stream: int, bound: float = math.inf) -> float:
+    def objective(row: np.ndarray, bound: float) -> float:
         cbs = instantiate(template, unpack_params(row))
         est = estimate_ser(
             cbs,
@@ -258,17 +254,13 @@ def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
     crossover / normalization / selection, stopping on plateau or the
     iteration cap.  Fully reproducible from (seed, config)."""
     rng = de_rng(cfg.seed)
-    raw_objective = make_objective(template, cfg)
     fixed = cfg.eval.crn_mode == "fixed"
 
-    pop = init_population(
-        cfg, template, rng, lambda row, bound: raw_objective(row, 0, bound)
-    )
+    pop = init_population(cfg, template, rng, make_objective(template, cfg, 0))
     history = [pop.best_fitness]
     stop_reason = "iteration cap"
     for gen in range(1, cfg.i_max + 1):
-        stream = 0 if fixed else gen
-        objective = lambda row, bound: raw_objective(row, stream, bound)  # noqa: E731
+        objective = make_objective(template, cfg, 0 if fixed else gen)
         if not fixed:
             # fresh streams: re-measure survivors so row-vs-trial comparisons
             # stay paired under this generation's common random numbers

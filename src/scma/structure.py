@@ -31,7 +31,9 @@ from .core import (
     FactorGraph,
     MalformedParameterError,
     _frozen,
+    _read_json_object,
 )
+from .fixtures import load_factor_matrix
 
 NORMALIZE_TOL = 1e-9
 NORMALIZE_MAX_SWEEPS = 200
@@ -179,13 +181,6 @@ _SLOTS_6X4 = [
     [[0, 0, +1, +5], [0, 0, +2, +6], [0, 0, -2, -6], [0, 0, -1, -5]],
     [[+5, 0, 0, -4], [+6, 0, 0, +3], [-6, 0, 0, -3], [-5, 0, 0, +4]],
     [[0, +1, +5, 0], [0, +2, +6, 0], [0, -2, -6, 0], [0, -1, -5, 0]],
-]
-
-_F_8X4 = [
-    [1, 0, 1, 0, 1, 0, 1, 0],
-    [0, 1, 1, 0, 0, 1, 1, 0],
-    [1, 0, 0, 1, 0, 1, 0, 1],
-    [0, 1, 0, 1, 1, 0, 0, 1],
 ]
 
 _SLOTS_12X6 = [
@@ -338,7 +333,7 @@ def derive_8x4(base: CodebookSet) -> CodebookSet:
     books[6, :, 1] = base.books[3, :, 3]
     books[7, :, 2] = base.books[2, :, 0]
     books[7, :, 3] = base.books[2, :, 1]
-    return CodebookSet(books, _F_8X4)
+    return CodebookSet(books, load_factor_matrix("eq9_factor_8x4"))
 
 
 # --- template JSON files ---------------------------------------------------
@@ -404,8 +399,4 @@ def write_template_json(template: StructureTemplate, path: str | Path) -> None:
 
 
 def read_template_json(path: str | Path) -> StructureTemplate:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CodebookFormatError(f"cannot parse {path}: {exc}") from exc
-    return template_from_dict(doc)
+    return template_from_dict(_read_json_object(path))

@@ -80,7 +80,7 @@ def small_signal_bracket(cbs, n0: float) -> tuple[float, float]:
     b = mean(x^2) / 2."""
     lows, highs = [], []
     for k in range(cbs.config.K):
-        pts = sum_constellation(cbs, k).points
+        pts = sum_constellation(cbs, k)
         x = np.abs(pts[:, None] - pts[None, :]) ** 2 / (4.0 * n0)
         a, b = x.mean(), (x**2).mean() / 2.0
         lows.append((a - b) / np.log(2.0))

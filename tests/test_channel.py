@@ -30,10 +30,15 @@ class TestEbn0Mapping:
         grid = [ebn0_to_n0(db, table2.config) for db in range(-10, 40, 5)]
         assert all(a > b for a, b in zip(grid, grid[1:]))
 
-    @pytest.mark.parametrize("ebn0_db", [5000.0, -5000.0, -3100.0, float("nan")])
+    @pytest.mark.parametrize("ebn0_db", [
+        5000.0, -5000.0, -3100.0, float("nan"),
+        pytest.param(np.float64(5000), id="numpy-5000"),
+        pytest.param(np.float64(-5000), id="numpy--5000"),
+    ])
     def test_out_of_range_names_the_ebn0(self, table2, ebn0_db):
         """+5000 dB overflows the power of ten, -5000 dB underflows it to
-        zero, and -3100 dB gives an infinite n0."""
+        zero, and -3100 dB gives an infinite n0; a numpy scalar fails the
+        same way, with no warning."""
         with pytest.raises(ValueError, match=f"Eb/N0 {ebn0_db:g} dB is out of range"):
             ebn0_to_n0(ebn0_db, table2.config)
 

@@ -255,6 +255,7 @@ class TestSimulateCommand:
             ("--threads", "0"),
             ("--threads", "-3"),
             ("--frames", "0"),
+            ("--seed", "-1"),
         ],
     )
     def test_count_below_one_is_usage_error(self, table2_file, tmp_path, capsys,
@@ -370,11 +371,12 @@ class TestOptimizeCommand:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--max-iter", "-3"), ("--plateau-window", "-1"), ("--plateau-eps", "-0.5"),
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--max-iter", "-3", "i_max"), ("--plateau-window", "-1", "plateau_window"),
+        ("--plateau-eps", "-0.5", "plateau_eps"), ("--seed", "-1", "seed"),
     ])
     def test_negative_stopping_control_is_usage_error(self, tmp_path, capsys,
-                                                      flag, value):
+                                                      flag, value, field):
         out = tmp_path / "run"
         code = main([
             "optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
@@ -384,7 +386,7 @@ class TestOptimizeCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {field} must be ")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 

@@ -21,7 +21,7 @@ from scma.core import (
     write_codebook_json,
 )
 from scma.fixtures import load_fixture
-from scma.structure import builtin_template, instantiate
+from scma.structure import builtin_template, instantiate, read_template_json
 
 
 class TestPackUnpack:
@@ -219,8 +219,9 @@ class TestCodebookJson:
 
 
 class TestTopLevelValidation:
-    def test_non_object_document_rejected(self, tmp_path):
+    @pytest.mark.parametrize("read", [read_codebook_json, read_template_json])
+    def test_non_object_document_rejected(self, tmp_path, read):
         path = tmp_path / "arr.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(CodebookFormatError):
-            read_codebook_json(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(CodebookFormatError, match="top level must be an object"):
+            read(path)

@@ -5,7 +5,6 @@ import pytest
 from scma.core import CodebookSet
 from scma.fixtures import load_fixture
 from scma.metrics import (
-    SumConstellation,
     i_lower_bound,
     i_lower_bound_profile,
     kpi,
@@ -89,50 +88,49 @@ class TestKpi:
         assert report.tau_e >= 1 and report.tau_p >= 1
 
 
-class TestSumConstellation:
+class TestSuperimposedPoints:
     def test_degree_one_resource_gives_user_points(self):
         cbs = qpsk_set()
-        sc = sum_constellation(cbs, 0)
-        assert np.array_equal(sc.points, cbs.books[0, :, 0])
+        assert np.array_equal(sum_constellation(cbs, 0), cbs.books[0, :, 0])
 
     def test_6x4_resources_have_64_points(self, table2):
         for k in range(4):
-            assert sum_constellation(table2, k).points.size == 64
+            assert sum_constellation(table2, k).size == 64
 
     def test_points_sum_to_zero(self, table2):
         # antipodal constellations pair every tuple with its negation
         for k in range(4):
-            assert abs(sum_constellation(table2, k).points.sum()) < 1e-10
+            assert abs(sum_constellation(table2, k).sum()) < 1e-10
 
     def test_lexicographic_order(self, table2):
-        sc = sum_constellation(table2, 0)
+        pts = sum_constellation(table2, 0)
         users = np.flatnonzero(table2.factor_matrix[0])
         manual = (
             table2.books[users[0], :, 0][:, None, None]
             + table2.books[users[1], :, 0][None, :, None]
             + table2.books[users[2], :, 0][None, None, :]
         ).ravel()
-        assert np.array_equal(sc.points, manual)
+        assert np.array_equal(pts, manual)
 
 
 class TestLowerBound:
     def test_heavy_noise_limit(self, table2):
-        sc = sum_constellation(table2, 0)
-        assert i_lower_bound(sc, 1e6) < 1e-4
+        pts = sum_constellation(table2, 0)
+        assert i_lower_bound(pts, 1e6) < 1e-4
 
     def test_vanishing_noise_saturates(self, table2):
-        sc = sum_constellation(table2, 0)
-        assert i_lower_bound(sc, 1e-6) == pytest.approx(6.0, abs=1e-9)
+        pts = sum_constellation(table2, 0)
+        assert i_lower_bound(pts, 1e-6) == pytest.approx(6.0, abs=1e-9)
 
     def test_two_point_closed_form(self):
-        sc = SumConstellation(resource=0, points=np.array([1 + 0j, -1 + 0j]))
+        pts = np.array([1 + 0j, -1 + 0j])
         expect = 1.0 - np.log2(1.0 + np.exp(-4.0))
-        assert i_lower_bound(sc, 0.25) == pytest.approx(expect, abs=1e-12)
+        assert i_lower_bound(pts, 0.25) == pytest.approx(expect, abs=1e-12)
 
     def test_monotone_nonincreasing_in_noise(self, table2):
-        sc = sum_constellation(table2, 2)
+        pts = sum_constellation(table2, 2)
         grid = np.logspace(-3, 2, 24)
-        vals = [i_lower_bound(sc, n0) for n0 in grid]
+        vals = [i_lower_bound(pts, n0) for n0 in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_profile_mean(self, table2):

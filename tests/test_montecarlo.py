@@ -67,14 +67,25 @@ class TestEstimate:
         b = estimate_ser(table2, 2.0, "awgn", frames=4000, seed=7, stream=1)
         assert a.symbol_errors != b.symbol_errors
 
-    def test_frames_validated(self, table2):
-        with pytest.raises(ValueError):
-            estimate_ser(table2, 10.0, "awgn", frames=0)
+    @pytest.mark.parametrize("frames", [0, 4096.0])
+    def test_frames_validated(self, table2, frames):
+        with pytest.raises(ValueError, match="frames must be an integer >= 1"):
+            estimate_ser(table2, 10.0, "awgn", frames=frames)
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 2.0])
     def test_threads_validated(self, table2, threads):
         with pytest.raises(ValueError, match="threads"):
             estimate_ser(table2, 10.0, "awgn", frames=100, threads=threads)
+
+    @pytest.mark.parametrize("run,ebn0,kwargs", [
+        pytest.param(estimate_ser, 10.0, {"frames": 100, "seed": -1}, id="estimate-seed"),
+        pytest.param(estimate_ser, 10.0, {"frames": 100, "stream": -2}, id="estimate-stream"),
+        pytest.param(sweep_ser, [10.0], {"seed": -1}, id="sweep-seed"),
+    ])
+    def test_negative_seed_or_stream_rejected(self, table2, run, ebn0, kwargs):
+        name = list(kwargs)[-1]
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            run(table2, ebn0, "awgn", **kwargs)
 
     def test_ci_bounds_ordered(self, table2):
         est = estimate_ser(table2, 0.0, "awgn", frames=2000, seed=8)
@@ -211,10 +222,14 @@ class TestSweep:
             {"threads": -3},
             {"frames": 0},
             {"frames": 100, "max_frames": 0},
+            {"max_frames": 1e4},
+            {"threads": 2.0},
+            {"frames": 4096.0},
         ],
     )
     def test_counts_below_one_rejected(self, table2, counts):
-        name = next(k for k, v in counts.items() if v < 1)
+        """Below one, or a float where a whole count is asked."""
+        name = next(k for k, v in counts.items() if v < 1 or isinstance(v, float))
         with pytest.raises(ValueError, match=name):
             sweep_ser(table2, [10.0], "awgn", **counts)
 

@@ -70,10 +70,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ObjectiveConfig(ebn0_db=10.0, crn_mode="weekly")
 
-    @pytest.mark.parametrize("threads", [0, -2])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            ObjectiveConfig(ebn0_db=10.0, threads=threads)
+    @pytest.mark.parametrize("field,value", [
+        ("threads", 0), ("threads", -2), ("threads", 2.0), ("frames", 100.0),
+    ])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            ObjectiveConfig(ebn0_db=10.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [-1, 1.0])
+    def test_seed_not_a_nonnegative_integer_rejected(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            plain_config(seed=value)
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="channel"):
