@@ -83,18 +83,16 @@ class DeConfig:
     eval: ObjectiveConfig = ObjectiveConfig(ebn0_db=10.0)
 
     def __post_init__(self) -> None:
-        if self.s_p < 4:
-            raise ValueError("population size must be >= 4 (three donors plus target)")
+        _require_int(4, s_p=self.s_p)  # three donors plus the target
         if not 0.0 <= self.c_r <= 1.0:
             raise ValueError("c_r must lie in [0, 1]")
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.d % 2 != 0:
             raise ValueError("d must be even (interleaved re/im parts)")
-        for name in ("i_max", "plateau_window", "plateau_eps"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        _require_int(0, seed=self.seed)
+        _require_int(0, i_max=self.i_max, plateau_window=self.plateau_window, seed=self.seed)
+        if not self.plateau_eps >= 0:
+            raise ValueError(f"plateau_eps must be >= 0, got {self.plateau_eps}")
 
 
 @dataclass(frozen=True)

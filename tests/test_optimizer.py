@@ -36,9 +36,10 @@ def zero_objective(row: np.ndarray, bound: float) -> float:
 
 
 class TestConfigValidation:
-    def test_minimum_population(self):
-        with pytest.raises(ValueError):
-            plain_config(s_p=3)
+    @pytest.mark.parametrize("value", [3, 4.0])
+    def test_minimum_population(self, value):
+        with pytest.raises(ValueError, match="s_p must be an integer >= 4"):
+            plain_config(s_p=value)
 
     def test_crossover_rate_range(self):
         with pytest.raises(ValueError):
@@ -50,7 +51,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("i_max", -3), ("plateau_window", -1), ("plateau_eps", -0.01),
-        ("plateau_eps", np.nan),
+        ("plateau_eps", np.nan), ("i_max", 1.5), ("plateau_window", 1.5),
     ])
     def test_negative_stopping_controls_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -275,6 +275,7 @@ class TestDerive8x4:
         ext = derive_8x4(table3)
         assert ext.config.J == 8 and ext.config.K == 4
         assert ext.config.overloading == 2.0
+        assert np.array_equal(ext.factor_matrix, load_factor_matrix("eq9_factor_8x4"))
         # user 7 rides on resources {1, 2}
         assert np.array_equal(np.flatnonzero(ext.factor_matrix[:, 6]), [0, 1])
 
