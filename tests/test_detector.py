@@ -21,8 +21,9 @@ from scma.detector import (
     mpa_detect_batch,
 )
 from scma.fixtures import load_codebook
+from scma.structure import derive_8x4
 
-from conftest import brute_force_marginals, qpsk_set
+from conftest import brute_force_marginals, per_resource_mpa, qpsk_set
 
 
 def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
@@ -423,19 +424,22 @@ class TestFrameSlabs:
         assert peak < 32 * 2 ** 20
 
 
+def underflowing_frame(cbs):
+    """(1, K) frame in which every user sends symbol 0, but user 0's first
+    resource carries the superposition with user 0 at symbol 2."""
+    books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
+    y = books[:, 0, :].sum(axis=0)
+    k0 = np.flatnonzero(F[:, 0])[0]
+    y[k0] += books[0, 2, k0] - books[0, 0, k0]
+    return y[None, :]
+
+
 class TestLogRescue:
     def test_underflowing_frame_keeps_log_beliefs(self, table2):
-        """Every user sends symbol 0, but user 0's first resource carries the
-        superposition with user 0 at symbol 2.  At n0 = 1e-4 the two
-        resources' messages for user 0 share no symbol above the underflow
-        range, so the linear sums vanish and only the rescue's log arithmetic
-        keeps the beliefs."""
-        books, F = np.asarray(table2.books), np.asarray(table2.factor_matrix)
-        y = books[:, 0, :].sum(axis=0)
-        k0 = np.flatnonzero(F[:, 0])[0]
-        y[k0] += books[0, 2, k0] - books[0, 0, k0]
-        y = y[None, :]
-        n0 = 1e-4
+        """At n0 = 1e-4 the two resources' messages for user 0 share no
+        symbol above the underflow range, so the linear sums vanish and only
+        the rescue's log arithmetic keeps the beliefs."""
+        y, n0 = underflowing_frame(table2), 1e-4
         ref = per_slot_mpa(y, table2, None, n0, MpaConfig(), log=True)
         assert np.abs(mpa_detect_batch(y, table2, None, n0) - ref).max() < 1e-12
 
@@ -479,6 +483,79 @@ class TestLogRescue:
         y = np.array([c[0], c[3] * np.exp(0.3j) + 0.05])
         exact = brute_force_marginals(books, y, None, 1e-4)
         assert np.abs(mpa_detect_batch(y[None], cbs, None, 1e-4) - exact).max() <= 1e-9
+
+
+@st.composite
+def mixed_degree_systems(draw):
+    """A random system whose resources take at least two degrees from 1 to
+    4, its factor graph often with cycles, 1-4 frames and their gains or
+    None."""
+    K, J = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    F = draw(hnp.arrays(np.int64, (K, J), elements=st.integers(0, 1)).filter(
+        lambda F: F.any(axis=0).all() and F.sum(axis=1).min() >= 1
+        and F.sum(axis=1).max() <= 4 and len(set(F.sum(axis=1))) > 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M, frames = draw(st.sampled_from([2, 4])), draw(st.integers(1, 4))
+    books = (rng.standard_normal((J, M, K)) + 1j * rng.standard_normal((J, M, K)))
+    books *= F.T[:, None, :]
+    y = rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K))
+    h = None
+    if draw(st.booleans()):
+        shape = (frames, K, J)
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    return CodebookSet(books, F), y, h
+
+
+# each system with the Eb/N0 (dB) it is designed or benchmarked at
+ORACLE_SYSTEMS = [
+    ("table2_awgn_6x4", 8.0),
+    ("table3_fading_6x4", 17.0),
+    ("table5_awgn_12x6", 10.0),
+    ("table6_fading_12x6", 18.0),
+    ("derive_8x4", 10.0),
+]
+
+
+class TestPerResourceOracle:
+    """The batched sweep gives the bytes of the per-resource sweep,
+    ``conftest.per_resource_mpa``.  No digests: ``np.exp`` may round
+    differently under another SIMD dispatch, so both sides run here."""
+
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("name,design_db", ORACLE_SYSTEMS)
+    def test_shipped_systems(self, name, design_db, channel):
+        """1, 2 and 300 frames, and a call of two slabs."""
+        cbs = (derive_8x4(load_codebook("table2_awgn_6x4")) if name == "derive_8x4"
+               else load_codebook(name))
+        table_bytes = 8 * cbs.config.M ** int(cbs.graph.row_degrees.max())
+        two_slabs = detector.SLAB_BYTES // table_bytes + 1
+        for ebn0_db in (0.0, design_db, 40.0):
+            n0 = ebn0_to_n0(ebn0_db, cbs.config)
+            _, h, y = draw_frame_block(cbs, channel, n0, two_slabs, block_rng(31, 0, 0))
+            for frames in (1, 2, 300, two_slabs):
+                hf = None if h is None else h[:frames]
+                got = mpa_detect_batch(y[:frames], cbs, hf, n0)
+                ref = per_resource_mpa(y[:frames], cbs, hf, n0)
+                assert got.tobytes() == ref.tobytes(), (ebn0_db, frames)
+
+    def test_rescued_frame(self, table2, monkeypatch):
+        rescues = []
+        log_resource = detector._log_resource
+        monkeypatch.setattr(detector, "_log_resource",
+                            lambda *a: rescues.append(1) or log_resource(*a))
+        y = underflowing_frame(table2)
+        got = mpa_detect_batch(y, table2, None, 1e-4)
+        assert rescues
+        assert got.tobytes() == per_resource_mpa(y, table2, None, 1e-4).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_degree_systems(), st.sampled_from([1e-3, 0.05, 1.0]), st.integers(1, 4))
+    def test_mixed_degree_graphs(self, system, n0, iterations):
+        """At n0 = 1e-3 the rescue runs in most calls."""
+        cbs, y, h = system
+        cfg = MpaConfig(iterations=iterations)
+        got = mpa_detect_batch(y, cbs, h, n0, cfg)
+        assert got.tobytes() == per_resource_mpa(y, cbs, h, n0, cfg).tobytes()
 
 
 @st.composite
