@@ -29,7 +29,7 @@ from .structure import (
     normalize,
 )
 from .channel import ebn0_to_n0
-from .detector import MpaConfig, hard_decision, map_detect_batch, mpa_detect_batch
+from .detector import MpaConfig, hard_decision, mpa_detect_batch
 from .metrics import KpiReport, i_lower_bound, kpi, sum_constellation
 from .montecarlo import SerEstimate, estimate_ser, sweep_ser
 from .optimizer import DeConfig, ObjectiveConfig, OptimizeResult, Population, optimize
@@ -58,7 +58,6 @@ __all__ = [
     "ebn0_to_n0",
     "MpaConfig",
     "mpa_detect_batch",
-    "map_detect_batch",
     "hard_decision",
     "KpiReport",
     "kpi",

@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +33,13 @@ class DegenerateParameterError(ScmaError):
 
 class CodebookFormatError(ScmaError):
     """Codebook or template file does not follow the JSON schema."""
+
+
+def _require_int(low: int, **values: int) -> None:
+    """Each value an integer (numpy integers included) of at least ``low``."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -70,12 +78,14 @@ class FactorGraph:
     """Binary K x J matrix linking resources (rows) to users (columns), with
     its degrees and edge indices.
 
-    The E edges (nonzeros of F) are numbered row by row, so resource k owns
-    the contiguous edges ``res_start[k]:res_start[k + 1]`` in ascending user
-    order, and ``edge_user[e]`` is the user of edge e.  Row j of the
-    (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in ascending
-    resource order, padded with the index E; a message array with E + 1 rows
-    keeps row E for that padding."""
+    The E edges (nonzeros of F) are numbered group by group, the resources
+    of one degree in ascending degree order, then resource by resource, so
+    resource k owns the contiguous edges from ``res_start[k]`` in ascending
+    user order, and each degree group's edges are contiguous too.  With one
+    degree that is row by row.  ``edge_user[e]`` is the user of edge e.  Row
+    j of the (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in
+    ascending resource order, padded with the index E; a message array with
+    E + 1 rows keeps row E for that padding."""
 
     F: np.ndarray
     row_degrees: np.ndarray = field(init=False)
@@ -92,14 +102,17 @@ class FactorGraph:
             raise ValueError(f"factor matrix of shape (K, J) = {F.shape} has no user column")
         if not np.isin(F, (0, 1)).all():
             raise ValueError("factor matrix entries must be 0 or 1")
-        rows, cols = np.nonzero(F)  # edge e joins resource rows[e], user cols[e]
         row_degrees, col_degrees = F.sum(axis=1), F.sum(axis=0)
-        by_user = np.argsort(cols, kind="stable")
+        by_degree = np.argsort(row_degrees, kind="stable")  # resources in edge order
+        group_rows, cols = np.nonzero(F[by_degree])
+        rows = by_degree[group_rows]  # edge e joins resource rows[e], user cols[e]
+        res_start = np.empty_like(row_degrees)
+        res_start[by_degree] = np.cumsum(row_degrees[by_degree]) - row_degrees[by_degree]
+        by_user = np.lexsort((rows, cols))
         users = cols[by_user]
         col_start = np.cumsum(col_degrees) - col_degrees
         user_edges = np.full((F.shape[1], max(2, *col_degrees)), rows.size)
         user_edges[users, np.arange(rows.size) - col_start[users]] = by_user
-        res_start = np.concatenate(([0], np.cumsum(row_degrees)))
         for name, value in (("F", F), ("row_degrees", row_degrees),
                             ("col_degrees", col_degrees), ("res_start", res_start),
                             ("edge_user", cols), ("user_edges", user_edges)):
@@ -113,9 +126,13 @@ class FactorGraph:
     def J(self) -> int:
         return self.F.shape[1]
 
+    def resource_edges(self, k: int) -> slice:
+        """The edges of resource k."""
+        return slice(self.res_start[k], self.res_start[k] + self.row_degrees[k])
+
     def resource_users(self, k: int) -> np.ndarray:
         """Indices of the users colliding on resource k."""
-        return self.edge_user[self.res_start[k]:self.res_start[k + 1]]
+        return self.edge_user[self.resource_edges(k)]
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,26 @@ of one half of the slots, recurses on the other half, then swaps the halves,
 so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The contraction
 is its argument: ``np.einsum`` on linear tables, or on log tables an add of
 log-messages reduced by ``_logsumexp`` (the log rescue).
-The one table per resource is built once per call, its exponent shifted by
-its per-(frame, resource) maximum, which cancels in the normalization and
-keeps the linear kernel alive at very small noise levels.
+The tables are built once per call, each exponent shifted by its
+per-(frame, resource) maximum, which cancels in the normalization and keeps
+the linear kernel alive at very small noise levels.  The K_d resources of
+one degree d_f keep theirs in one (M, ..., M, K_d, frames) array, so one
+recursion serves the whole degree group; the resource axis sits just before
+frames because a leading one made the einsums slower at d_f = 3.
 
 The messages live in one (E + 1, M, frames) array per direction, ``Q`` from
-users to resources and ``R`` back, indexed by the edges of ``cbs.graph``.
-Resource k owns the contiguous edges ``res_start[k]:res_start[k + 1]``, so
-its update works on slices.  The user update runs once per column s of
+users to resources and ``R`` back, indexed by the edges of ``cbs.graph``,
+which numbers them degree group by degree group.  So a group's messages are
+(K_d, d_f, M, frames) views of Q and R, and its recursion's last einsums
+write every outgoing message straight into R.  A sweep then tests each
+group's message peaks for the rescue once, normalises all of R at once and
+rescues the flagged resources one by one; resource updates read only Q, so
+the order moves no byte.  The user update runs once per column s of
 ``user_edges``: the product of R over the other columns, normalised, is
 written to Q at column s.  Users with fewer edges than columns are padded
 with the index E; row E is all ones in R and a write-only sink in Q.
 
-A block is detected in frame slabs.  A resource's table takes 8 * M^{d_f}
+A block is detected in frame slabs.  One resource's table takes 8 * M^{d_f}
 bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
 ``mpa_detect_batch`` splits the frames into the fewest near-equal slabs
 whose largest table fits ``SLAB_BYTES`` and runs the tables, the sweeps and
@@ -52,9 +59,6 @@ so even M^{d_f - 1} of them shift a normalised entry by less than 1e-55.
 Where some message of a resource peaks below the floor, its messages are
 recomputed on those frames in log arithmetic from log tables rebuilt for
 them.
-
-``map_detect_batch`` is the brute-force joint maximum-likelihood oracle used
-to verify the message-passing detector on small systems.
 """
 from __future__ import annotations
 
@@ -63,9 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CodebookSet, superpositions
-
-MAP_ENUMERATION_LIMIT = 2 ** 24
+from .core import CodebookSet, _require_int
 
 # rescue threshold on a message's peak; see the module docstring
 RESCUE_FLOOR = 1e-96
@@ -90,8 +92,7 @@ class MpaConfig:
     domain: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _require_int(1, iterations=self.iterations)
         if self.domain not in ("linear", "log"):
             raise ValueError(f"domain must be 'linear' or 'log', got {self.domain!r}")
 
@@ -172,37 +173,53 @@ def _flushed_exp(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
-    """Sum T (slot axes, then frames) times msgs[a] over each slot axis a."""
-    n = T.ndim - 1
-    ops = [T, list(range(n + 1))]
+def _contract(
+    T: np.ndarray, msgs: list[np.ndarray], axes: list[int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum T (slot axes, then resources, then frames) times the (resources,
+    M, frames) message msgs[a] over each slot axis a in axes: the partial
+    table of the other slots, or, written to ``out``, the one slot's
+    message."""
+    n = T.ndim - 2
+    ops = [T, list(range(n + 2))]
     for a in axes:
-        ops += [msgs[a], [a, n]]
-    return np.einsum(*ops, [a for a in range(n + 1) if a not in axes])
+        ops += [msgs[a], [n, a, n + 1]]
+    kept = [a for a in range(n) if a not in axes]
+    return np.einsum(*ops, kept + [n, n + 1] if out is None else [n, *kept, n + 1], out=out)
 
 
-def _log_contract(T: np.ndarray, msgs: list[np.ndarray], axes: range) -> np.ndarray:
+def _log_contract(
+    T: np.ndarray, msgs: list[np.ndarray], axes: list[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """``_contract`` in log arithmetic: add the log-message msgs[a] along
-    each slot axis a of T in axis order, then log-sum-exp those axes."""
-    n, B = T.ndim - 1, None
+    each slot axis a of T in axis order, then log-sum-exp those axes; a
+    message for ``out`` is copied there."""
+    n, B = T.ndim - 2, None
     for a in axes:
-        m = np.expand_dims(msgs[a], [i for i in range(n) if i != a])
+        m = np.expand_dims(np.moveaxis(msgs[a], 1, 0), [i for i in range(n) if i != a])
         B = T + m if B is None else np.add(B, m, out=B)
-    return _logsumexp(B, axis=tuple(axes))
+    lse = _logsumexp(B, axis=tuple(axes))
+    return lse if out is None else np.copyto(out, np.moveaxis(lse, 0, 1))
 
 
 def _sum_product(
-    T: np.ndarray, msgs: list[np.ndarray], contract: Callable = _contract
-) -> list[np.ndarray]:
-    """Unnormalised outgoing message of every slot of T: slot p's message
-    contracts T with every other slot's incoming message.  Each half of the
-    slots is contracted away once and shared by the other half's messages."""
-    n = T.ndim - 1
+    T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray], contract: Callable = _contract
+) -> None:
+    """Write to out[p] the unnormalised outgoing message of every slot p of
+    T: T contracted with every other slot's incoming message.  Each half of
+    the slots is contracted away once and shared by the other half's
+    messages."""
+    n = len(msgs)
     if n == 1:
-        return [T]
+        np.copyto(out[0], np.moveaxis(T, 0, 1))
+        return
     h = n // 2
-    return (_sum_product(contract(T, msgs, range(h, n)), msgs[:h], contract)
-            + _sum_product(contract(T, msgs, range(h)), msgs[h:], contract))
+    for lo, hi in ((0, h), (h, n)):
+        drop = [a for a in range(n) if not lo <= a < hi]
+        if hi - lo == 1:
+            contract(T, msgs, drop, out[lo])
+        else:
+            _sum_product(contract(T, msgs, drop), msgs[lo:hi], out[lo:hi], contract)
 
 
 def _logsumexp(
@@ -238,7 +255,8 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
     (M, ..., M, frames) log table and incoming (slots, M, frames) messages."""
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
-    lr = np.stack(_sum_product(logW, list(logQ), _log_contract))
+    lr = np.empty_like(logQ)
+    _sum_product(logW[..., None, :], list(logQ[:, None]), list(lr[:, None]), _log_contract)
     return np.exp(lr - _logsumexp(lr, axis=1, keepdims=True))
 
 
@@ -321,40 +339,49 @@ def _detect_slab(
 ) -> np.ndarray:
     """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs."""
     books, g = cbs.books, cbs.graph
-    M, frames, user_edges = cbs.config.M, y.shape[0], g.user_edges
-    edges = [slice(g.res_start[k], g.res_start[k + 1]) for k in range(g.K)]
+    M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
     def log_table(k: int, f: slice | np.ndarray = slice(None), out=None) -> np.ndarray:
         return _log_weights(y[f, k], [books[j, :, k] if h is None else
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
                                       for j in g.resource_users(k)], n0, out)
 
-    # one flushed linear weight table per resource, fixed across iterations
-    # and built in place from its log table.  All of them share one buffer:
-    # freeing a buffer this large raises glibc's mmap and trim thresholds
-    # above what a call frees, so later calls reuse heap pages instead of
-    # mapping fresh ones
-    shapes = [(M,) * len(g.resource_users(k)) + (frames,) for k in range(g.K)]
-    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
-    buf = np.empty(ends[-1])
-    tables = [log_table(k, out=buf[ends[k]:ends[k + 1]].reshape(shapes[k]))
-              for k in range(g.K)]
-    tables = [_flushed_exp(t, out=t) for t in tables]
+    # per degree d, its K_d resources' flushed linear weight tables in one
+    # (M, ..., M, K_d, frames) array, fixed across iterations and built in
+    # place from the log tables, and the group's contiguous edges.  A graph
+    # of one degree holds all its tables in one buffer: freeing a buffer this
+    # large raises glibc's mmap and trim thresholds above what a call frees,
+    # so later calls reuse heap pages instead of mapping fresh ones
+    groups = []
+    for d in sorted(set(g.row_degrees.tolist())):
+        ks = np.flatnonzero(g.row_degrees == d)
+        T = np.empty((M,) * d + (ks.size, frames))
+        for i, k in enumerate(ks):
+            log_table(k, out=T[..., i, :])
+        e = slice(g.res_start[ks[0]], g.res_start[ks[0]] + ks.size * d)
+        groups.append((ks, e, _flushed_exp(T, out=T)))
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
-    Q = np.full((g.edge_user.size + 1, M, frames), 1.0 / M)
+    Q = np.full((E + 1, M, frames), 1.0 / M)
     R = np.ones_like(Q)
 
     others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for _ in range(cfg.iterations):
-        for k, e in enumerate(edges):
-            raw = np.stack(_sum_product(tables[k], list(Q[e])), out=R[e])
-            # frames to rescue, read before raw is normalised in place
-            low = np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
-            _normalize_rows(raw)
-            if len(low):
-                R[e, :, low] = _log_resource(log_table(k, low), Q[e, :, low])
+        rescue = []
+        for ks, e, T in groups:
+            # the group's (d, K_d, M, frames) messages, views of Q and R
+            Qd, Rd = (m[e].reshape(ks.size, T.ndim - 2, M, frames).swapaxes(0, 1)
+                      for m in (Q, R))
+            _sum_product(T, list(Qd), list(Rd))
+            # resources and frames to rescue, read before R is normalised
+            low = (Rd.max(axis=2) < RESCUE_FLOOR).any(axis=0)
+            if low.any():
+                rescue += [(k, np.flatnonzero(f)) for k, f in zip(ks, low) if f.any()]
+        _normalize_rows(R[:E])
+        for k, f in rescue:
+            e = g.resource_edges(k)
+            R[e, :, f] = _log_resource(log_table(k, f), Q[e, :, f])
         for cols, rest in zip(user_edges.T, others):
             Q[cols] = _normalize_rows(_edge_product(R, rest))
 
@@ -366,40 +393,3 @@ def hard_decision(belief: np.ndarray) -> np.ndarray:
     index."""
     return np.argmax(np.asarray(belief), axis=-1)
 
-
-def map_detect_batch(
-    y: np.ndarray,
-    cbs: CodebookSet,
-    h: np.ndarray | None,
-    n0: float,
-) -> np.ndarray:
-    """Joint maximum-likelihood decisions by enumerating all M^J hypotheses;
-    returns (frames, J) symbol indices.  Ties break toward the
-    lexicographically smallest symbol tuple."""
-    y = np.asarray(y, dtype=np.complex128)
-    _check_inputs(y, cbs, h, n0)
-    cfg = cbs.config
-    n_hyp = cfg.M ** cfg.J
-    if n_hyp > MAP_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"M^J = {n_hyp} hypotheses exceed the enumeration limit "
-            f"({MAP_ENUMERATION_LIMIT}); use mpa_detect_batch instead"
-        )
-    frames = y.shape[0]
-    best = np.empty(frames, dtype=np.int64)
-    if h is None:
-        cand = superpositions(cbs.books)
-        cnorm2 = (np.abs(cand) ** 2).sum(axis=1)
-        chunk = max(1, 2 ** 22 // max(n_hyp, 1))
-        for lo in range(0, frames, chunk):
-            hi = min(lo + chunk, frames)
-            metric = cnorm2[None, :] - 2.0 * (y[lo:hi] @ cand.conj().T).real
-            best[lo:hi] = np.argmin(metric, axis=1)
-    else:
-        for f in range(frames):
-            scaled = cbs.books * h[f].T[:, None, :]  # (J, M, K)
-            cand = superpositions(scaled)
-            metric = (np.abs(y[f][None, :] - cand) ** 2).sum(axis=1)
-            best[f] = int(np.argmin(metric))
-    # hypothesis index digits in base M, user 0 the most significant
-    return np.stack(np.unravel_index(best, (cfg.M,) * cfg.J), axis=-1)

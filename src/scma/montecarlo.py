@@ -30,7 +30,6 @@ in one call.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
-from .core import CodebookSet
+from .core import CodebookSet, _require_int
 from .detector import MpaConfig, hard_decision, mpa_detect_batch
 
 DEFAULT_TARGET_ERRORS = 200
@@ -97,13 +96,6 @@ class SerEstimate:
             "seed": self.seed,
             "channel": self.channel,
         }
-
-
-def _require_int(low: int, **values: int) -> None:
-    """Each value an integer (numpy integers included) of at least ``low``."""
-    for name, value in values.items():
-        if not (isinstance(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
 def _next_piece(done: int, errors: int, need: int, left: int) -> int:

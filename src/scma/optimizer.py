@@ -39,9 +39,9 @@ from typing import Callable
 import numpy as np
 
 from .channel import CHANNELS
-from .core import _frozen, pack_params, unpack_params
+from .core import _frozen, _require_int, pack_params, unpack_params
 from .detector import MpaConfig
-from .montecarlo import _require_int, estimate_ser
+from .montecarlo import estimate_ser
 from .structure import StructureTemplate, instantiate, normalize
 
 CRN_MODES = ("per-generation", "fixed")

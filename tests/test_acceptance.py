@@ -25,7 +25,6 @@ from scma.core import pack_params, unpack_params, write_codebook_json
 from scma.detector import (
     MpaConfig,
     hard_decision,
-    map_detect_batch,
     mpa_detect_batch,
 )
 from scma.fixtures import load_fixture
@@ -34,7 +33,7 @@ from scma.montecarlo import estimate_ser
 from scma.optimizer import DeConfig, ObjectiveConfig, optimize
 from scma.structure import builtin_template, instantiate
 
-from conftest import brute_force_kpi, brute_force_marginals
+from conftest import brute_force_kpi, brute_force_marginals, map_detect_batch
 from test_detector import tree_system
 
 

@@ -112,10 +112,12 @@ class TestCodebookSet:
 class TestFactorGraph:
     def test_edge_indices(self):
         g = FactorGraph(np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]]))
-        assert g.res_start.tolist() == [0, 2, 4, 5]
-        assert g.edge_user.tolist() == [0, 2, 0, 1, 0]
+        # the degree-1 resource 2 first, then resources 0 and 1 of degree 2
+        assert g.res_start.tolist() == [1, 3, 0]
+        assert g.edge_user.tolist() == [0, 0, 2, 0, 1]
         # one row per user, its edges by resource, padded with E = 5
-        assert g.user_edges.tolist() == [[0, 2, 4], [3, 5, 5], [1, 5, 5]]
+        assert g.user_edges.tolist() == [[1, 3, 0], [4, 5, 5], [2, 5, 5]]
+        assert g.resource_edges(1) == slice(3, 5)
         assert g.resource_users(1).tolist() == [0, 1]
         # at least two columns, so every user has an "other" slot
         assert FactorGraph(np.eye(2, dtype=int)).user_edges.tolist() == [[0, 2], [1, 2]]

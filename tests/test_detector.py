@@ -17,13 +17,12 @@ from scma.detector import (
     _log_weights,
     _logsumexp,
     hard_decision,
-    map_detect_batch,
     mpa_detect_batch,
 )
 from scma.fixtures import load_codebook
 from scma.structure import derive_8x4
 
-from conftest import brute_force_marginals, per_resource_mpa, qpsk_set
+from conftest import brute_force_marginals, map_detect_batch, per_resource_mpa, qpsk_set
 
 
 def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
@@ -274,8 +273,9 @@ class TestMpaBehavior:
             mpa_detect_batch(np.zeros((1, 4), complex), cbs, None, 0.1)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MpaConfig(iterations=0)
+        for iterations in (0, 1.5):
+            with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+                MpaConfig(iterations=iterations)
         with pytest.raises(ValueError):
             MpaConfig(domain="fuzzy")
 
