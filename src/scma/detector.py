@@ -124,11 +124,13 @@ def _log_weights(
     exactly as the complex formula does: the sum ((c0 + c1) + ...), then
     (y - sum) squared per part, added, divided by -n0.  The real part's
     difference is written straight into the result, and the imaginary part's
-    into one temporary: the sum itself where that already has the table's
-    shape.  Each part is made contiguous before it broadcasts, which is
-    faster than reading the strided part of a complex array.  Frames do not
-    mix, so a table built on a subset of frames equals that slice of the full
-    one."""
+    into one contiguous temporary: the sum itself where that already has the
+    table's shape.  The sum of the parts, its scaling and its max shift run
+    in that temporary, so a strided ``out``, such as one resource's slot of
+    a degree group's tables, is written twice and read twice.  Each part is
+    made contiguous before it broadcasts, which is faster than reading the
+    strided part of a complex array.  Frames do not mix, so a table built on
+    a subset of frames equals that slice of the full one."""
     d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
     table_shape = (M,) * d + (frames,)
     A = np.empty(table_shape) if out is None else out
@@ -149,10 +151,9 @@ def _log_weights(
             np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)), S, out=dst
         )
         np.square(diff, out=diff)
-    np.add(A, diff, out=A)
-    np.divide(A, -n0, out=A)
-    A -= A.max(axis=tuple(range(d)), keepdims=True)
-    return A
+    np.add(diff, A, out=diff)
+    np.divide(diff, -n0, out=diff)
+    return np.subtract(diff, diff.max(axis=tuple(range(d)), keepdims=True), out=A)
 
 
 def _flushed_exp(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
