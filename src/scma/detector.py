@@ -393,4 +393,3 @@ def hard_decision(belief: np.ndarray) -> np.ndarray:
     """Per-user argmax over the last axis; ties resolve to the smaller
     index."""
     return np.argmax(np.asarray(belief), axis=-1)
-
