@@ -392,7 +392,7 @@ def _run(argv: list[str]) -> int:
             raise UsageError("SCMA_THREADS must be a positive integer, "
                              f"got {os.environ['SCMA_THREADS']!r}")
         return args.func(args, argv)
-    except (UsageError, ScmaError, ValueError, KeyError) as exc:
+    except (UsageError, ScmaError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,25 +66,6 @@ class SerEstimate:
     frames: int
     channel: str
 
-    @property
-    def ci95(self) -> tuple[float, float]:
-        """Exact (Clopper-Pearson) 95% interval on the symbol-error rate,
-        from the beta quantiles of ``symbol_errors`` out of ``symbols_sent``.
-
-        It treats every detected symbol as an independent trial.  The J
-        symbols of a frame share its noise and fading draw, and the detector
-        decides them jointly, so errors cluster within frames and this
-        interval can be narrower than the true one.  Zero errors give a
-        positive upper bound and all errors a lower bound below 1."""
-        # scipy is imported here, not at module level: it would otherwise
-        # double the package's import time, and nothing else needs it
-        from scipy.special import betaincinv
-
-        x, n = self.symbol_errors, self.symbols_sent
-        lo = betaincinv(x, n - x + 1, 0.025) if x > 0 else 0.0
-        hi = betaincinv(x + 1, n - x, 0.975) if x < n else 1.0
-        return (float(lo), float(hi))
-
     def to_dict(self) -> dict:
         return {
             "ebno_db": self.ebn0_db,

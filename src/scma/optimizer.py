@@ -84,6 +84,7 @@ class DeConfig:
 
     def __post_init__(self) -> None:
         _require_int(4, s_p=self.s_p)  # three donors plus the target
+        _require_int(2, d=self.d)
         if not 0.0 <= self.c_r <= 1.0:
             raise ValueError("c_r must lie in [0, 1]")
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):

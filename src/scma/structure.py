@@ -51,13 +51,15 @@ def has_four_cycle(g: FactorGraph) -> bool:
 def codebook_violations(x: np.ndarray, F: np.ndarray) -> list[str]:
     """Structure rules of a (J, M, K) array of template slots or codebook
     entries under its (K, J) factor matrix F.  Returns, in this order: each
-    codeword whose support is not its user's column of F, each pair of
-    identical codewords of one user, and per user the first codeword m that
-    is not the negation of codeword M-1-m."""
-    x = np.asarray(x)
+    resource no user occupies, each codeword whose support is not its user's
+    column of F, each pair of identical codewords of one user, and per user
+    the first codeword m that is not the negation of codeword M-1-m."""
+    x, F = np.asarray(x), np.asarray(F, bool)
     M = x.shape[1]
-    wrong_support = ((x != 0) != np.asarray(F, bool).T[:, None, :]).any(axis=2)
-    out = [
+    out = [f"resource {k} has no users attached"
+           for k in np.flatnonzero(~F.any(axis=1))]
+    wrong_support = ((x != 0) != F.T[:, None, :]).any(axis=2)
+    out += [
         f"user {j} codeword {m}: support does not match factor matrix column"
         for j, m in zip(*np.nonzero(wrong_support))
     ]
@@ -247,6 +249,8 @@ def _params(template: StructureTemplate, a: Sequence[complex]) -> np.ndarray:
             f"template {template.name} needs {template.num_params} parameters, "
             f"got {a.size}"
         )
+    if not np.isfinite(a).all():
+        raise MalformedParameterError(f"template {template.name}: non-finite parameter")
     return a
 
 

@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import scma
 from scma import cli, montecarlo
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
-from scma.core import codebook_to_dict, write_codebook_json
+from scma.core import CodebookSet, codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
 
@@ -114,6 +118,21 @@ class TestValidateCommand:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--codebook", str(path)]) == 1
+
+    def test_unused_resource_fails_validation(self, tmp_path, capsys):
+        """A fifth resource that no user occupies passed validation, while
+        simulate and analyze rejected the same file."""
+        doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
+        doc["K"] = 5
+        doc["F"].append([0] * 6)
+        for book in doc["codebooks"]:
+            for cw in book:
+                cw.append([0.0, 0.0])
+        path = tmp_path / "unused.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--codebook", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == ["resource 4 has no users attached"]
 
 
 class TestAnalyzeCommand:
@@ -519,6 +538,71 @@ class TestEbn0Range:
         assert err.startswith("error: Eb/N0 ") and "out of range" in err
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
+
+
+class TestAllocationRefused:
+    """A size numpy cannot allocate is a one-line usage error, not a
+    traceback, and no file is written.  Both sizes exceed 2**47 bytes, so
+    the allocation fails before any memory is touched."""
+
+    def test_population_too_large(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([
+            "optimize", "--template", "6x4", "--ebno", "8", "--np", str(10 ** 15),
+            "--max-iter", "1", "--frames-per-eval", "256", "--out", str(out),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_weight_table_too_large(self, tmp_path, capsys):
+        """25 users on one resource need a 4**25-entry weight table."""
+        books = np.zeros((25, 4, 1), complex)
+        books[:, :, 0] = [1.0, 0.5, -0.5, -1.0]
+        path = tmp_path / "crowded.json"
+        write_codebook_json(CodebookSet(books), path)
+        assert main([
+            "simulate", "--codebook", str(path), "--ebno", "10", "--frames", "64",
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert len(captured.err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["crowded.json"]
+
+
+class TestNumpyOnlyRuntime:
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """With scipy made unimportable before ``import scma``, every command
+        runs at toy size and exits 0: scipy is a test dependency only."""
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from scma.cli import main\n"
+            "commands = [\n"
+            "    ['fixture', 'table2_awgn_6x4', 'cb.json'],\n"
+            "    ['validate', '--codebook', 'cb.json'],\n"
+            "    ['analyze', '--codebook', 'cb.json', '--n0-grid-db', '0:10:20',\n"
+            "     '--il-csv', 'il.csv'],\n"
+            "    ['simulate', '--codebook', 'cb.json', '--ebno', '8', '--frames', '512',\n"
+            "     '--out', 'awgn.csv'],\n"
+            "    ['simulate', '--codebook', 'cb.json', '--channel', 'rayleigh',\n"
+            "     '--ebno', '8', '--frames', '512', '--out', 'rayleigh.csv'],\n"
+            "    ['optimize', '--template', '6x4', '--ebno', '10', '--np', '4',\n"
+            "     '--max-iter', '1', '--frames-per-eval', '256', '--out', 'run'],\n"
+            "]\n"
+            "print(json.dumps([main(argv) for argv in commands]))\n"
+        )
+        src = str(Path(scma.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * 6, proc.stderr
 
 
 class TestThreadsDefault:

@@ -55,8 +55,9 @@ class TestLoading:
 
 def loop_violations(books, F):
     """Reference for ``codebook_violations``: one Python loop per rule."""
-    J, M, _ = books.shape
-    out = [
+    J, M, K = books.shape
+    out = [f"resource {k} has no users attached" for k in range(K) if not F[k].any()]
+    out += [
         f"user {j} codeword {m}: support does not match factor matrix column"
         for j in range(J) for m in range(M)
         if not np.array_equal(np.abs(books[j, m]) > 0, F[:, j].astype(bool))
@@ -121,7 +122,7 @@ class TestStructuralChecks:
         J, M, K = cbs.books.shape
         j, m, k = rng.integers(J), rng.integers(M), rng.integers(K)
         faults = []
-        for fault in range(4):
+        for fault in range(5):
             books, F = np.array(cbs.books), np.array(cbs.factor_matrix)
             if fault == 0:
                 books[j, m, k] *= 1.0001
@@ -129,8 +130,10 @@ class TestStructuralChecks:
                 books[j, (m + 1) % M] = books[j, m]
             elif fault == 2:
                 F[k, j] ^= 1
-            else:
+            elif fault == 3:
                 books[j] = 0
+            else:
+                F[k], books[:, :, k] = 0, 0
             faults.append((books, F))
         for books, F in faults:
             assert codebook_violations(books, F) == loop_violations(books, F)

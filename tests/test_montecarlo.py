@@ -1,17 +1,10 @@
 """Seed-reproducible SER estimation and sweeps."""
-import json
-import os
 import pickle
-import subprocess
-import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import scma
 import scma.montecarlo as mc
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from scma.detector import MpaConfig, hard_decision, mpa_detect_batch
@@ -87,76 +80,6 @@ class TestEstimate:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
             run(table2, ebn0, "awgn", **kwargs)
 
-    def test_ci_bounds_ordered(self, table2):
-        est = estimate_ser(table2, 0.0, "awgn", frames=2000, seed=8)
-        lo, hi = est.ci95
-        assert 0.0 <= lo <= est.ser <= hi <= 1.0
-
-
-
-class TestConfidenceInterval:
-    """Clopper-Pearson bounds, checked against their closed forms at the
-    edges (x = 0: upper 1 - (alpha/2)^(1/n); x = n: lower (alpha/2)^(1/n))
-    and against scipy.stats.beta in between."""
-
-    def test_zero_errors_has_positive_upper_bound(self, table2):
-        est = estimate_ser(table2, 60.0, "awgn", frames=1000, seed=1)
-        assert est.symbol_errors == 0
-        lo, hi = est.ci95
-        assert lo == 0.0
-        assert hi == pytest.approx(1.0 - 0.025 ** (1.0 / est.symbols_sent), rel=1e-9)
-        assert 3.0 / est.symbols_sent < hi < 4.0 / est.symbols_sent
-
-    def test_all_errors_has_lower_bound_below_one(self, table2):
-        est = estimate_ser(table2, 60.0, "awgn", frames=10, seed=1)
-        n = est.symbols_sent
-        est = replace(est, ser=1.0, symbol_errors=n)
-        lo, hi = est.ci95
-        assert hi == 1.0
-        assert lo == pytest.approx(0.025 ** (1.0 / n), rel=1e-9)
-        assert lo < 1.0
-
-    def test_interior_matches_beta_quantiles(self, table2):
-        from scipy.stats import beta
-
-        est = estimate_ser(table2, 0.0, "awgn", frames=2000, seed=8)
-        x, n = est.symbol_errors, est.symbols_sent
-        lo, hi = est.ci95
-        assert lo == pytest.approx(beta.ppf(0.025, x, n - x + 1), rel=1e-9)
-        assert hi == pytest.approx(beta.ppf(0.975, x + 1, n - x), rel=1e-9)
-
-    def test_scipy_loads_only_when_ci95_runs(self):
-        """A fresh ``import scma, scma.cli`` loads no scipy module; ``ci95``
-        imports its beta quantile on first use and returns the same bounds
-        as before the import moved, down to the last bit."""
-        script = (
-            "import json, sys\n"
-            "import scma, scma.cli\n"
-            "from scma.montecarlo import SerEstimate\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "before = scipy_modules()\n"
-            "bounds = [SerEstimate(x / n, x, n, (x / n,), 0, 0.0, n, 'awgn').ci95\n"
-            "          for x, n in ((0, 6000), (6000, 6000), (37, 6000), (1, 1), (0, 1))]\n"
-            "print(json.dumps({'before': before, 'after': bool(scipy_modules()),\n"
-            "                  'bounds': bounds}))\n"
-        )
-        src = str(Path(scma.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        out = json.loads(proc.stdout)
-        assert out["before"] == []
-        assert out["after"]
-        assert out["bounds"] == [
-            [0.0, 0.000614624283417639],
-            [0.9993853757165824, 1.0],
-            [0.004345509852381966, 0.00849001448657186],
-            [0.025, 1.0],
-            [0.0, 0.975],
-        ]
-
 
 class TestQpskCalibration:
     def test_estimate_matches_closed_form(self):
@@ -167,14 +90,6 @@ class TestQpskCalibration:
         # ~480 expected errors; allow four standard deviations
         sigma = np.sqrt(theory / est.symbols_sent)
         assert abs(est.ser - theory) < 4 * sigma
-
-    def test_confidence_interval_covers_closed_form(self):
-        cbs = qpsk_set()
-        n0 = ebn0_to_n0(6.0, cbs.config)
-        theory = qpsk_theoretical_ser(n0)
-        est = estimate_ser(cbs, 6.0, "awgn", frames=10 ** 5, seed=10)
-        lo, hi = est.ci95
-        assert lo <= theory <= hi
 
 
 class TestSweep:

@@ -45,9 +45,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             plain_config(c_r=1.5)
 
-    def test_even_dimension(self):
-        with pytest.raises(ValueError):
-            plain_config(d=11)
+    @pytest.mark.parametrize("value", [11, 12.0])
+    def test_even_dimension(self, value):
+        with pytest.raises(ValueError, match="d must be"):
+            plain_config(d=value)
 
     @pytest.mark.parametrize("field,value", [
         ("i_max", -3), ("plateau_window", -1), ("plateau_eps", -0.01),

@@ -118,6 +118,14 @@ class TestTemplateValidation:
         with pytest.raises(ValueError, match="negation"):
             StructureTemplate("bad", 6, slots)
 
+    def test_unused_resource_rejected(self):
+        """A fifth resource that no user occupies used to load, and failed
+        only at the first detector call."""
+        slots = np.concatenate(
+            [builtin_template("6x4").slots, np.zeros((6, 4, 1), int)], axis=2)
+        with pytest.raises(ValueError, match="template bad: resource 4 has no users"):
+            StructureTemplate("bad", 6, slots)
+
     def test_latin_violation_rejected(self):
         t = builtin_template("6x4")
         slots = np.array(t.slots)
@@ -160,6 +168,16 @@ class TestInstantiate:
     def test_wrong_length_rejected_by_every_parameter_reader(self, func, n):
         with pytest.raises(MalformedParameterError, match="needs 6 parameters, got"):
             func(builtin_template("6x4"), np.ones(n, complex))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+    @pytest.mark.parametrize("func", [instantiate, normalize, codeword_norms])
+    def test_non_finite_rejected_by_every_parameter_reader(self, func, value):
+        """A NaN or infinite entry used to give a NaN codebook, or NaN
+        parameters with residual nan from normalize."""
+        a = np.ones(6, complex)
+        a[2] = value
+        with pytest.raises(MalformedParameterError, match="non-finite parameter"):
+            func(builtin_template("6x4"), a)
 
 
 class TestNormalize:
