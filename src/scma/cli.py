@@ -21,17 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ScmaError, read_codebook_json, write_codebook_json
+from .core import ScmaError, read_codebook_json, unpack_params, write_codebook_json
 from .channel import CHANNELS, ebn0_to_n0
 from .detector import MpaConfig
 from .fixtures import FIXTURE_IDS, load_fixture
 from .metrics import i_lower_bound_profile, kpi
-from .montecarlo import (
-    DEFAULT_MAX_FRAMES,
-    DEFAULT_TARGET_ERRORS,
-    sweep_ser,
-    write_sweep_csv,
-)
+from .montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS, sweep_ser
 from .optimizer import CRN_MODES, DeConfig, ObjectiveConfig, optimize
 from .structure import (
     builtin_template,
@@ -198,7 +193,10 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         max_frames=max_frames,
         threads=args.threads,
     )
-    write_sweep_csv(estimates, out)
+    rows = ["ebno_db,ser,errors,frames,seed"]
+    rows += [f"{e.ebn0_db:.10g},{e.ser:.10g},{e.symbol_errors},{e.frames},{e.seed}"
+             for e in estimates]
+    out.write_text("\n".join(rows) + "\n")
     config = {
         "codebook": args.codebook,
         "channel": args.channel,
@@ -248,7 +246,8 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     ]
     (outdir / "history.csv").write_text("\n".join(history_lines) + "\n")
 
-    write_codebook_json(instantiate(template, result.a_opt), outdir / "codebook.json")
+    a_opt = unpack_params(result.best_row)
+    write_codebook_json(instantiate(template, a_opt), outdir / "codebook.json")
 
     config = {
         "template": args.template,
@@ -269,10 +268,10 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     artifact = {
         "config": config,
         "seed": args.seed,
-        "generations": result.generations,
+        "generations": result.population.generation,
         "stop_reason": result.stop_reason,
         "history": [float(v) for v in result.history],
-        "a_opt": [[float(z.real), float(z.imag)] for z in result.a_opt],
+        "a_opt": [[float(z.real), float(z.imag)] for z in a_opt],
         "best_row": [float(v) for v in result.best_row],
     }
     (outdir / "run.json").write_text(json.dumps(artifact, indent=2) + "\n")
@@ -282,7 +281,7 @@ def _cmd_optimize(args: argparse.Namespace, argv: list[str]) -> int:
     )
     print(json.dumps({
         "best_ser": float(result.history[-1]),
-        "generations": result.generations,
+        "generations": result.population.generation,
         "stop_reason": result.stop_reason,
         "out": str(outdir),
     }, indent=2))

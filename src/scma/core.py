@@ -42,6 +42,14 @@ def _require_int(low: int, **values: int) -> None:
             raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a JSON integer; a float, string or boolean is
+    not coerced into one."""
+    if type(doc[key]) is not int:
+        raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, copy=True)
     out.flags.writeable = False
@@ -62,11 +70,6 @@ class SystemConfig:
             raise ValueError("J and K must be >= 1")
         if self.M < 2 or (self.M & (self.M - 1)) != 0:
             raise ValueError(f"M must be a power of 2, got {self.M}")
-
-    @property
-    def overloading(self) -> float:
-        """Ratio of users to resources (J/K)."""
-        return self.J / self.K
 
     @property
     def bits_per_symbol(self) -> int:
@@ -235,7 +238,7 @@ def codebook_from_dict(doc: dict) -> CodebookSet:
     """Parse the interchange schema; raises :class:`CodebookFormatError` on
     missing fields, malformed entries or shape mismatches."""
     try:
-        J, K, M = int(doc["J"]), int(doc["K"]), int(doc["M"])
+        J, K, M = (_json_int(doc, key) for key in "JKM")
         raw = doc["codebooks"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"missing or invalid field: {exc}") from exc

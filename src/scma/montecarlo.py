@@ -1,17 +1,19 @@
 """Symbol-error-rate estimation by simulating frames through the channel and
 the message-passing detector.
 
-One loop serves every estimate.  Frames are processed in blocks of
-FRAME_BLOCK frames (the last one shorter when the frame cap is not a
-multiple) whose randomness is derived from (master seed, stream, block index)
-alone, so common random numbers are obtained by reusing a stream: two
-codebooks evaluated under the same (seed, stream) see the same symbols,
-fading gains, and noise.  Blocks run in waves of at most ``threads`` blocks
-on one worker pool; results are reduced in block order, and the loop stops
-after the first block at which the running error count reaches the error
-target, or at the frame cap.  The stop point therefore does not depend on
-the worker count, and neither does the estimate.  A fixed frame count is the
-same loop with an error target that is never reached.
+One function, :func:`estimate_ser`, runs every estimate: :func:`sweep_ser`
+calls it once per SNR point, and the DE objective once per evaluation.
+Frames are processed in blocks of FRAME_BLOCK frames (the last one shorter
+when the frame count is not a multiple) whose randomness is derived from
+(master seed, stream, block index) alone, so common random numbers are
+obtained by reusing a stream: two codebooks evaluated under the same (seed,
+stream) see the same symbols, fading gains, and noise.  Blocks run in waves
+of at most ``threads`` blocks on one worker pool; results are reduced in
+block order, and the run stops after the first block at which the running
+error count reaches the error target, or at the frame count.  The stop point
+therefore does not depend on the worker count, and neither does the
+estimate.  The default error target, infinity, is never reached, so the run
+covers every frame.
 
 An SER ``bound`` lets a run stop inside a block, once its errors over the
 symbols asked, ``frames * J``, reach it.  A bounded block is drawn whole and
@@ -34,8 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -92,25 +93,36 @@ def _next_piece(done: int, errors: int, need: int, left: int) -> int:
     return min(n, left)
 
 
-def _simulate(
+def estimate_ser(
     cbs: CodebookSet,
     ebn0_db: float,
-    n0: float,
     channel: str,
-    max_frames: int,
-    target_errors: float,
-    mpa: MpaConfig,
-    seed: int,
-    stream: int,
-    threads: int,
+    frames: int,
+    mpa: MpaConfig = MpaConfig(),
+    seed: int = 0,
+    stream: int = 0,
+    threads: int = 1,
     bound: float = math.inf,
+    target_errors: float = math.inf,
 ) -> SerEstimate:
-    """Run blocks of at most FRAME_BLOCK frames until ``target_errors``
-    symbol errors are counted at a block's end, an SER of ``bound`` over the
-    frames asked at a piece's end, or ``max_frames`` frames are simulated."""
-    n_blocks = -(-max_frames // FRAME_BLOCK)
+    """Simulate up to ``frames`` independent frames and count per-user symbol
+    errors.  Identical (seed, stream, frames, config) always produce the
+    identical estimate.  The run stops early at the end of the first block
+    at which ``target_errors`` symbol errors are counted, or, with an SER
+    ``bound``, at the end of the first detector piece where its errors
+    divided by ``frames * J`` reach it (see the module docstring); the
+    estimate then covers the frames detected, and a bounded one's SER is at
+    least ``bound``.  Infinity, the default of both, never stops a run."""
+    _require_int(1, frames=frames, threads=threads)
+    _require_int(0, seed=seed, stream=stream)
+    if not bound >= 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    if not target_errors >= 1:
+        raise ValueError(f"target_errors must be >= 1, got {target_errors}")
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    n_blocks = -(-frames // FRAME_BLOCK)
     # the fewest errors whose rate over the symbols asked reaches the bound
-    asked = max_frames * cbs.config.J
+    asked = frames * cbs.config.J
     goal = math.inf
     if bound <= 1:
         goal = max(0, round(bound * asked))
@@ -121,7 +133,7 @@ def _simulate(
     def run_block(block: int, prior: int) -> tuple[np.ndarray, int]:
         """Per-user errors and frames detected of one block, whose wave
         started with ``prior`` errors."""
-        nb = min(FRAME_BLOCK, max_frames - block * FRAME_BLOCK)
+        nb = min(FRAME_BLOCK, frames - block * FRAME_BLOCK)
         rng = block_rng(seed, stream, block)
         symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
         errs = np.zeros(cbs.config.J, dtype=np.int64)
@@ -148,52 +160,24 @@ def _simulate(
             yield from list(run(run_block, wave, repeat(int(per_user.sum()))))
 
     per_user = np.zeros(cbs.config.J, dtype=np.int64)
-    frames = 0
+    detected = 0
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         for user_errs, done in in_block_order(pool.map if pool else map):
             per_user += user_errs
-            frames += done
+            detected += done
             if per_user.sum() >= stop:
                 break
     errors = int(per_user.sum())
-    sent = frames * cbs.config.J
+    sent = detected * cbs.config.J
     return SerEstimate(
         ser=errors / sent,
         symbol_errors=errors,
         symbols_sent=sent,
-        per_user_ser=tuple(per_user / frames),
+        per_user_ser=tuple(per_user / detected),
         seed=seed,
         ebn0_db=float(ebn0_db),
-        frames=frames,
+        frames=detected,
         channel=channel,
-    )
-
-
-def estimate_ser(
-    cbs: CodebookSet,
-    ebn0_db: float,
-    channel: str,
-    frames: int,
-    mpa: MpaConfig = MpaConfig(),
-    seed: int = 0,
-    stream: int = 0,
-    threads: int = 1,
-    bound: float | None = math.inf,
-) -> SerEstimate:
-    """Simulate ``frames`` independent frames and count per-user symbol
-    errors.  Identical (seed, stream, frames, config) always produce the
-    identical estimate.  With an SER ``bound`` the run may stop early, at the
-    end of the first detector piece where its errors divided by ``frames * J``
-    reach it (see the module docstring); the estimate then covers the frames
-    detected, and its SER is at least ``bound``.  Infinity or None: no bound."""
-    _require_int(1, frames=frames, threads=threads)
-    _require_int(0, seed=seed, stream=stream)
-    bound = math.inf if bound is None else bound
-    if not bound >= 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    n0 = ebn0_to_n0(ebn0_db, cbs.config)
-    return _simulate(
-        cbs, ebn0_db, n0, channel, frames, np.inf, mpa, seed, stream, threads, bound
     )
 
 
@@ -208,44 +192,25 @@ def sweep_ser(
     max_frames: int = DEFAULT_MAX_FRAMES,
     threads: int = 1,
 ) -> list[SerEstimate]:
-    """One estimate per SNR point.  With ``frames`` set, every point runs the
-    same fixed frame count (and equals :func:`estimate_ser` for that point);
-    otherwise each point stops early once ``target_errors`` symbol errors are
-    collected, capped at ``max_frames`` frames.  All points share the same
-    underlying random draws (paired comparison across SNR).  Every count must
-    be at least 1, including the unused ones, and every point must map to a
-    noise variance, or ``ValueError`` is raised before any frame is
-    simulated."""
+    """One :func:`estimate_ser` per SNR point.  With ``frames`` set, every
+    point runs the same fixed frame count; otherwise each point stops early
+    once ``target_errors`` symbol errors are collected, capped at
+    ``max_frames`` frames.  All points share the same underlying random
+    draws (paired comparison across SNR).  Every count must be at least 1,
+    including the unused ones, and every point must map to a noise variance,
+    or ``ValueError`` is raised before any frame is simulated."""
     points = list(ebno_list)
     if not points:
         raise ValueError("ebno_list must not be empty")
     if not target_errors >= 1:
         raise ValueError(f"target_errors must be >= 1, got {target_errors}")
-    _require_int(1, max_frames=max_frames, threads=threads)
-    _require_int(0, seed=seed)
+    _require_int(1, max_frames=max_frames)
     if frames is not None:
-        _require_int(1, frames=frames)
-        max_frames, target_errors = frames, np.inf
-    n0s = [ebn0_to_n0(ebn0, cbs.config) for ebn0 in points]
+        max_frames, target_errors = frames, math.inf
+    for ebn0 in points:
+        ebn0_to_n0(ebn0, cbs.config)
     return [
-        _simulate(
-            cbs, ebn0, n0, channel, max_frames, target_errors, mpa, seed, 0, threads
-        )
-        for ebn0, n0 in zip(points, n0s)
+        estimate_ser(cbs, ebn0, channel, max_frames, mpa, seed, 0, threads,
+                     target_errors=target_errors)
+        for ebn0 in points
     ]
-
-
-SWEEP_CSV_HEADER = "ebno_db,ser,errors,frames,seed"
-
-
-def sweep_csv_lines(estimates: Sequence[SerEstimate]) -> list[str]:
-    lines = [SWEEP_CSV_HEADER]
-    for e in estimates:
-        lines.append(
-            f"{e.ebn0_db:.10g},{e.ser:.10g},{e.symbol_errors},{e.frames},{e.seed}"
-        )
-    return lines
-
-
-def write_sweep_csv(estimates: Sequence[SerEstimate], path: str | Path) -> None:
-    Path(path).write_text("\n".join(sweep_csv_lines(estimates)) + "\n")

@@ -229,11 +229,9 @@ def step_generation(
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    a_opt: np.ndarray  # complex parameters of the best row
-    best_row: np.ndarray  # packed real form
+    best_row: np.ndarray  # packed real parameters of the best row
     history: np.ndarray  # best SER after init and after each generation
     population: Population
-    generations: int
     stop_reason: str
 
 
@@ -272,10 +270,8 @@ def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
             break
     best = pop.rows[pop.best_index]
     return OptimizeResult(
-        a_opt=unpack_params(best),
         best_row=np.array(best),
         history=np.array(history),
         population=pop,
-        generations=pop.generation,
         stop_reason=stop_reason,
     )

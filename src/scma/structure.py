@@ -31,6 +31,7 @@ from .core import (
     FactorGraph,
     MalformedParameterError,
     _frozen,
+    _json_int,
     _read_json_object,
 )
 from .fixtures import load_factor_matrix
@@ -140,6 +141,11 @@ class StructureTemplate:
         if violations:
             raise ValueError(f"template {self.name}: {violations[0]}")
         self._check_latin()
+        used = set(np.abs(slots).ravel().tolist())
+        unused = next((t for t in range(1, self.num_params + 1) if t not in used), None)
+        if unused is not None:
+            raise ValueError(
+                f"template {self.name}: no slot references parameter a_{unused}")
 
     @property
     def J(self) -> int:
@@ -377,7 +383,7 @@ def _slot_from_cell(cell) -> int:
 def template_from_dict(doc: dict) -> StructureTemplate:
     try:
         name = str(doc["name"])
-        num_params = int(doc["num_params"])
+        num_params = _json_int(doc, "num_params")
         F = np.asarray(doc["F"], dtype=np.int64)
         raw = doc["slots"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -196,7 +196,7 @@ class TestCriterion7ReducedScaleSearch:
         result = optimize(builtin_template("6x4"), cfg)
         h = result.history
         monotone = all(a >= b for a, b in zip(h, h[1:]))
-        ok = monotone and result.generations == 25 and h[-1] <= 0.5 * h[0]
+        ok = monotone and result.population.generation == 25 and h[-1] <= 0.5 * h[0]
         detail = (
             f"seed 777: initial {h[0]:.3e} -> final {h[-1]:.3e} "
             f"(ratio {h[-1] / h[0]:.2f}, target <= 0.5), monotone={monotone}"

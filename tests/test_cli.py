@@ -91,9 +91,9 @@ class TestValidateCommand:
 
     def test_malformed_entries_are_usage_errors(self, tmp_path, capsys):
         """A non-list codebooks field, a numeric codeword, a null in an
-        [re, im] pair, an infinite J and an infinite F entry each end in one
-        error line and exit 2."""
-        for case in range(5):
+        [re, im] pair, an infinite J, an infinite F entry and a fractional J
+        each end in one error line and exit 2."""
+        for case in range(6):
             doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
             if case == 0:
                 doc["codebooks"] = 5
@@ -103,8 +103,10 @@ class TestValidateCommand:
                 doc["codebooks"][1][3][0] = [None, 0.0]
             elif case == 3:
                 doc["J"] = float("inf")
-            else:
+            elif case == 4:
                 doc["F"][0][0] = float("inf")
+            else:
+                doc["J"] = 6.7
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert main(["validate", "--codebook", str(bad)]) == 2
@@ -218,6 +220,25 @@ class TestSimulateCommand:
         assert 1e-4 <= float(ser) <= 1e-2
         assert int(errors) >= 40
         assert (tmp_path / "sweep.csv.manifest.json").exists()
+
+    def test_csv_rows_are_the_printed_estimates(self, table2_file, tmp_path, capsys):
+        """One row per point: the SER with 10 significant digits, and the
+        error and frame counts and the seed as integers."""
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "simulate", "--codebook", str(table2_file), "--ebno", "2:2:4",
+            "--frames", "3000", "--seed", "16", "--out", str(out),
+        ]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "ebno_db,ser,errors,frames,seed"
+        assert len(lines) == 1 + len(points) == 3
+        for p, line in zip(points, lines[1:]):
+            ebno, ser, errors, frames, seed = line.split(",")
+            assert float(ebno) == p["ebno_db"]
+            assert ser == f"{p['ser']:.10g}"
+            assert float(ser) == pytest.approx(p["ser"], rel=1e-9)
+            assert [errors, frames, seed] == [str(p[k]) for k in ("errors", "frames", "seed")]
 
     def test_same_seed_same_bytes(self, table2_file, tmp_path):
         outs = []
@@ -444,6 +465,28 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err == (
             "error: malformed slot entry: {'p': 0, 's': 2}\n"
         )
+
+    @pytest.mark.parametrize("num_params,err", [
+        (6.9, "missing or invalid template field: num_params must be an integer, got 6.9"),
+        (7, "template custom: no slot references parameter a_7"),
+    ], ids=["fractional", "unreferenced"])
+    def test_bad_parameter_count_is_usage_error(self, tmp_path, capsys, num_params,
+                                                err):
+        """6.9 used to load as 6, and 7 used to search two dimensions that
+        change nothing; both ran the search and exited 0."""
+        from scma.structure import builtin_template, template_to_dict
+
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["name"], doc["num_params"] = "custom", num_params
+        tfile = tmp_path / "custom.json"
+        tfile.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([
+            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--frames-per-eval", "300", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
     def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
         code = main([

@@ -64,10 +64,8 @@ class TestPackUnpack:
 
 
 class TestSystemConfig:
-    def test_overloading_is_user_resource_ratio(self):
-        cfg = SystemConfig(J=6, K=4, M=4)
-        assert cfg.overloading == 1.5
-        assert cfg.bits_per_symbol == 2
+    def test_bits_per_symbol(self):
+        assert SystemConfig(J=6, K=4, M=4).bits_per_symbol == 2
 
     def test_m_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -146,6 +144,16 @@ class TestCodebookJson:
     def test_missing_field_rejected(self):
         with pytest.raises(CodebookFormatError):
             codebook_from_dict({"J": 1, "K": 1})
+
+    @pytest.mark.parametrize("key", ["J", "K", "M"])
+    @pytest.mark.parametrize("value", [6.7, "6", 6.0])
+    def test_non_integer_dimension_rejected(self, table2, key, value):
+        """A dimension is a JSON integer; 6.7 used to load as 6."""
+        doc = codebook_to_dict(table2)
+        doc[key] = value
+        with pytest.raises(CodebookFormatError,
+                           match=f"{key} must be an integer, got {value!r}"):
+            codebook_from_dict(json.loads(json.dumps(doc)))
 
     def test_wrong_codeword_count_rejected(self, table2):
         doc = codebook_to_dict(table2)

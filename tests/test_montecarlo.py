@@ -8,12 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import scma.montecarlo as mc
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from scma.detector import MpaConfig, hard_decision, mpa_detect_batch
-from scma.montecarlo import (
-    estimate_ser,
-    sweep_csv_lines,
-    sweep_ser,
-    write_sweep_csv,
-)
+from scma.montecarlo import estimate_ser, sweep_ser
 
 from conftest import qpsk_set, qpsk_theoretical_ser
 
@@ -69,6 +64,11 @@ class TestEstimate:
     def test_threads_validated(self, table2, threads):
         with pytest.raises(ValueError, match="threads"):
             estimate_ser(table2, 10.0, "awgn", frames=100, threads=threads)
+
+    @pytest.mark.parametrize("target_errors", [0, -5, float("nan")])
+    def test_target_errors_validated(self, table2, target_errors):
+        with pytest.raises(ValueError, match="target_errors must be >= 1"):
+            estimate_ser(table2, 10.0, "awgn", frames=100, target_errors=target_errors)
 
     @pytest.mark.parametrize("run,ebn0,kwargs", [
         pytest.param(estimate_ser, 10.0, {"frames": 100, "seed": -1}, id="estimate-seed"),
@@ -179,13 +179,22 @@ class TestThreadIndependence:
             assert est.frames == max_frames or est.symbol_errors >= target_errors
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2 ** 16), frames=PARTIAL_FRAMES)
-    def test_fixed_frame_sweep_equals_estimate(self, table2, seed, frames):
+    @example(seed=0, frames=3 * FRAME_BLOCK - 1, target_errors=1)
+    @given(seed=st.integers(0, 2 ** 16), frames=PARTIAL_FRAMES,
+           target_errors=st.integers(1, 1500))
+    def test_fixed_frame_sweep_equals_estimate(self, table2, seed, frames,
+                                               target_errors):
+        """A sweep point is the estimate with the same frames and error
+        target: a fixed frame count is an unreachable target."""
         ref = estimate_ser(table2, 5.0, "awgn", frames, seed=seed)
+        early = estimate_ser(table2, 5.0, "awgn", frames, seed=seed,
+                             target_errors=target_errors)
         for t in (1, 2, 3):
             kwargs = dict(seed=seed, threads=t)
             assert estimate_ser(table2, 5.0, "awgn", frames, **kwargs) == ref
             assert sweep_ser(table2, [5.0], "awgn", frames=frames, **kwargs) == [ref]
+            assert sweep_ser(table2, [5.0], "awgn", target_errors=target_errors,
+                             max_frames=frames, **kwargs) == [early]
 
 
 def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0) -> np.ndarray:
@@ -234,7 +243,7 @@ class TestBound:
             full = estimate_ser(table2, 6.0, channel, frames=frames, seed=22)
             symbols = frames * table2.config.J
             for bound in ((full.symbol_errors + 1) / symbols, 10 ** 9 / symbols,
-                          float("inf"), None):
+                          float("inf")):
                 est = estimate_ser(
                     table2, 6.0, channel, frames=frames, seed=22, bound=bound)
                 assert est == full
@@ -303,28 +312,3 @@ class TestBound:
             else:
                 assert est == full
 
-
-class TestCsv:
-    def test_layout_and_precision(self, table2, tmp_path):
-        sweep = sweep_ser(table2, [2.0, 4.0], "awgn", seed=16, frames=3000)
-        lines = sweep_csv_lines(sweep)
-        assert lines[0] == "ebno_db,ser,errors,frames,seed"
-        assert len(lines) == 3
-        for est, line in zip(sweep, lines[1:]):
-            ebno, ser, errors, frames, seed = line.split(",")
-            assert float(ebno) == est.ebn0_db
-            # rates are written with 10 significant digits
-            assert float(ser) == pytest.approx(est.ser, rel=1e-9)
-            assert int(errors) == est.symbol_errors
-            assert int(frames) == est.frames
-            assert int(seed) == est.seed
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(sweep, path)
-        assert path.read_text().splitlines() == lines
-
-    def test_rerun_is_byte_identical(self, table2, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_sweep_csv(sweep_ser(table2, [5.0], "awgn", seed=17, frames=4000), a)
-        write_sweep_csv(sweep_ser(table2, [5.0], "awgn", seed=17, frames=4000), b)
-        assert a.read_bytes() == b.read_bytes()

@@ -219,7 +219,7 @@ class TestOptimize:
     def test_iteration_cap_zero_returns_initial_best(self):
         cfg = plain_config(s_p=6, i_max=0, seed=21)
         result = optimize(builtin_template("6x4"), cfg)
-        assert result.generations == 0
+        assert result.population.generation == 0
         assert len(result.history) == 1
         assert result.history[0] == result.population.best_fitness
 
@@ -234,7 +234,6 @@ class TestOptimize:
         b = optimize(builtin_template("6x4"), cfg)
         assert np.array_equal(a.history, b.history)
         assert np.array_equal(a.best_row, b.best_row)
-        assert np.array_equal(a.a_opt, b.a_opt)
 
     def test_search_improves_over_initialization(self):
         cfg = plain_config(s_p=6, i_max=6, seed=24)
@@ -250,13 +249,13 @@ class TestOptimize:
         )
         result = optimize(builtin_template("6x4"), cfg)
         assert result.stop_reason == "plateau"
-        assert result.generations == 5
+        assert result.population.generation == 5
 
     def test_per_generation_mode_runs(self):
         eval_cfg = ObjectiveConfig(ebn0_db=10.0, frames=800, crn_mode="per-generation")
         cfg = plain_config(s_p=5, i_max=2, seed=26, eval=eval_cfg)
         result = optimize(builtin_template("6x4"), cfg)
-        assert result.generations == 2
+        assert result.population.generation == 2
         assert len(result.history) == 3
 
 

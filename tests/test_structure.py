@@ -134,6 +134,22 @@ class TestTemplateValidation:
         with pytest.raises(ValueError, match="shared parameter"):
             StructureTemplate("bad", 6, slots)
 
+    @pytest.mark.parametrize("relabel,num_params,unused", [
+        ({}, 7, 7),
+        ({3: 7}, 7, 3),
+        ({1: 9, 2: 8}, 9, 1),
+    ])
+    def test_unreferenced_parameter_rejected(self, relabel, num_params, unused):
+        """A parameter no slot places used to widen the DE search with
+        dimensions that change nothing."""
+        labels = np.arange(10)
+        labels[list(relabel)] = list(relabel.values())
+        slots = builtin_template("6x4").slots
+        slots = np.sign(slots) * labels[np.abs(slots)]
+        with pytest.raises(ValueError, match=f"template bad: no slot references "
+                                             f"parameter a_{unused}$"):
+            StructureTemplate("bad", num_params, slots)
+
 
 class TestInstantiate:
     def test_published_awgn_codebooks_reproduced(self, table2):
@@ -291,8 +307,7 @@ class TestFourCycles:
 class TestDerive8x4:
     def test_extension_layout(self, table3):
         ext = derive_8x4(table3)
-        assert ext.config.J == 8 and ext.config.K == 4
-        assert ext.config.overloading == 2.0
+        assert (ext.config.J, ext.config.K) == (8, 4)
         assert np.array_equal(ext.factor_matrix, load_factor_matrix("eq9_factor_8x4"))
         # user 7 rides on resources {1, 2}
         assert np.array_equal(np.flatnonzero(ext.factor_matrix[:, 6]), [0, 1])
@@ -346,6 +361,15 @@ class TestTemplateFiles:
         doc = template_to_dict(builtin_template("6x4"))
         doc["num_params"] = float("inf")
         with pytest.raises(CodebookFormatError, match="invalid template field"):
+            template_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("value", [6.7, "6", 6.0])
+    def test_non_integer_parameter_count_rejected(self, value):
+        """6.9 used to load as 6 and run a search."""
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["num_params"] = value
+        with pytest.raises(CodebookFormatError, match=f"invalid template field: "
+                                                      f"num_params must be an integer"):
             template_from_dict(json.loads(json.dumps(doc)))
 
     def test_user_supplied_template_accepted(self):
