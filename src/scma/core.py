@@ -79,7 +79,8 @@ class SystemConfig:
 @dataclass(frozen=True)
 class FactorGraph:
     """Binary K x J matrix linking resources (rows) to users (columns), with
-    its degrees and edge indices.
+    its degrees and edge indices.  Each entry of F must be an integer or bool
+    equal to 0 or 1; no other value is coerced.
 
     The E edges (nonzeros of F) are numbered group by group, the resources
     of one degree in ascending degree order, then resource by resource, so
@@ -98,13 +99,14 @@ class FactorGraph:
     user_edges: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        F = np.asarray(self.F, dtype=np.int64)
+        F = np.asarray(self.F)
         if F.ndim != 2:
             raise ValueError("factor matrix must be 2-D")
         if F.shape[1] == 0:
             raise ValueError(f"factor matrix of shape (K, J) = {F.shape} has no user column")
-        if not np.isin(F, (0, 1)).all():
-            raise ValueError("factor matrix entries must be 0 or 1")
+        if F.dtype.kind not in "biu" or not np.isin(F, (0, 1)).all():
+            raise ValueError("factor matrix entries must be the integers 0 or 1")
+        F = F.astype(np.int64)
         row_degrees, col_degrees = F.sum(axis=1), F.sum(axis=0)
         by_degree = np.argsort(row_degrees, kind="stable")  # resources in edge order
         group_rows, cols = np.nonzero(F[by_degree])

@@ -5,15 +5,14 @@ and user nodes, exchanging length-M probability vectors stored frames last.
 One recursion yields all d_f outgoing messages of a resource from its
 M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
-so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The contraction
-is its argument: ``np.einsum`` on linear tables, or on log tables an add of
-log-messages reduced by ``_logsumexp`` (the log rescue).
-The tables are built once per call, each exponent shifted by its
-per-(frame, resource) maximum, which cancels in the normalization and keeps
-the linear kernel alive at very small noise levels.  The K_d resources of
-one degree d_f keep theirs in one (M, ..., M, K_d, frames) array, so one
-recursion serves the whole degree group; the resource axis sits just before
-frames because a leading one made the einsums slower at d_f = 3.
+so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}; each
+contraction is one ``np.einsum``.  The tables are built once per call, each
+exponent shifted by its per-(frame, resource) maximum, which cancels in the
+normalization and keeps the linear kernel alive at very small noise levels.
+The K_d resources of one degree d_f keep theirs in one (M, ..., M, K_d,
+frames) array, so one recursion serves the whole degree group; the resource
+axis sits just before frames because a leading one made the einsums slower
+at d_f = 3.
 
 The messages live in one (E + 1, M, frames) array per direction, ``Q`` from
 users to resources and ``R`` back, indexed by the edges of ``cbs.graph``,
@@ -24,8 +23,9 @@ group's message peaks for the rescue once, normalises all of R at once and
 rescues the flagged resources one by one; resource updates read only Q, so
 the order moves no byte.  The user update runs once per column s of
 ``user_edges``: the product of R over the other columns, normalised, is
-written to Q at column s.  Users with fewer edges than columns are padded
-with the index E; row E is all ones in R and a write-only sink in Q.
+written to Q at column s.  It opens every sweep but the first, since no
+one reads the Q of the last sweep.  Users with fewer edges than columns are
+padded with the index E; row E is all ones in R and a write-only sink in Q.
 
 A block is detected in frame slabs.  One resource's table takes 8 * M^{d_f}
 bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
@@ -57,13 +57,17 @@ unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-96),
 each term lost to underflow or to the flush is at most ~1.5e-58 of the peak,
 so even M^{d_f - 1} of them shift a normalised entry by less than 1e-55.
 Where some message of a resource peaks below the floor, its messages are
-recomputed on those frames in log arithmetic from log tables rebuilt for
-them.
+recomputed on those frames from log tables rebuilt for them, one outgoing
+slot p at a time: the log table plus the other slots' log-messages, shifted
+by its per-frame maximum, exponentiated and summed over the other slots.
+The largest term is then exactly 1, so only terms below ``tiny`` are lost
+or coarsely rounded, which moves a normalised entry by less than
+M^{d_f - 1} * tiny.  The rescued messages are still linear probabilities,
+stored and multiplied as such at the user node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -189,27 +193,11 @@ def _contract(
     return np.einsum(*ops, kept + [n, n + 1] if out is None else [n, *kept, n + 1], out=out)
 
 
-def _log_contract(
-    T: np.ndarray, msgs: list[np.ndarray], axes: list[int], out: np.ndarray | None = None
-) -> np.ndarray:
-    """``_contract`` in log arithmetic: add the log-message msgs[a] along
-    each slot axis a of T in axis order, then log-sum-exp those axes; a
-    message for ``out`` is copied there."""
-    n, B = T.ndim - 2, None
-    for a in axes:
-        m = np.expand_dims(np.moveaxis(msgs[a], 1, 0), [i for i in range(n) if i != a])
-        B = T + m if B is None else np.add(B, m, out=B)
-    lse = _logsumexp(B, axis=tuple(axes))
-    return lse if out is None else np.copyto(out, np.moveaxis(lse, 0, 1))
-
-
-def _sum_product(
-    T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray], contract: Callable = _contract
-) -> None:
+def _sum_product(T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray]) -> None:
     """Write to out[p] the unnormalised outgoing message of every slot p of
-    T: T contracted with every other slot's incoming message.  Each half of
-    the slots is contracted away once and shared by the other half's
-    messages."""
+    the linear table T: T contracted with every other slot's incoming
+    message.  Each half of the slots is contracted away once and shared by
+    the other half's messages."""
     n = len(msgs)
     if n == 1:
         np.copyto(out[0], np.moveaxis(T, 0, 1))
@@ -218,47 +206,27 @@ def _sum_product(
     for lo, hi in ((0, h), (h, n)):
         drop = [a for a in range(n) if not lo <= a < hi]
         if hi - lo == 1:
-            contract(T, msgs, drop, out[lo])
+            _contract(T, msgs, drop, out[lo])
         else:
-            _sum_product(contract(T, msgs, drop), msgs[lo:hi], out[lo:hi], contract)
-
-
-def _logsumexp(
-    a: np.ndarray, axis: int | tuple[int, ...], keepdims: bool = False
-) -> np.ndarray:
-    """log(sum(exp(a))) over axis.
-
-    The arithmetic is fixed so the rescue's bytes do not depend on an
-    installed library: the m entries equal to the maximum a_max are split
-    out of the sum s = sum exp(a - a_max) over the rest, which is divided by
-    m where nonzero, and the result is log1p(s) + log(m) + a_max.  Where that
-    is not finite, as on an all -inf reduction, it is log(sum(exp(a)))."""
-    a_max = a.max(axis=axis, keepdims=True)
-    is_max = a == a_max
-    # a copy in a's memory layout, so the sums below add in the same order
-    rest = a.copy(order="K")
-    rest[is_max] = -np.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = is_max.sum(axis=axis, keepdims=True, dtype=a.dtype)
-        rest -= a_max
-        s = np.exp(rest, out=rest).sum(axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
-            out = np.where(bad, direct, out)
-    return out if keepdims else out.squeeze(axis)
+            _sum_product(_contract(T, msgs, drop), msgs[lo:hi], out[lo:hi])
 
 
 def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Normalised outgoing messages of one resource in log arithmetic from its
-    (M, ..., M, frames) log table and incoming (slots, M, frames) messages."""
+    """Normalised outgoing messages of one resource from its (M, ..., M,
+    frames) log table and incoming (slots, M, frames) messages, each slot's
+    summed after a per-frame max shift; see the module docstring."""
+    n = Q.shape[0]
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
-    lr = np.empty_like(logQ)
-    _sum_product(logW[..., None, :], list(logQ[:, None]), list(lr[:, None]), _log_contract)
-    return np.exp(lr - _logsumexp(lr, axis=1, keepdims=True))
+    out = np.empty_like(Q)
+    for p in range(n):
+        others = tuple(a for a in range(n) if a != p)
+        B = logW
+        for q in others:
+            B = B + np.expand_dims(logQ[q], [a for a in range(n) if a != q])
+        B = B - B.max(axis=tuple(range(n)), keepdims=True)
+        out[p] = np.exp(B, out=B).sum(axis=others)
+    return _normalize_rows(out)
 
 
 def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -368,7 +336,11 @@ def _detect_slab(
     R = np.ones_like(Q)
 
     others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
-    for _ in range(cfg.iterations):
+    for sweep in range(cfg.iterations):
+        # the previous sweep's user update; the last sweep's Q would go unread
+        if sweep:
+            for cols, rest in zip(user_edges.T, others):
+                Q[cols] = _normalize_rows(_edge_product(R, rest))
         rescue = []
         for ks, e, T in groups:
             # the group's (d, K_d, M, frames) messages, views of Q and R
@@ -383,8 +355,6 @@ def _detect_slab(
         for k, f in rescue:
             e = g.resource_edges(k)
             R[e, :, f] = _log_resource(log_table(k, f), Q[e, :, f])
-        for cols, rest in zip(user_edges.T, others):
-            Q[cols] = _normalize_rows(_edge_product(R, rest))
 
     return _normalize_rows(_edge_product(R, user_edges))
 

@@ -384,7 +384,7 @@ def template_from_dict(doc: dict) -> StructureTemplate:
     try:
         name = str(doc["name"])
         num_params = _json_int(doc, "num_params")
-        F = np.asarray(doc["F"], dtype=np.int64)
+        F = FactorGraph(doc["F"]).F
         raw = doc["slots"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"missing or invalid template field: {exc}") from exc

@@ -11,8 +11,8 @@ from scma.detector import (
     _check_inputs,
     _edge_product,
     _flushed_exp,
+    _log_resource,
     _log_weights,
-    _logsumexp,
     _normalize_rows,
     _slabs,
 )
@@ -146,28 +146,13 @@ def _contract(T, msgs, axes):
     return np.einsum(*ops, [a for a in range(n + 1) if a not in axes])
 
 
-def _log_contract(T, msgs, axes):
-    n, B = T.ndim - 1, None
-    for a in axes:
-        m = np.expand_dims(msgs[a], [i for i in range(n) if i != a])
-        B = T + m if B is None else np.add(B, m, out=B)
-    return _logsumexp(B, axis=tuple(axes))
-
-
-def _sum_product(T, msgs, contract=_contract):
+def _sum_product(T, msgs):
     n = T.ndim - 1
     if n == 1:
         return [T]
     h = n // 2
-    return (_sum_product(contract(T, msgs, range(h, n)), msgs[:h], contract)
-            + _sum_product(contract(T, msgs, range(h)), msgs[h:], contract))
-
-
-def _log_resource(logW, Q):
-    with np.errstate(divide="ignore"):
-        logQ = np.log(Q)
-    lr = np.stack(_sum_product(logW, list(logQ), _log_contract))
-    return np.exp(lr - _logsumexp(lr, axis=1, keepdims=True))
+    return (_sum_product(_contract(T, msgs, range(h, n)), msgs[:h])
+            + _sum_product(_contract(T, msgs, range(h)), msgs[h:]))
 
 
 def _per_resource_slab(y, cbs, h, n0, cfg):

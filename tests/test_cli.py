@@ -91,9 +91,10 @@ class TestValidateCommand:
 
     def test_malformed_entries_are_usage_errors(self, tmp_path, capsys):
         """A non-list codebooks field, a numeric codeword, a null in an
-        [re, im] pair, an infinite J, an infinite F entry and a fractional J
-        each end in one error line and exit 2."""
-        for case in range(6):
+        [re, im] pair, an infinite J, an infinite F entry, a fractional J and
+        an F entry of 1.9 or "1" (both used to load as 1) each end in one
+        error line and exit 2."""
+        for case in range(8):
             doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
             if case == 0:
                 doc["codebooks"] = 5
@@ -105,8 +106,10 @@ class TestValidateCommand:
                 doc["J"] = float("inf")
             elif case == 4:
                 doc["F"][0][0] = float("inf")
-            else:
+            elif case == 5:
                 doc["J"] = 6.7
+            else:
+                doc["F"][0][0] = [1.9, "1"][case - 6]
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert main(["validate", "--codebook", str(bad)]) == 2

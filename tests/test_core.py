@@ -221,11 +221,20 @@ class TestCodebookJson:
         with pytest.raises(CodebookFormatError, match="no user column"):
             codebook_from_dict(doc)
 
-    def test_non_binary_factor_entry_rejected(self, table2):
+    @pytest.mark.parametrize("value", [2, 1.9, "1", 1.0, 0.5])
+    def test_non_binary_factor_entry_rejected(self, table2, value):
+        """1.9 and "1" used to load as 1; an F entry is not coerced."""
         doc = codebook_to_dict(table2)
-        doc["F"][0][0] = 2
-        with pytest.raises(CodebookFormatError, match="0 or 1"):
-            codebook_from_dict(doc)
+        doc["F"][0][0] = value
+        with pytest.raises(CodebookFormatError, match="integers 0 or 1"):
+            codebook_from_dict(json.loads(json.dumps(doc)))
+
+    def test_boolean_factor_entries_accepted(self, table2):
+        doc = codebook_to_dict(table2)
+        doc["F"] = [[bool(x) for x in row] for row in doc["F"]]
+        back = codebook_from_dict(json.loads(json.dumps(doc)))
+        assert back.factor_matrix.dtype == np.int64
+        assert np.array_equal(back.factor_matrix, table2.factor_matrix)
 
 
 class TestTopLevelValidation:

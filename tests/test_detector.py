@@ -3,8 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from scma import detector
@@ -14,8 +13,8 @@ from scma.detector import (
     FLUSH_FLOOR,
     MpaConfig,
     _flushed_exp,
+    _log_resource,
     _log_weights,
-    _logsumexp,
     hard_decision,
     mpa_detect_batch,
 )
@@ -561,32 +560,47 @@ class TestPerResourceOracle:
 
 
 @st.composite
-def logsumexp_cases(draw):
-    """An array with -inf entries, tied maxima and, when drawn, all -inf
-    lines, in C or transposed layout, plus an int or tuple axis."""
-    values = st.one_of(
-        st.sampled_from([-np.inf, -2.0, 0.0, 3.0]),
-        st.floats(-800.0, 800.0),
-    )
-    a = draw(hnp.arrays(np.float64, hnp.array_shapes(max_dims=4, max_side=5), elements=values))
-    if a.ndim > 1 and draw(st.booleans()):
-        a[..., draw(st.integers(0, a.shape[-1] - 1))] = -np.inf
-    if draw(st.booleans()):
-        a = a.transpose(draw(st.permutations(range(a.ndim))))
-    axes = draw(st.lists(st.integers(0, a.ndim - 1), min_size=1, unique=True))
-    axis = axes[0] if len(axes) == 1 and draw(st.booleans()) else tuple(axes)
-    return a, axis
+def log_resource_cases(draw):
+    """A degree 1-4 log table with tied and -inf entries, and incoming
+    (slots, M, frames) messages with zero entries, for 1-3 frames.  In each
+    frame one symbol tuple has a finite table entry and nonzero messages, so
+    every slot keeps a finite term."""
+    d, M = draw(st.integers(1, 4)), draw(st.sampled_from([2, 4]))
+    frames = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (M,) * d + (frames,)
+    logW = rng.choice([-np.inf, -2.0, 0.0], size=shape)
+    spread = rng.random(shape) < 0.5
+    logW[spread] = rng.uniform(-800.0, 0.0, spread.sum())
+    Q = rng.random((d, M, frames)) * (rng.random((d, M, frames)) < 0.6)
+    for f in range(frames):
+        x = rng.integers(M, size=d)
+        logW[(*x, f)] = rng.uniform(-800.0, 0.0)
+        Q[np.arange(d), x, f] = rng.uniform(0.1, 1.0, d)
+    return logW, Q
 
 
-class TestLogSumExp:
+class TestLogResource:
     @settings(max_examples=300, deadline=None)
-    @given(logsumexp_cases(), st.booleans())
-    @example((np.array([[-np.inf, -np.inf], [0.0, 0.0]]), 1), False)
-    def test_bit_identical_to_scipy(self, case, keepdims):
-        a, axis = case
-        got = _logsumexp(a, axis=axis, keepdims=keepdims)
-        ref = np.asarray(logsumexp(a, axis=axis, keepdims=keepdims))
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    @given(log_resource_cases())
+    def test_matches_per_slot_logsumexp(self, case):
+        """Each slot's message against log-sum-exp over the other slots of
+        the table plus their log-messages, normalised in log arithmetic."""
+        logW, Q = case
+        d = Q.shape[0]
+        with np.errstate(divide="ignore"):
+            logQ = np.log(Q)
+        ref = np.empty_like(Q)
+        for p in range(d):
+            others = tuple(a for a in range(d) if a != p)
+            B = logW
+            for q in others:
+                B = B + np.expand_dims(logQ[q], [a for a in range(d) if a != q])
+            lr = logsumexp(B, axis=others) if others else B
+            ref[p] = np.exp(lr - logsumexp(lr, axis=0))
+        got = _log_resource(logW, Q)
+        assert got.shape == Q.shape
+        assert np.abs(got - ref).max() <= 1e-12
 
 
 class TestMapOracle:

@@ -372,6 +372,22 @@ class TestTemplateFiles:
                                                       f"num_params must be an integer"):
             template_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("entry", [str, lambda x: x + 0.5, float, lambda x: x * 1.9],
+                             ids=["string", "plus-half", "float", "times-1.9"])
+    def test_non_integer_factor_entries_rejected(self, entry):
+        """A template whose F entries were all strings or all shifted by 0.5
+        used to load; F is checked by ``FactorGraph`` before any cast."""
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["F"] = [[entry(x) for x in row] for row in doc["F"]]
+        with pytest.raises(CodebookFormatError, match="integers 0 or 1"):
+            template_from_dict(json.loads(json.dumps(doc)))
+
+    def test_factor_matrix_must_match_slots(self):
+        doc = template_to_dict(builtin_template("6x4"))
+        doc["F"][0] = doc["F"][1]
+        with pytest.raises(CodebookFormatError, match="slots do not match F"):
+            template_from_dict(doc)
+
     def test_user_supplied_template_accepted(self):
         doc = template_to_dict(builtin_template("6x4"))
         doc["name"] = "custom"
