@@ -24,7 +24,6 @@ from .structure import (
     StructureTemplate,
     builtin_template,
     derive_8x4,
-    has_four_cycle,
     instantiate,
     normalize,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "builtin_template",
     "instantiate",
     "normalize",
-    "has_four_cycle",
     "derive_8x4",
     "ebn0_to_n0",
     "MpaConfig",

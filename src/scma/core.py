@@ -123,14 +123,6 @@ class FactorGraph:
                             ("edge_user", cols), ("user_edges", user_edges)):
             object.__setattr__(self, name, _frozen(value))
 
-    @property
-    def K(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.F.shape[1]
-
     def resource_edges(self, k: int) -> slice:
         """The edges of resource k."""
         return slice(self.res_start[k], self.res_start[k] + self.row_degrees[k])
@@ -159,18 +151,12 @@ class CodebookSet:
         J, M, K = books.shape
         object.__setattr__(self, "config", SystemConfig(J=J, K=K, M=M))
         object.__setattr__(self, "books", _frozen(books))
-        graph = FactorGraph(
-            self.supports() if self.factor_matrix is None else self.factor_matrix
-        )
+        F = self.factor_matrix
+        graph = FactorGraph((np.abs(books) > 0).any(axis=1).T if F is None else F)
         if graph.F.shape != (K, J):
             raise ValueError(f"factor matrix shape {graph.F.shape} != (K, J)")
         object.__setattr__(self, "factor_matrix", graph.F)
         object.__setattr__(self, "graph", graph)
-
-    def supports(self) -> np.ndarray:
-        """(K, J) 0/1 matrix of positions used by any codeword of each user."""
-        used = (np.abs(self.books) > 0).any(axis=1)  # (J, K)
-        return used.T.astype(np.int64)
 
 
 def superpositions(books: np.ndarray) -> np.ndarray:

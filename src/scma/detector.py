@@ -279,6 +279,7 @@ def mpa_detect_batch(
     bytes (see the module docstring).
     """
     y = np.asarray(y, dtype=np.complex128)
+    h = None if h is None else np.asarray(h, dtype=np.complex128)
     _check_inputs(y, cbs, h, n0)
     g, M = cbs.graph, cbs.config.M
     if not (g.row_degrees.all() and g.col_degrees.all()):
@@ -294,7 +295,7 @@ def mpa_detect_batch(
         if out is None:
             # allocated once the first slab's tables are freed, so a block of
             # one slab peaks no higher than its detection
-            out = np.empty((y.shape[0], g.J, M))
+            out = np.empty((y.shape[0], cbs.config.J, M))
         out[f] = beliefs
     return out
 

@@ -5,7 +5,7 @@ and the superimposed sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,13 +26,7 @@ class KpiReport:
     rel_tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "d_e_min": self.d_e_min,
-            "tau_e": self.tau_e,
-            "d_p_min": self.d_p_min,
-            "tau_p": self.tau_p,
-            "rel_tol": self.rel_tol,
-        }
+        return asdict(self)
 
 
 def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
@@ -80,6 +74,7 @@ def i_lower_bound(points: np.ndarray, n0: float) -> float:
     """Mutual-information lower bound (bits) for a sum constellation's
     ``points`` under complex Gaussian noise of total variance n0, clamped to
     its [0, log2(#points)] range."""
+    points = np.asarray(points, dtype=np.complex128)
     if not (np.isfinite(n0) and n0 > 0.0):
         raise ValueError(f"n0 must be finite and positive, got {n0}")
     T = points.size

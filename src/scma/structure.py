@@ -17,7 +17,6 @@ codebook set together with its codeword norms.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -39,14 +38,6 @@ from .fixtures import load_factor_matrix
 NORMALIZE_TOL = 1e-9
 NORMALIZE_MAX_SWEEPS = 200
 NORM_WARNING_TOL = 1e-6
-
-
-def has_four_cycle(g: FactorGraph) -> bool:
-    """True iff two resources share two or more users (a length-4 cycle in
-    the bipartite graph, which degrades message-passing detection)."""
-    overlap = g.F @ g.F.T
-    np.fill_diagonal(overlap, 0)
-    return bool((overlap >= 2).any())
 
 
 def codebook_violations(x: np.ndarray, F: np.ndarray) -> list[str]:
@@ -348,26 +339,6 @@ def derive_8x4(base: CodebookSet) -> CodebookSet:
 
 # --- template JSON files ---------------------------------------------------
 
-def template_to_dict(template: StructureTemplate) -> dict:
-    """Serialize a template; slots are 0 or {"p": 0-based index, "s": +-1}."""
-    slots = []
-    for j in range(template.J):
-        book = []
-        for m in range(template.M):
-            row = []
-            for k in range(template.K):
-                s = int(template.slots[j, m, k])
-                row.append(0 if s == 0 else {"p": abs(s) - 1, "s": 1 if s > 0 else -1})
-            book.append(row)
-        slots.append(book)
-    return {
-        "name": template.name,
-        "num_params": template.num_params,
-        "F": template.graph.F.tolist(),
-        "slots": slots,
-    }
-
-
 def _slot_from_cell(cell) -> int:
     """A template JSON slot cell, the int 0 or {"p": int >= 0, "s": +-1}, as
     a signed 1-based parameter reference."""
@@ -381,6 +352,8 @@ def _slot_from_cell(cell) -> int:
 
 
 def template_from_dict(doc: dict) -> StructureTemplate:
+    """Parse a template document {"name", "num_params", "F", "slots"}, whose
+    (J, M, K) slot cells are read by :func:`_slot_from_cell`."""
     try:
         name = str(doc["name"])
         num_params = _json_int(doc, "num_params")
@@ -402,10 +375,6 @@ def template_from_dict(doc: dict) -> StructureTemplate:
     if not np.array_equal(F, template.graph.F):
         raise CodebookFormatError(f"template {name}: slots do not match F")
     return template
-
-
-def write_template_json(template: StructureTemplate, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(template_to_dict(template)) + "\n")
 
 
 def read_template_json(path: str | Path) -> StructureTemplate:

@@ -17,6 +17,7 @@ from scma.detector import (
     _slabs,
 )
 from scma.fixtures import load_codebook
+from scma.structure import StructureTemplate
 
 MAP_ENUMERATION_LIMIT = 2 ** 24
 
@@ -51,6 +52,15 @@ def qpsk_theoretical_ser(n0: float) -> float:
 
     q = 0.5 * erfc(np.sqrt(1.0 / n0) / np.sqrt(2.0))
     return float(2.0 * q - q * q)
+
+
+def template_doc(t: StructureTemplate) -> dict:
+    """The template JSON document of ``t``, written out by hand: each slot
+    cell is 0 or {"p": zero-based parameter index, "s": +1 or -1}."""
+    slots = [[[0 if s == 0 else {"p": abs(s) - 1, "s": 1 if s > 0 else -1}
+               for s in row] for row in book] for book in t.slots.tolist()]
+    return {"name": t.name, "num_params": t.num_params,
+            "F": t.graph.F.tolist(), "slots": slots}
 
 
 def brute_force_kpi(books: np.ndarray, rel_tol: float = 1e-3):

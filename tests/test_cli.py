@@ -14,6 +14,9 @@ from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr
 from scma.core import CodebookSet, codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
+from scma.structure import builtin_template
+
+from conftest import template_doc
 
 
 @pytest.fixture()
@@ -402,10 +405,8 @@ class TestOptimizeCommand:
         assert main(["validate", "--codebook", str(out / "codebook.json")]) == 0
 
     def test_template_file_accepted(self, tmp_path, capsys):
-        from scma.structure import builtin_template, write_template_json
-
         tfile = tmp_path / "custom.json"
-        write_template_json(builtin_template("6x4"), tfile)
+        tfile.write_text(json.dumps(template_doc(builtin_template("6x4"))))
         out = tmp_path / "run3"
         code = main([
             "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
@@ -454,9 +455,7 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     def test_malformed_template_file_is_usage_error(self, tmp_path, capsys):
-        from scma.structure import builtin_template, template_to_dict
-
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["slots"][0][0][0] = {"p": 0, "s": 2}
         tfile = tmp_path / "bad.json"
         tfile.write_text(json.dumps(doc))
@@ -477,9 +476,7 @@ class TestOptimizeCommand:
                                                 err):
         """6.9 used to load as 6, and 7 used to search two dimensions that
         change nothing; both ran the search and exited 0."""
-        from scma.structure import builtin_template, template_to_dict
-
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["name"], doc["num_params"] = "custom", num_params
         tfile = tmp_path / "custom.json"
         tfile.write_text(json.dumps(doc))

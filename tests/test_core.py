@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import scma
 from scma.core import (
     CodebookFormatError,
     CodebookSet,
@@ -22,6 +23,21 @@ from scma.core import (
 )
 from scma.fixtures import load_fixture
 from scma.structure import builtin_template, instantiate, read_template_json
+
+
+class TestPublicApi:
+    """A deletion that leaves an export behind fails here, not at a user's
+    import."""
+
+    def test_every_export_resolves_once(self):
+        assert len(set(scma.__all__)) == len(scma.__all__)
+        for name in scma.__all__:
+            assert getattr(scma, name) is not None, name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from scma import *", namespace)
+        assert set(scma.__all__) <= set(namespace)
 
 
 class TestPackUnpack:
@@ -104,7 +120,7 @@ class TestCodebookSet:
         rng = np.random.default_rng(3)
         a = rng.standard_normal(t.num_params) + 1j * rng.standard_normal(t.num_params)
         cbs = instantiate(t, a)
-        assert np.array_equal(cbs.supports(), np.asarray(t.graph.F))
+        assert np.array_equal(CodebookSet(cbs.books).factor_matrix, t.graph.F)
 
 
 class TestFactorGraph:

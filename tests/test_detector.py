@@ -262,6 +262,15 @@ class TestMpaBehavior:
         with pytest.raises(ValueError, match=r"has shape .* expected"):
             detect(y, table2, h, 0.1)
 
+    @pytest.mark.parametrize("frames", [8, 1])
+    def test_list_inputs_match_arrays(self, table3, frames):
+        """Nested lists for y and h give the bytes of arrays; a list h used
+        to fail on its first tuple index."""
+        n0 = ebn0_to_n0(10.0, table3.config)
+        _, h, y = draw_frame_block(table3, "rayleigh", n0, frames, block_rng(6, 0, 0))
+        want = mpa_detect_batch(y, table3, h, n0)
+        assert np.array_equal(mpa_detect_batch(y.tolist(), table3, h.tolist(), n0), want)
+
     def test_isolated_user_rejected(self, table2):
         """A user on no resource loads as a codebook set but cannot be
         detected."""

@@ -138,6 +138,12 @@ class TestLowerBound:
         assert per.shape == (4,)
         assert mean == pytest.approx(per.mean())
 
+    def test_list_of_points_matches_array(self, table2):
+        """A list used to fail on its missing ``.size``."""
+        pts = sum_constellation(table2, 1)
+        assert i_lower_bound(pts.tolist(), 0.3) == i_lower_bound(pts, 0.3)
+        assert i_lower_bound([0, 1 + 0j], 0.1) == i_lower_bound(np.array([0, 1 + 0j]), 0.1)
+
     @pytest.mark.parametrize("n0", [0.0, np.nan, np.inf])
     def test_bad_noise_rejected(self, table2, n0):
         with pytest.raises(ValueError, match="n0 must be finite and positive"):

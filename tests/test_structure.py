@@ -14,20 +14,18 @@ from scma.core import (
 from scma import structure
 from scma.fixtures import load_factor_matrix, load_fixture
 from scma.structure import (
-    FactorGraph,
     StructureTemplate,
     builtin_template,
     codeword_norms,
     derive_8x4,
-    has_four_cycle,
     instantiate,
     normalize,
     read_template_json,
     template_from_dict,
-    template_to_dict,
     validate_codebook,
-    write_template_json,
 )
+
+from conftest import template_doc
 
 A_AWGN = np.array([
     -0.3318 + 0.6262j, -0.8304 + 0.4252j, 0.7055, -0.3601,
@@ -47,6 +45,8 @@ class TestBuiltinTemplates:
         assert np.array_equal(t.graph.F, load_factor_matrix("eq2_factor_6x4"))
         # first user, first symbol places a_1 and a_3 on resources 1 and 3
         assert t.slots[0, 0].tolist() == [1, 0, 3, 0]
+        # two resources share at most one user: no 4-cycle
+        assert (t.graph.F @ t.graph.F.T)[np.triu_indices(4, 1)].max() == 1
 
     def test_6x4_permuted_placements(self):
         # users 3 and 5 carry [-a4, a3, -a3, a4] on their first resource
@@ -59,7 +59,7 @@ class TestBuiltinTemplates:
         assert t.num_params == 8
         assert np.array_equal(t.graph.F, load_factor_matrix("eq10_factor_12x6"))
         assert (t.graph.row_degrees == 4).all()
-        assert not has_four_cycle(t.graph)
+        assert (t.graph.F @ t.graph.F.T)[np.triu_indices(6, 1)].max() == 1
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="12x6"):
@@ -88,7 +88,7 @@ class TestBuiltinTemplates:
 
 class TestTemplateValidation:
     def test_support_mismatch_rejected(self):
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["F"][0] = [0, 1, 1, 0, 1, 0]  # user 0's column no longer matches its slots
         with pytest.raises(CodebookFormatError, match="match F"):
             template_from_dict(doc)
@@ -294,14 +294,16 @@ class TestNormalize:
 
 
 class TestFourCycles:
+    """A 4-cycle is two resources that share two or more users, an
+    off-diagonal entry >= 2 of F @ F.T."""
+
     def test_8x4_matrix_has_four_cycles(self):
-        assert has_four_cycle(FactorGraph(load_factor_matrix("eq9_factor_8x4")))
+        F = load_factor_matrix("eq9_factor_8x4")
+        assert (F @ F.T)[np.triu_indices(4, 1)].max() == 2
 
     def test_12x6_matrix_is_four_cycle_free(self):
-        assert not has_four_cycle(FactorGraph(load_factor_matrix("eq10_factor_12x6")))
-
-    def test_identity_matrix_is_clean(self):
-        assert not has_four_cycle(FactorGraph(np.eye(4, dtype=int)))
+        F = load_factor_matrix("eq10_factor_12x6")
+        assert (F @ F.T)[np.triu_indices(6, 1)].max() == 1
 
 
 class TestDerive8x4:
@@ -332,7 +334,7 @@ class TestTemplateFiles:
     def test_round_trip(self, tmp_path):
         t = builtin_template("12x6")
         path = tmp_path / "t.json"
-        write_template_json(t, path)
+        path.write_text(json.dumps(template_doc(t)))
         back = read_template_json(path)
         assert back.name == t.name
         assert back.num_params == t.num_params
@@ -352,13 +354,13 @@ class TestTemplateFiles:
         relabelled = StructureTemplate(
             "relabelled", t.num_params, np.sign(s) * signs[np.abs(s)] * labels[np.abs(s)]
         )
-        back = template_from_dict(json.loads(json.dumps(template_to_dict(relabelled))))
+        back = template_from_dict(json.loads(json.dumps(template_doc(relabelled))))
         assert np.array_equal(back.slots, relabelled.slots)
         assert np.array_equal(back.graph.F, relabelled.graph.F)
         assert np.array_equal(back.graph.F, t.graph.F[resources][:, users])
 
     def test_infinite_parameter_count_rejected(self):
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["num_params"] = float("inf")
         with pytest.raises(CodebookFormatError, match="invalid template field"):
             template_from_dict(json.loads(json.dumps(doc)))
@@ -366,7 +368,7 @@ class TestTemplateFiles:
     @pytest.mark.parametrize("value", [6.7, "6", 6.0])
     def test_non_integer_parameter_count_rejected(self, value):
         """6.9 used to load as 6 and run a search."""
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["num_params"] = value
         with pytest.raises(CodebookFormatError, match=f"invalid template field: "
                                                       f"num_params must be an integer"):
@@ -377,19 +379,19 @@ class TestTemplateFiles:
     def test_non_integer_factor_entries_rejected(self, entry):
         """A template whose F entries were all strings or all shifted by 0.5
         used to load; F is checked by ``FactorGraph`` before any cast."""
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["F"] = [[entry(x) for x in row] for row in doc["F"]]
         with pytest.raises(CodebookFormatError, match="integers 0 or 1"):
             template_from_dict(json.loads(json.dumps(doc)))
 
     def test_factor_matrix_must_match_slots(self):
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["F"][0] = doc["F"][1]
         with pytest.raises(CodebookFormatError, match="slots do not match F"):
             template_from_dict(doc)
 
     def test_user_supplied_template_accepted(self):
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["name"] = "custom"
         t = template_from_dict(doc)
         assert t.name == "custom"
@@ -411,7 +413,7 @@ class TestTemplateFiles:
         """A cell is the int 0 or {"p": int >= 0, "s": 1 or -1}; a sign of 2,
         a negative or fractional index or a boolean is not coerced into
         some other parameter reference."""
-        doc = template_to_dict(builtin_template("6x4"))
+        doc = template_doc(builtin_template("6x4"))
         doc["slots"][0][0][0] = cell
         with pytest.raises(CodebookFormatError, match="malformed slot entry"):
             template_from_dict(doc)
