@@ -4,15 +4,16 @@ Exit codes: 0 success, 1 validation failure or an output pipe closed by its
 reader, 2 usage or parse error (an Eb/N0 whose noise variance is out of
 range included), or an output path that cannot be written, found before any
 work.  Every command is deterministic given its arguments and seed; the
-worker count (--threads, default from SCMA_THREADS) never changes any output
-file.  Each invocation of analyze, simulate or optimize that writes files
-also writes a manifest JSON next to them; ``fixture`` writes none, because
-its output is a verbatim copy of shipped data.
+worker count (--threads, default 1) never changes any output file.  Each
+invocation of analyze, simulate or optimize that writes files also writes a
+manifest JSON next to them; ``fixture`` writes none, because its output is a
+verbatim copy of shipped data.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ScmaError, read_codebook_json, unpack_params, write_codebook_json
+from .core import (ScmaError, _require_int, read_codebook_json, unpack_params,
+                   write_codebook_json)
 from .channel import CHANNELS, ebn0_to_n0
 from .detector import MpaConfig
 from .fixtures import FIXTURE_IDS, load_fixture
@@ -69,15 +71,6 @@ def parse_snr_range(text: str) -> list[float]:
     if n > MAX_RANGE_POINTS:
         raise UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
     return [a + i * step for i in range(int(n))]
-
-
-def _default_threads() -> int | None:
-    """SCMA_THREADS, 1 if unset, or None (``_run`` rejects it) if invalid."""
-    try:
-        threads = int(os.environ.get("SCMA_THREADS", "1"))
-    except ValueError:
-        return None
-    return threads if threads >= 1 else None
 
 
 def _output_path(text: str, directory: bool = False) -> Path:
@@ -182,15 +175,18 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     out = _output_path(args.out)
     cbs = read_codebook_json(args.codebook)
     points = parse_snr_range(args.ebno)
+    run_frames, run_target = max_frames, args.target_errors
+    if args.frames is not None:
+        _require_int(1, frames=args.frames)
+        run_frames, run_target = args.frames, math.inf
     estimates = sweep_ser(
         cbs,
         points,
         args.channel,
         mpa=MpaConfig(iterations=args.mpa_iters),
         seed=args.seed,
-        frames=args.frames,
-        target_errors=args.target_errors,
-        max_frames=max_frames,
+        target_errors=run_target,
+        max_frames=run_frames,
         threads=args.threads,
     )
     rows = ["ebno_db,ser,errors,frames,seed"]
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"--target-errors frame cap (default {DEFAULT_MAX_FRAMES})")
     p.add_argument("--mpa-iters", type=int, default=MpaConfig.iterations)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=ObjectiveConfig.threads)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crn", choices=CRN_MODES, default=ObjectiveConfig.crn_mode,
                    help="common-random-number stream policy")
     p.add_argument("--seed", type=int, default=DeConfig.seed)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=ObjectiveConfig.threads)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_optimize)
 
@@ -386,10 +382,6 @@ def _run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # only simulate and optimize have --threads
-        if getattr(args, "threads", 1) is None:
-            raise UsageError("SCMA_THREADS must be a positive integer, "
-                             f"got {os.environ['SCMA_THREADS']!r}")
         return args.func(args, argv)
     except (UsageError, ScmaError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CodebookSet, ScmaError, superpositions
+from .core import CodebookSet, ScmaError, _require_int, superpositions
 
 PRODUCT_DIMENSION_TOL = 1e-12
 
@@ -64,6 +64,9 @@ def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
 def sum_constellation(cbs: CodebookSet, resource: int) -> np.ndarray:
     """The (M^d,) superpositions of the users' entries on one resource, in
     lexicographic symbol order (lowest user index most significant)."""
+    _require_int(0, resource=resource)
+    if resource >= cbs.config.K:
+        raise ValueError(f"resource must be < {cbs.config.K}, got {resource}")
     users = cbs.graph.resource_users(resource)
     if users.size == 0:
         raise ScmaError(f"resource {resource} has no users attached")
@@ -75,6 +78,8 @@ def i_lower_bound(points: np.ndarray, n0: float) -> float:
     ``points`` under complex Gaussian noise of total variance n0, clamped to
     its [0, log2(#points)] range."""
     points = np.asarray(points, dtype=np.complex128)
+    if points.size == 0:
+        raise ValueError("points must not be empty")
     if not (np.isfinite(n0) and n0 > 0.0):
         raise ValueError(f"n0 must be finite and positive, got {n0}")
     T = points.size

@@ -74,9 +74,9 @@ class ValidationReport:
     """Structural check results; norm deviations are reported as warnings,
     never violations."""
 
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
+    codeword_norms: np.ndarray
     warnings: list[str] = field(default_factory=list)
-    codeword_norms: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -87,9 +87,7 @@ class ValidationReport:
             "ok": self.ok,
             "violations": self.violations,
             "warnings": self.warnings,
-            "codeword_norms": None
-            if self.codeword_norms is None
-            else np.round(self.codeword_norms, 10).tolist(),
+            "codeword_norms": np.round(self.codeword_norms, 10).tolist(),
         }
 
 
@@ -97,9 +95,7 @@ def validate_codebook(cbs: CodebookSet) -> ValidationReport:
     """Check a codebook set against :func:`codebook_violations` and report
     its per-codeword norms, warning when any is off unit norm."""
     norms = np.linalg.norm(cbs.books, axis=2)
-    report = ValidationReport(
-        codebook_violations(cbs.books, cbs.factor_matrix), codeword_norms=norms
-    )
+    report = ValidationReport(codebook_violations(cbs.books, cbs.factor_matrix), norms)
     off = np.abs(norms - 1.0)
     if (off > NORM_WARNING_TOL).any():
         worst = float(norms.flat[np.argmax(off)])
@@ -112,20 +108,19 @@ def validate_codebook(cbs: CodebookSet) -> ValidationReport:
 
 @dataclass(frozen=True)
 class StructureTemplate:
-    """Symbolic codebook skeleton: signed parameter placements plus the
-    factor graph they realize."""
+    """Symbolic codebook skeleton: signed parameter placements, the factor
+    graph they realize and the parameter count, the highest one placed."""
 
     name: str
-    num_params: int
     slots: np.ndarray  # (J, M, K) of 0 / +-t
+    num_params: int = field(init=False)
     graph: FactorGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         slots = np.asarray(self.slots, dtype=np.int64)
         if slots.ndim != 3:
             raise ValueError("slots must be a (J, M, K) array")
-        if np.abs(slots).max(initial=0) > self.num_params:
-            raise ValueError("slot references a parameter beyond num_params")
+        object.__setattr__(self, "num_params", int(np.abs(slots).max(initial=0)))
         object.__setattr__(self, "slots", _frozen(slots))
         object.__setattr__(self, "graph", FactorGraph((slots != 0).any(axis=1).T))
         violations = codebook_violations(slots, self.graph.F)
@@ -221,21 +216,14 @@ _SLOTS_12X6 = [
      [0, 0, 0, 0, -8, -4], [0, 0, 0, 0, -7, -3]],
 ]
 
-_BUILTIN = {
-    "6x4": (6, _SLOTS_6X4),
-    "12x6": (8, _SLOTS_12X6),
-}
+_BUILTIN = {"6x4": _SLOTS_6X4, "12x6": _SLOTS_12X6}
 
 
 def builtin_template(name: str) -> StructureTemplate:
     """Return one of the shipped layouts ("6x4" or "12x6")."""
-    try:
-        num_params, slots = _BUILTIN[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown template {name!r}; available: {sorted(_BUILTIN)}"
-        ) from None
-    return StructureTemplate(name=name, num_params=num_params, slots=np.asarray(slots))
+    if name not in _BUILTIN:
+        raise KeyError(f"unknown template {name!r}; available: {sorted(_BUILTIN)}")
+    return StructureTemplate(name=name, slots=np.asarray(_BUILTIN[name]))
 
 
 def _params(template: StructureTemplate, a: Sequence[complex]) -> np.ndarray:
@@ -355,7 +343,9 @@ def template_from_dict(doc: dict) -> StructureTemplate:
     """Parse a template document {"name", "num_params", "F", "slots"}, whose
     (J, M, K) slot cells are read by :func:`_slot_from_cell`."""
     try:
-        name = str(doc["name"])
+        name = doc["name"]
+        if type(name) is not str:
+            raise ValueError(f"name must be a string, got {name!r}")
         num_params = _json_int(doc, "num_params")
         F = FactorGraph(doc["F"]).F
         raw = doc["slots"]
@@ -368,10 +358,15 @@ def template_from_dict(doc: dict) -> StructureTemplate:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"malformed slot entry: {exc}") from exc
+    if np.abs(slots).max(initial=0) > num_params:
+        raise CodebookFormatError("slot references a parameter beyond num_params")
     try:
-        template = StructureTemplate(name=name, num_params=num_params, slots=slots)
+        template = StructureTemplate(name=name, slots=slots)
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
+    if num_params > template.num_params:
+        raise CodebookFormatError(
+            f"template {name}: no slot references parameter a_{template.num_params + 1}")
     if not np.array_equal(F, template.graph.F):
         raise CodebookFormatError(f"template {name}: slots do not match F")
     return template

@@ -488,6 +488,22 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not out.exists()
 
+    def test_non_string_template_name_is_usage_error(self, tmp_path, capsys):
+        """A name of [1, 2] used to load as the template '[1, 2]'."""
+        doc = template_doc(builtin_template("6x4"))
+        doc["name"] = [1, 2]
+        tfile = tmp_path / "custom.json"
+        tfile.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main([
+            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--frames-per-eval", "300", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "error: missing or invalid template field: name must be a string, "
+            "got [1, 2]\n")
+        assert not out.exists()
+
     def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
         code = main([
             "optimize", "--template", "9x5", "--ebno", "10", "--np", "4",
@@ -649,54 +665,22 @@ class TestNumpyOnlyRuntime:
 
 
 class TestThreadsDefault:
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv("SCMA_THREADS", "5")
-        parser = build_parser()
-        args = parser.parse_args(
-            ["simulate", "--codebook", "x", "--ebno", "1", "--out", "y"]
-        )
-        assert args.threads == 5
-
-    def test_unset_variable_means_one_thread(self, monkeypatch):
-        monkeypatch.delenv("SCMA_THREADS", raising=False)
-        args = build_parser().parse_args(
-            ["optimize", "--template", "6x4", "--ebno", "1", "--out", "y"]
-        )
-        assert args.threads == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
     @pytest.mark.parametrize("command", [
-        ["simulate", "--codebook", "table2.json", "--ebno", "10", "--frames", "64",
-         "--out", "x.csv"],
-        ["optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
-         "--max-iter", "0", "--frames-per-eval", "64", "--out", "run"],
+        ["simulate", "--codebook", "x", "--ebno", "1", "--out", "y"],
+        ["optimize", "--template", "6x4", "--ebno", "1", "--out", "y"],
     ], ids=["simulate", "optimize"])
-    def test_invalid_variable_is_usage_error(self, table2_file, tmp_path, monkeypatch,
-                                             capsys, command, value):
-        monkeypatch.setenv("SCMA_THREADS", value)
-        monkeypatch.chdir(tmp_path)
-        assert main(command) == 2
+    def test_both_commands_default_to_one_thread(self, command):
+        assert build_parser().parse_args(command).threads == 1
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_optimize_thread_count_below_one_is_usage_error(self, tmp_path, capsys,
+                                                            value):
+        out = tmp_path / "run"
+        assert main([
+            "optimize", "--template", "6x4", "--ebno", "10", "--np", "4",
+            "--max-iter", "0", "--frames-per-eval", "64", "--threads", value,
+            "--out", str(out),
+        ]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: SCMA_THREADS must be a positive integer, got {value!r}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
-
-    def test_threads_flag_overrides_invalid_variable(self, table2_file, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("SCMA_THREADS", "abc")
-        out = tmp_path / "x.csv"
-        assert main([
-            "simulate", "--codebook", str(table2_file), "--ebno", "10",
-            "--frames", "64", "--threads", "2", "--out", str(out),
-        ]) == 0
-        assert out.exists()
-
-    def test_commands_without_threads_ignore_the_variable(self, table2_file, tmp_path,
-                                                          monkeypatch, capsys):
-        monkeypatch.setenv("SCMA_THREADS", "abc")
-        assert main(["validate", "--codebook", str(table2_file)]) == 0
-        csv = tmp_path / "il.csv"
-        assert main([
-            "analyze", "--codebook", str(table2_file),
-            "--n0-grid-db", "0", "--il-csv", str(csv),
-        ]) == 0
-        assert csv.exists()
+        assert err == f"error: threads must be an integer >= 1, got {value}\n"
+        assert not out.exists()

@@ -102,6 +102,13 @@ class TestSuperimposedPoints:
         for k in range(4):
             assert abs(sum_constellation(table2, k).sum()) < 1e-10
 
+    @pytest.mark.parametrize("resource", [-1, 4, 2.0])
+    def test_resource_outside_range_rejected(self, table2, resource):
+        """-1 used to return resource 3's points; 4 and 2.0 raised bare
+        numpy IndexErrors."""
+        with pytest.raises(ValueError, match="resource must be"):
+            sum_constellation(table2, resource)
+
     def test_lexicographic_order(self, table2):
         pts = sum_constellation(table2, 0)
         users = np.flatnonzero(table2.factor_matrix[0])
@@ -132,6 +139,11 @@ class TestLowerBound:
         grid = np.logspace(-3, 2, 24)
         vals = [i_lower_bound(pts, n0) for n0 in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_empty_point_set_rejected(self):
+        """An empty set used to warn and then divide by zero."""
+        with pytest.raises(ValueError, match="points must not be empty"):
+            i_lower_bound([], 0.1)
 
     def test_profile_mean(self, table2):
         per, mean = i_lower_bound_profile(table2, 0.05)

@@ -99,7 +99,7 @@ class TestTemplateValidation:
         slots[0, [0, 3], 0] = 0  # codewords 0 and 3 leave resource 0, 1 and 2 keep it
         with pytest.raises(ValueError, match=r"template bad: user 0 codeword 0: "
                                              r"support does not match"):
-            StructureTemplate("bad", 6, slots)
+            StructureTemplate("bad", slots)
 
     def test_identical_codewords_rejected(self):
         """Antipodal and Latin, but user 0 sends only two distinct
@@ -109,14 +109,14 @@ class TestTemplateValidation:
         slots[0, 1], slots[0, 2] = slots[0, 0], slots[0, 3]
         with pytest.raises(ValueError, match=r"template bad: user 0: codewords 0 "
                                              r"and 1 are identical"):
-            StructureTemplate("bad", 6, slots)
+            StructureTemplate("bad", slots)
 
     def test_broken_antipodal_rejected(self):
         t = builtin_template("6x4")
         slots = np.array(t.slots)
         slots[0, 0, 0] = 2
         with pytest.raises(ValueError, match="negation"):
-            StructureTemplate("bad", 6, slots)
+            StructureTemplate("bad", slots)
 
     def test_unused_resource_rejected(self):
         """A fifth resource that no user occupies used to load, and failed
@@ -124,7 +124,7 @@ class TestTemplateValidation:
         slots = np.concatenate(
             [builtin_template("6x4").slots, np.zeros((6, 4, 1), int)], axis=2)
         with pytest.raises(ValueError, match="template bad: resource 4 has no users"):
-            StructureTemplate("bad", 6, slots)
+            StructureTemplate("bad", slots)
 
     def test_latin_violation_rejected(self):
         t = builtin_template("6x4")
@@ -132,14 +132,13 @@ class TestTemplateValidation:
         # make user 3 reuse user 1's parameters on resource 3 (both collide there)
         slots[3, :, 2] = slots[0, :, 2]
         with pytest.raises(ValueError, match="shared parameter"):
-            StructureTemplate("bad", 6, slots)
+            StructureTemplate("bad", slots)
 
-    @pytest.mark.parametrize("relabel,num_params,unused", [
-        ({}, 7, 7),
-        ({3: 7}, 7, 3),
-        ({1: 9, 2: 8}, 9, 1),
+    @pytest.mark.parametrize("relabel,unused", [
+        ({3: 7}, 3),
+        ({1: 9, 2: 8}, 1),
     ])
-    def test_unreferenced_parameter_rejected(self, relabel, num_params, unused):
+    def test_unreferenced_parameter_rejected(self, relabel, unused):
         """A parameter no slot places used to widen the DE search with
         dimensions that change nothing."""
         labels = np.arange(10)
@@ -148,7 +147,13 @@ class TestTemplateValidation:
         slots = np.sign(slots) * labels[np.abs(slots)]
         with pytest.raises(ValueError, match=f"template bad: no slot references "
                                              f"parameter a_{unused}$"):
-            StructureTemplate("bad", num_params, slots)
+            StructureTemplate("bad", slots)
+
+    @pytest.mark.parametrize("name", ["6x4", "12x6"])
+    def test_parameter_count_is_the_highest_placed(self, name):
+        t = builtin_template(name)
+        assert t.num_params == np.abs(t.slots).max()
+        assert StructureTemplate("copy", t.slots).num_params == t.num_params
 
 
 class TestInstantiate:
@@ -352,7 +357,7 @@ class TestTemplateFiles:
             st.sampled_from([-1, 1]), min_size=t.num_params, max_size=t.num_params)))
         s = t.slots[users][:, :, resources]
         relabelled = StructureTemplate(
-            "relabelled", t.num_params, np.sign(s) * signs[np.abs(s)] * labels[np.abs(s)]
+            "relabelled", np.sign(s) * signs[np.abs(s)] * labels[np.abs(s)]
         )
         back = template_from_dict(json.loads(json.dumps(template_doc(relabelled))))
         assert np.array_equal(back.slots, relabelled.slots)
@@ -383,6 +388,29 @@ class TestTemplateFiles:
         doc["F"] = [[entry(x) for x in row] for row in doc["F"]]
         with pytest.raises(CodebookFormatError, match="integers 0 or 1"):
             template_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("num_params,err", [
+        (5, "slot references a parameter beyond num_params"),
+        (7, "template 6x4: no slot references parameter a_7"),
+        (9, "template 6x4: no slot references parameter a_7"),
+    ], ids=["below", "above", "far-above"])
+    def test_parameter_count_must_match_slots(self, num_params, err):
+        """The file's count must equal the highest parameter the slots
+        place, in either direction."""
+        doc = template_doc(builtin_template("6x4"))
+        doc["num_params"] = num_params
+        with pytest.raises(CodebookFormatError, match=f"^{err}$"):
+            template_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [[1, 2], None, 7])
+    def test_non_string_name_rejected(self, name):
+        """[1, 2] used to load as the template '[1, 2]' and null as 'None'."""
+        doc = template_doc(builtin_template("6x4"))
+        doc["name"] = name
+        with pytest.raises(CodebookFormatError) as info:
+            template_from_dict(json.loads(json.dumps(doc)))
+        assert str(info.value) == (
+            f"missing or invalid template field: name must be a string, got {name!r}")
 
     def test_factor_matrix_must_match_slots(self):
         doc = template_doc(builtin_template("6x4"))
