@@ -36,9 +36,9 @@ class CodebookFormatError(ScmaError):
 
 
 def _require_int(low: int, **values: int) -> None:
-    """Each value an integer (numpy integers included) of at least ``low``."""
+    """Each value an integer (numpy integers included, bools not) of at least ``low``."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Integral) and value >= low):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 

@@ -55,17 +55,31 @@ PIECE_STEP = 256
 
 @dataclass(frozen=True)
 class SerEstimate:
-    """Monte-Carlo symbol-error-rate with its raw counts and seed
-    provenance."""
+    """Monte-Carlo symbol-error-rate with its seed provenance.  It stores
+    what was counted, each user's symbol errors over ``frames`` frames; the
+    totals and the rates are computed from those counts."""
 
-    ser: float
-    symbol_errors: int
-    symbols_sent: int
-    per_user_ser: tuple[float, ...]
+    per_user_errors: tuple[int, ...]
+    frames: int
     seed: int
     ebn0_db: float
-    frames: int
     channel: str
+
+    @property
+    def symbol_errors(self) -> int:
+        return sum(self.per_user_errors)
+
+    @property
+    def symbols_sent(self) -> int:
+        return self.frames * len(self.per_user_errors)
+
+    @property
+    def ser(self) -> float:
+        return self.symbol_errors / self.symbols_sent
+
+    @property
+    def per_user_ser(self) -> tuple[float, ...]:
+        return tuple(np.array(self.per_user_errors, np.int64) / self.frames)
 
     def to_dict(self) -> dict:
         return {
@@ -168,18 +182,7 @@ def estimate_ser(
             detected += done
             if per_user.sum() >= stop:
                 break
-    errors = int(per_user.sum())
-    sent = detected * cbs.config.J
-    return SerEstimate(
-        ser=errors / sent,
-        symbol_errors=errors,
-        symbols_sent=sent,
-        per_user_ser=tuple(per_user / detected),
-        seed=seed,
-        ebn0_db=float(ebn0_db),
-        frames=detected,
-        channel=channel,
-    )
+    return SerEstimate(tuple(per_user.tolist()), detected, seed, float(ebn0_db), channel)
 
 
 def sweep_ser(

@@ -229,10 +229,14 @@ def step_generation(
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    best_row: np.ndarray  # packed real parameters of the best row
     history: np.ndarray  # best SER after init and after each generation
     population: Population
     stop_reason: str
+
+    @property
+    def best_row(self) -> np.ndarray:
+        """A copy of the packed real parameters of the best row."""
+        return np.array(self.population.rows[self.population.best_index])
 
 
 def _plateaued(history: list[float], eps: float, window: int) -> bool:
@@ -268,10 +272,4 @@ def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
         if _plateaued(history, cfg.plateau_eps, cfg.plateau_window):
             stop_reason = "plateau"
             break
-    best = pop.rows[pop.best_index]
-    return OptimizeResult(
-        best_row=np.array(best),
-        history=np.array(history),
-        population=pop,
-        stop_reason=stop_reason,
-    )
+    return OptimizeResult(np.array(history), pop, stop_reason)

@@ -13,7 +13,7 @@ graph is derived from its slots: user j occupies resource k when any slot
 
 Template slots and codebook entries obey the same structure rules,
 :func:`codebook_violations`; :func:`validate_codebook` reports them for a
-codebook set together with its codeword norms.
+codebook set with its codeword norms, from which its norm warning is derived.
 """
 from __future__ import annotations
 
@@ -69,18 +69,25 @@ def codebook_violations(x: np.ndarray, F: np.ndarray) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    """Structural check results; norm deviations are reported as warnings,
-    never violations."""
+    """Structural check results and the (J, M) codeword norms.  Norm
+    deviations are never violations: ``warnings`` is computed from the norms,
+    one line when any is more than ``NORM_WARNING_TOL`` off unit norm."""
 
     violations: list[str]
     codeword_norms: np.ndarray
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def warnings(self) -> list[str]:
+        off = np.abs(self.codeword_norms - 1.0)
+        n = int((off > NORM_WARNING_TOL).sum())
+        worst = float(self.codeword_norms.flat[np.argmax(off)])
+        return [f"{n} codewords deviate from unit norm (worst {worst:.4f})"] if n else []
 
     def to_dict(self) -> dict:
         return {
@@ -93,17 +100,9 @@ class ValidationReport:
 
 def validate_codebook(cbs: CodebookSet) -> ValidationReport:
     """Check a codebook set against :func:`codebook_violations` and report
-    its per-codeword norms, warning when any is off unit norm."""
-    norms = np.linalg.norm(cbs.books, axis=2)
-    report = ValidationReport(codebook_violations(cbs.books, cbs.factor_matrix), norms)
-    off = np.abs(norms - 1.0)
-    if (off > NORM_WARNING_TOL).any():
-        worst = float(norms.flat[np.argmax(off)])
-        report.warnings.append(
-            f"{int((off > NORM_WARNING_TOL).sum())} codewords deviate from unit "
-            f"norm (worst {worst:.4f})"
-        )
-    return report
+    its per-codeword norms."""
+    violations = codebook_violations(cbs.books, cbs.factor_matrix)
+    return ValidationReport(violations, np.linalg.norm(cbs.books, axis=2))
 
 
 @dataclass(frozen=True)

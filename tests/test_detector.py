@@ -281,7 +281,7 @@ class TestMpaBehavior:
             mpa_detect_batch(np.zeros((1, 4), complex), cbs, None, 0.1)
 
     def test_config_validation(self):
-        for iterations in (0, 1.5):
+        for iterations in (0, 1.5, True):
             with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
                 MpaConfig(iterations=iterations)
         with pytest.raises(ValueError):

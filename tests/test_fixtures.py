@@ -1,4 +1,5 @@
 """Shipped artifacts and the structural validator."""
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from scma.core import CodebookSet, codebook_from_dict, pack_params
 from scma.fixtures import FIXTURE_IDS, load_codebook, load_factor_matrix, load_fixture
 from scma.cli import main as cli_main
 from scma.structure import (
+    ValidationReport,
     builtin_template,
     codebook_violations,
     instantiate,
@@ -90,6 +92,17 @@ class TestStructuralChecks:
         norms = report.codeword_norms
         assert np.allclose(norms[3], [1.1730, 1.1611, 1.1611, 1.1730], atol=1e-3)
         assert np.allclose(norms[:2], 1.0, atol=1e-3)
+
+    def test_norm_warning_is_derived_from_the_norms(self, table2):
+        assert [f.name for f in dataclasses.fields(ValidationReport)] == [
+            "violations", "codeword_norms"]
+        report = validate_codebook(table2)
+        assert report.warnings == [
+            "24 codewords deviate from unit norm (worst 1.1730)"]
+        unit = validate_codebook(CodebookSet(table2.books / report.codeword_norms[..., None]))
+        assert unit.ok and unit.warnings == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.violations = []
 
     def test_all_zero_set_flagged(self):
         zero = CodebookSet(np.zeros((2, 4, 2), complex))

@@ -102,10 +102,10 @@ class TestSuperimposedPoints:
         for k in range(4):
             assert abs(sum_constellation(table2, k).sum()) < 1e-10
 
-    @pytest.mark.parametrize("resource", [-1, 4, 2.0])
+    @pytest.mark.parametrize("resource", [-1, 4, 2.0, True])
     def test_resource_outside_range_rejected(self, table2, resource):
         """-1 used to return resource 3's points; 4 and 2.0 raised bare
-        numpy IndexErrors."""
+        numpy IndexErrors; True was read as resource 1."""
         with pytest.raises(ValueError, match="resource must be"):
             sum_constellation(table2, resource)
 

@@ -1,6 +1,8 @@
 """Seed-reproducible SER estimation and sweeps."""
+import dataclasses
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -56,12 +58,12 @@ class TestEstimate:
         b = estimate_ser(table2, 2.0, "awgn", frames=4000, seed=7, stream=1)
         assert a.symbol_errors != b.symbol_errors
 
-    @pytest.mark.parametrize("frames", [0, 4096.0])
+    @pytest.mark.parametrize("frames", [0, 4096.0, True])
     def test_frames_validated(self, table2, frames):
         with pytest.raises(ValueError, match="frames must be an integer >= 1"):
             estimate_ser(table2, 10.0, "awgn", frames=frames)
 
-    @pytest.mark.parametrize("threads", [0, -3, 2.0])
+    @pytest.mark.parametrize("threads", [0, -3, 2.0, True])
     def test_threads_validated(self, table2, threads):
         with pytest.raises(ValueError, match="threads"):
             estimate_ser(table2, 10.0, "awgn", frames=100, threads=threads)
@@ -75,6 +77,10 @@ class TestEstimate:
         pytest.param(estimate_ser, 10.0, {"frames": 100, "seed": -1}, id="estimate-seed"),
         pytest.param(estimate_ser, 10.0, {"frames": 100, "stream": -2}, id="estimate-stream"),
         pytest.param(sweep_ser, [10.0], {"seed": -1}, id="sweep-seed"),
+        pytest.param(estimate_ser, 10.0, {"frames": 100, "seed": True}, id="estimate-seed-bool"),
+        pytest.param(estimate_ser, 10.0, {"frames": 100, "stream": True},
+                     id="estimate-stream-bool"),
+        pytest.param(sweep_ser, [10.0], {"seed": True}, id="sweep-seed-bool"),
     ])
     def test_negative_seed_or_stream_rejected(self, table2, run, ebn0, kwargs):
         name = list(kwargs)[-1]
@@ -139,11 +145,13 @@ class TestSweep:
             {"threads": -3},
             {"max_frames": 1e4},
             {"threads": 2.0},
+            {"max_frames": True},
+            {"threads": True},
         ],
     )
     def test_counts_below_one_rejected(self, table2, counts):
-        """Below one, or a float where a whole count is asked."""
-        name = next(k for k, v in counts.items() if v < 1 or isinstance(v, float))
+        """Below one, or a float or bool where a whole count is asked."""
+        name = next(k for k, v in counts.items() if v < 1 or isinstance(v, (float, bool)))
         with pytest.raises(ValueError, match=name):
             sweep_ser(table2, [10.0], "awgn", **counts)
 
@@ -197,7 +205,8 @@ class TestThreadIndependence:
                              max_frames=frames, **kwargs) == [early]
 
 
-def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0) -> np.ndarray:
+def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0,
+                 mpa=MpaConfig()) -> np.ndarray:
     """(frames, J) symbol-error indicators of an unbounded run, each block
     detected in one call."""
     n0 = ebn0_to_n0(ebn0_db, cbs.config)
@@ -206,7 +215,7 @@ def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0) -> np.ndarray:
         nb = min(FRAME_BLOCK, frames - lo)
         symbols, h, y = draw_frame_block(
             cbs, channel, n0, nb, block_rng(seed, stream, block))
-        out.append(hard_decision(mpa_detect_batch(y, cbs, h, n0)) != symbols)
+        out.append(hard_decision(mpa_detect_batch(y, cbs, h, n0, mpa)) != symbols)
     return np.concatenate(out)
 
 
@@ -312,3 +321,51 @@ class TestBound:
             else:
                 assert est == full
 
+
+class TestDerivedValues:
+    """An estimate stores its per-user error counts; the totals and the
+    rates are computed from them."""
+
+    def test_stores_only_what_was_measured(self):
+        names = [f.name for f in dataclasses.fields(mc.SerEstimate)]
+        assert names == ["per_user_errors", "frames", "seed", "ebn0_db", "channel"]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("fixture_id,channel,ebn0_db", [
+        ("table2", "awgn", 4.0), ("table3", "rayleigh", 8.0),
+    ])
+    def test_rates_are_the_counts_divided(self, request, fixture_id, channel,
+                                          ebn0_db, threads):
+        cbs = request.getfixturevalue(fixture_id)
+        frames = 2 * FRAME_BLOCK + 7
+        est = estimate_ser(cbs, ebn0_db, channel, frames, FAST_MPA, seed=25,
+                           threads=threads)
+        counts = est.per_user_errors
+        assert all(type(c) is int for c in counts)
+        errs = frame_errors(cbs, ebn0_db, channel, frames, seed=25, mpa=FAST_MPA)
+        assert counts == tuple(errs.sum(axis=0).tolist())
+        assert sum(counts) == est.symbol_errors > 0
+        J = cbs.config.J
+        assert est.symbols_sent == frames * J
+        assert [r.hex() for r in est.per_user_ser] == [(c / frames).hex() for c in counts]
+        assert est.ser.hex() == (sum(counts) / (frames * J)).hex()
+
+
+class TestFailingBlock:
+    """A block that raises inside a wave fails the whole estimate, wherever
+    it sits in its wave, and leaves no worker thread behind."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    def test_raises_and_joins_its_workers(self, table2, monkeypatch, threads, bad):
+        def failing_rng(seed, stream, block):
+            if block == bad:
+                raise RuntimeError(f"block {block} failed")
+            return block_rng(seed, stream, block)
+
+        monkeypatch.setattr(mc, "block_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {bad} failed"):
+            estimate_ser(table2, 6.0, "awgn", 3 * FRAME_BLOCK + 1, FAST_MPA,
+                         threads=threads)
+        assert threading.active_count() == before

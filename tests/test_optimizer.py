@@ -1,4 +1,5 @@
 """Differential-evolution mechanics and end-to-end search behavior."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from scma.detector import MpaConfig
 from scma.optimizer import (
     DeConfig,
     ObjectiveConfig,
+    OptimizeResult,
     Population,
     _pick_donors,
     de_rng,
@@ -53,6 +55,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("i_max", -3), ("plateau_window", -1), ("plateau_eps", -0.01),
         ("plateau_eps", np.nan), ("i_max", 1.5), ("plateau_window", 1.5),
+        ("i_max", True), ("plateau_window", True),
     ])
     def test_negative_stopping_controls_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -74,12 +77,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("threads", 0), ("threads", -2), ("threads", 2.0), ("frames", 100.0),
+        ("threads", True), ("frames", True),
     ])
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             ObjectiveConfig(ebn0_db=10.0, **{field: value})
 
-    @pytest.mark.parametrize("value", [-1, 1.0])
+    @pytest.mark.parametrize("value", [-1, 1.0, True])
     def test_seed_not_a_nonnegative_integer_rejected(self, value):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             plain_config(seed=value)
@@ -222,6 +226,16 @@ class TestOptimize:
         assert result.population.generation == 0
         assert len(result.history) == 1
         assert result.history[0] == result.population.best_fitness
+
+    def test_best_row_is_a_fresh_copy_of_the_best_row(self):
+        assert [f.name for f in dataclasses.fields(OptimizeResult)] == [
+            "history", "population", "stop_reason"]
+        result = optimize(builtin_template("6x4"), plain_config(s_p=6, i_max=1, seed=21))
+        pop = result.population
+        row = result.best_row
+        assert row.tobytes() == pop.rows[pop.best_index].tobytes()
+        row[:] = 0.0
+        assert result.best_row.tobytes() == pop.rows[pop.best_index].tobytes()
 
     def test_history_monotone_under_fixed_streams(self):
         cfg = plain_config(s_p=6, i_max=4, seed=22)
