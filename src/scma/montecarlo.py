@@ -139,7 +139,7 @@ def estimate_ser(
     asked = frames * cbs.config.J
     goal = math.inf
     if bound <= 1:
-        goal = max(0, round(bound * asked))
+        goal = round(bound * asked)
         if goal / asked < bound:
             goal += 1
     stop = min(target_errors, goal)
@@ -205,8 +205,6 @@ def sweep_ser(
     points = list(ebno_list)
     if not points:
         raise ValueError("ebno_list must not be empty")
-    if not target_errors >= 1:
-        raise ValueError(f"target_errors must be >= 1, got {target_errors}")
     _require_int(1, max_frames=max_frames)
     for ebn0 in points:
         ebn0_to_n0(ebn0, cbs.config)

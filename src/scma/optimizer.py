@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import CHANNELS
+from .channel import CHANNELS, ebn0_to_n0
 from .core import _frozen, _require_int, pack_params, unpack_params
 from .detector import MpaConfig
 from .montecarlo import estimate_ser
@@ -174,12 +174,8 @@ def init_population(
     objective: Objective,
 ) -> Population:
     """Rows i.i.d. uniform on [-1, 1], each renormalized to unit codeword
-    norms, then evaluated once without a bound."""
-    if cfg.d != 2 * template.num_params:
-        raise ValueError(
-            f"d={cfg.d} does not match template {template.name} "
-            f"(needs {2 * template.num_params})"
-        )
+    norms, then evaluated once without a bound.  A ``cfg.d`` other than
+    twice ``template.num_params`` fails the first renormalization."""
     rows = rng.uniform(-1.0, 1.0, size=(cfg.s_p, cfg.d))
     for i in range(cfg.s_p):
         rows[i] = _renormalized(template, rows[i])
@@ -253,7 +249,9 @@ def _plateaued(history: list[float], eps: float, window: int) -> bool:
 def optimize(template: StructureTemplate, cfg: DeConfig) -> OptimizeResult:
     """Run the full search: population init, generations of mutation /
     crossover / normalization / selection, stopping on plateau or the
-    iteration cap.  Fully reproducible from (seed, config)."""
+    iteration cap.  Fully reproducible from (seed, config).  An Eb/N0 out of
+    range for the template raises ``ValueError`` before any work."""
+    ebn0_to_n0(cfg.eval.ebn0_db, template.config)
     rng = de_rng(cfg.seed)
     fixed = cfg.eval.crn_mode == "fixed"
 

@@ -11,9 +11,13 @@ a resource never share a parameter (the Latin property).  A template's factor
 graph is derived from its slots: user j occupies resource k when any slot
 (j, m, k) is nonzero.
 
-Template slots and codebook entries obey the same structure rules,
-:func:`codebook_violations`; :func:`validate_codebook` reports them for a
-codebook set with its codeword norms, from which its norm warning is derived.
+Templates and codebook sets derive their (J, K, M) ``config`` alike, so
+:class:`~scma.core.SystemConfig` checks the dimensions of both: a template
+whose users have a number of codewords that is not a power of two is refused
+when it is built.  Template slots and codebook entries obey the same
+structure rules, :func:`codebook_violations`; :func:`validate_codebook`
+reports them for a codebook set with its codeword norms, from which its norm
+warning is derived.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .core import (
     DegenerateParameterError,
     FactorGraph,
     MalformedParameterError,
+    SystemConfig,
     _frozen,
     _json_int,
     _read_json_object,
@@ -108,17 +113,22 @@ def validate_codebook(cbs: CodebookSet) -> ValidationReport:
 @dataclass(frozen=True)
 class StructureTemplate:
     """Symbolic codebook skeleton: signed parameter placements, the factor
-    graph they realize and the parameter count, the highest one placed."""
+    graph they realize and the parameter count, the highest one placed.
+    ``config`` and ``graph`` are derived from the slots, as a
+    :class:`CodebookSet` derives them from its books."""
 
     name: str
     slots: np.ndarray  # (J, M, K) of 0 / +-t
     num_params: int = field(init=False)
+    config: SystemConfig = field(init=False, compare=False, repr=False)
     graph: FactorGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         slots = np.asarray(self.slots, dtype=np.int64)
         if slots.ndim != 3:
             raise ValueError("slots must be a (J, M, K) array")
+        J, M, K = slots.shape
+        object.__setattr__(self, "config", SystemConfig(J=J, K=K, M=M))
         object.__setattr__(self, "num_params", int(np.abs(slots).max(initial=0)))
         object.__setattr__(self, "slots", _frozen(slots))
         object.__setattr__(self, "graph", FactorGraph((slots != 0).any(axis=1).T))
@@ -132,20 +142,8 @@ class StructureTemplate:
             raise ValueError(
                 f"template {self.name}: no slot references parameter a_{unused}")
 
-    @property
-    def J(self) -> int:
-        return self.slots.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.slots.shape[1]
-
-    @property
-    def K(self) -> int:
-        return self.slots.shape[2]
-
     def _check_latin(self) -> None:
-        for k in range(self.K):
+        for k in range(self.config.K):
             groups = []
             for j in self.graph.resource_users(k):
                 groups.append(set(np.abs(self.slots[j, :, k])) - {0})
@@ -271,6 +269,7 @@ def normalize(
     codeword's largest magnitude instead.
     """
     a = _params(template, a).copy()
+    cfg = template.config
     peak = np.abs(a).max()
     if not 1 / 16 <= peak <= 16:
         shift = -np.frexp(peak)[1]
@@ -278,13 +277,13 @@ def normalize(
         np.ldexp(a.imag, shift, out=a.imag)
     param_sets = [
         [np.abs(template.slots[j, m][template.slots[j, m] != 0]) - 1
-         for m in range(template.M)]
-        for j in range(template.J)
+         for m in range(cfg.M)]
+        for j in range(cfg.J)
     ]
     residual = np.inf
     for _ in range(NORMALIZE_MAX_SWEEPS):
-        for j in range(template.J):
-            for m in range(template.M):
+        for j in range(cfg.J):
+            for m in range(cfg.M):
                 ids = param_sets[j][m]
                 norm = np.sqrt((np.abs(a[ids]) ** 2).sum())
                 if not 0.0 < norm < np.inf:
@@ -357,15 +356,14 @@ def template_from_dict(doc: dict) -> StructureTemplate:
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise CodebookFormatError(f"malformed slot entry: {exc}") from exc
-    if np.abs(slots).max(initial=0) > num_params:
-        raise CodebookFormatError("slot references a parameter beyond num_params")
     try:
         template = StructureTemplate(name=name, slots=slots)
     except ValueError as exc:
         raise CodebookFormatError(str(exc)) from exc
-    if num_params > template.num_params:
+    if num_params != template.num_params:
         raise CodebookFormatError(
-            f"template {name}: no slot references parameter a_{template.num_params + 1}")
+            f"template {name}: num_params is {num_params}, but the slots "
+            f"place {template.num_params} parameters")
     if not np.array_equal(F, template.graph.F):
         raise CodebookFormatError(f"template {name}: slots do not match F")
     return template

@@ -63,6 +63,17 @@ def template_doc(t: StructureTemplate) -> dict:
             "F": t.graph.F.tolist(), "slots": slots}
 
 
+def six_codeword_template_doc() -> dict:
+    """A hand-written template document of 2 users on 1 resource, each with
+    the M = 6 antipodal codewords [a, b, c, -c, -b, -a] of its own three
+    parameters: every slot rule holds, but M is not a power of 2."""
+    def book(first: int) -> list:
+        cells = [{"p": first + i, "s": 1} for i in range(3)]
+        return [[c] for c in cells + [{**c, "s": -1} for c in reversed(cells)]]
+
+    return {"name": "six", "num_params": 6, "F": [[1, 1]], "slots": [book(0), book(3)]}
+
+
 def brute_force_kpi(books: np.ndarray, rel_tol: float = 1e-3):
     """Reference distance computation with explicit loops, kept independent
     of the vectorized implementation."""

@@ -263,7 +263,7 @@ class TestCriterion9PropertySuites:
         # Latin property and antipodal symmetry of the shipped layouts
         for name in ("6x4", "12x6"):
             t = builtin_template(name)
-            for k in range(t.K):
+            for k in range(t.config.K):
                 groups = [
                     set(np.abs(t.slots[j, :, k]).tolist()) - {0}
                     for j in t.graph.resource_users(k)
@@ -276,7 +276,7 @@ class TestCriterion9PropertySuites:
             )
             cbs = instantiate(t, a)
             checks.append(
-                np.array_equal(cbs.books[:, 0, :], -cbs.books[:, t.M - 1, :])
+                np.array_equal(cbs.books[:, 0, :], -cbs.books[:, t.config.M - 1, :])
             )
 
         # belief normalization and permutation equivariance

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import scma
-from scma import cli, montecarlo
+from scma import cli, montecarlo, optimizer
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import CodebookSet, codebook_to_dict, write_codebook_json
 from scma.fixtures import load_codebook
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
-from scma.structure import builtin_template
+from scma.structure import builtin_template, normalize
 
-from conftest import template_doc
+from conftest import six_codeword_template_doc, template_doc
 
 
 @pytest.fixture()
@@ -24,6 +24,19 @@ def table2_file(tmp_path):
     path = tmp_path / "table2.json"
     write_codebook_json(load_codebook("table2_awgn_6x4"), path)
     return path
+
+
+@pytest.fixture()
+def normalize_calls(monkeypatch):
+    """The arguments of every call the optimizer makes to ``normalize``."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(optimizer, "normalize", spy)
+    return calls
 
 
 class TestRangeParser:
@@ -470,7 +483,7 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("num_params,err", [
         (6.9, "missing or invalid template field: num_params must be an integer, got 6.9"),
-        (7, "template custom: no slot references parameter a_7"),
+        (7, "template custom: num_params is 7, but the slots place 6 parameters"),
     ], ids=["fractional", "unreferenced"])
     def test_bad_parameter_count_is_usage_error(self, tmp_path, capsys, num_params,
                                                 err):
@@ -503,6 +516,21 @@ class TestOptimizeCommand:
             "error: missing or invalid template field: name must be a string, "
             "got [1, 2]\n")
         assert not out.exists()
+
+    def test_six_codeword_template_is_usage_error(self, tmp_path, capsys,
+                                                  normalize_calls):
+        """Such a file used to load, and the run renormalized its whole
+        population before failing on the first codebook set."""
+        tfile = tmp_path / "six.json"
+        tfile.write_text(json.dumps(six_codeword_template_doc()))
+        out = tmp_path / "run"
+        assert main([
+            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "20",
+            "--max-iter", "1", "--frames-per-eval", "256", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "error: M must be a power of 2, got 6\n"
+        assert not out.exists()
+        assert normalize_calls == []
 
     def test_unknown_template_name_is_usage_error(self, tmp_path, capsys):
         code = main([
@@ -582,7 +610,7 @@ class TestEbn0Range:
         ["optimize", "--ebno=5000"],
     ], ids=lambda c: " ".join(c))
     def test_out_of_range_is_usage_error(self, table2_file, tmp_path, monkeypatch,
-                                         capsys, command):
+                                         capsys, normalize_calls, command):
         rest = {
             "simulate": ["--codebook", "table2.json", "--frames", "64",
                          "--out", "x.csv"],
@@ -597,6 +625,7 @@ class TestEbn0Range:
         assert err.startswith("error: Eb/N0 ") and "out of range" in err
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
+        assert normalize_calls == []
 
 
 class TestAllocationRefused:

@@ -7,7 +7,7 @@ import pytest
 
 import scma.montecarlo as mc
 import scma.optimizer as opt
-from scma.core import pack_params, unpack_params
+from scma.core import MalformedParameterError, pack_params, unpack_params
 from scma.detector import MpaConfig
 from scma.optimizer import (
     DeConfig,
@@ -114,9 +114,14 @@ class TestInitPopulation:
         assert np.abs(pop.rows).max() <= 1.5
 
     def test_dimension_mismatch_rejected(self):
+        """The first renormalization rejects the row length, so the
+        objective never sees a row."""
+        def objective(row: np.ndarray, bound: float) -> float:
+            raise AssertionError("the objective was called")
+
         t = builtin_template("12x6")
-        with pytest.raises(ValueError):
-            init_population(plain_config(d=12), t, de_rng(0), zero_objective)
+        with pytest.raises(MalformedParameterError, match="needs 8 parameters, got 6"):
+            init_population(plain_config(d=12), t, de_rng(0), objective)
 
 
 class TestDonors:

@@ -25,7 +25,7 @@ from scma.structure import (
     validate_codebook,
 )
 
-from conftest import template_doc
+from conftest import six_codeword_template_doc, template_doc
 
 A_AWGN = np.array([
     -0.3318 + 0.6262j, -0.8304 + 0.4252j, 0.7055, -0.3601,
@@ -68,7 +68,7 @@ class TestBuiltinTemplates:
     @pytest.mark.parametrize("name", ["6x4", "12x6"])
     def test_latin_property(self, name):
         t = builtin_template(name)
-        for k in range(t.K):
+        for k in range(t.config.K):
             groups = [
                 set(np.abs(t.slots[j, :, k]).tolist()) - {0}
                 for j in t.graph.resource_users(k)
@@ -81,7 +81,7 @@ class TestBuiltinTemplates:
     def test_antipodal_symmetry(self, name):
         t = builtin_template(name)
         cbs = instantiate(t, random_params(t.num_params, seed=5))
-        M = t.M
+        M = t.config.M
         for m in range(M):
             assert np.array_equal(cbs.books[:, m, :], -cbs.books[:, M - 1 - m, :])
 
@@ -266,7 +266,7 @@ class TestNormalize:
                      min_size=t.num_params, max_size=t.num_params))])
         a[list(data.draw(st.sets(st.integers(0, t.num_params - 1), max_size=2)))] = 0.0
         degenerate = any((a[np.abs(t.slots[j, m][t.slots[j, m] != 0]) - 1] == 0).all()
-                         for j in range(t.J) for m in range(t.M))
+                         for j in range(t.config.J) for m in range(t.config.M))
         if degenerate:
             with pytest.raises(DegenerateParameterError):
                 normalize(t, a)
@@ -350,8 +350,8 @@ class TestTemplateFiles:
     @given(st.sampled_from(["6x4", "12x6"]), st.data())
     def test_relabelled_builtins_round_trip(self, name, data):
         t = builtin_template(name)
-        users = np.array(data.draw(st.permutations(range(t.J))))
-        resources = np.array(data.draw(st.permutations(range(t.K))))
+        users = np.array(data.draw(st.permutations(range(t.config.J))))
+        resources = np.array(data.draw(st.permutations(range(t.config.K))))
         labels = np.array([0] + data.draw(st.permutations(range(1, t.num_params + 1))))
         signs = np.array([1] + data.draw(st.lists(
             st.sampled_from([-1, 1]), min_size=t.num_params, max_size=t.num_params)))
@@ -390,9 +390,9 @@ class TestTemplateFiles:
             template_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("num_params,err", [
-        (5, "slot references a parameter beyond num_params"),
-        (7, "template 6x4: no slot references parameter a_7"),
-        (9, "template 6x4: no slot references parameter a_7"),
+        (5, "template 6x4: num_params is 5, but the slots place 6 parameters"),
+        (7, "template 6x4: num_params is 7, but the slots place 6 parameters"),
+        (9, "template 6x4: num_params is 9, but the slots place 6 parameters"),
     ], ids=["below", "above", "far-above"])
     def test_parameter_count_must_match_slots(self, num_params, err):
         """The file's count must equal the highest parameter the slots
@@ -411,6 +411,14 @@ class TestTemplateFiles:
             template_from_dict(json.loads(json.dumps(doc)))
         assert str(info.value) == (
             f"missing or invalid template field: name must be a string, got {name!r}")
+
+    def test_codeword_count_must_be_power_of_two(self, tmp_path):
+        """Such a file used to load, and ``optimize`` renormalized its whole
+        population before failing on the first codebook set."""
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(six_codeword_template_doc()))
+        with pytest.raises(CodebookFormatError, match="M must be a power of 2"):
+            read_template_json(path)
 
     def test_factor_matrix_must_match_slots(self):
         doc = template_doc(builtin_template("6x4"))
