@@ -138,7 +138,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError("--n0-grid-db is required when --il-csv is given")
     path = _output_path(args.il_csv) if grid else None
     n0s = [ebn0_to_n0(g, cbs.config) for g in grid]
-    report = kpi(cbs, rel_tol=args.rel_tol)
+    report = kpi(cbs)
     out: dict = {"codebook": args.codebook, "kpi": report.to_dict()}
     outputs: list[str] = []
     if grid:
@@ -158,7 +158,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             "analyze",
             argv,
             None,
-            {"codebook": args.codebook, "rel_tol": args.rel_tol},
+            {"codebook": args.codebook},
             outputs,
             started,
             name=path.name + ".manifest.json",
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="distance KPIs and mutual-information bound")
     p.add_argument("--codebook", required=True)
-    p.add_argument("--rel-tol", type=float, default=1e-3,
-                   help="relative tolerance for kissing-number counting")
     p.add_argument("--n0-grid-db", default=None,
                    help="Eb/N0 grid (A:STEP:B, dB) for the bound sweep")
     p.add_argument("--il-csv", default=None, help="output CSV for the bound sweep")

@@ -12,6 +12,7 @@ import numpy as np
 from .core import CodebookSet, ScmaError, _require_int, superpositions
 
 PRODUCT_DIMENSION_TOL = 1e-12
+KISSING_REL_TOL = 1e-3  # absorbs the 4-decimal truncation of published tables
 
 
 @dataclass(frozen=True)
@@ -23,42 +24,36 @@ class KpiReport:
     tau_e: int
     d_p_min: float
     tau_p: int
-    rel_tol: float
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def kpi(cbs: CodebookSet, rel_tol: float = 1e-3) -> KpiReport:
+def kpi(cbs: CodebookSet) -> KpiReport:
     """Minimum Euclidean / product distances and kissing numbers.
 
     The product distance of a pair multiplies the entry distances over the
-    dimensions where the codewords differ by more than an absolute 1e-12.
-    Kissing numbers count the pairs within ``rel_tol`` (relative) of each
-    minimum, which absorbs the 4-decimal truncation of published codebooks.
+    dimensions where the codewords differ by more than an absolute
+    ``PRODUCT_DIMENSION_TOL``; with no such pair, ``d_p_min`` and ``tau_p``
+    are 0.  Kissing numbers count the pairs within a relative
+    ``KISSING_REL_TOL`` of each minimum.
     """
-    if not 0.0 < rel_tol <= 0.01:
-        raise ValueError(f"rel_tol must lie in (0, 0.01], got {rel_tol}")
     cfg = cbs.config
     X = cbs.books.reshape(cfg.J * cfg.M, cfg.K)
-    n = X.shape[0]
-    if n < 2:
-        raise ScmaError("need at least two codewords to compute distances")
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = np.triu_indices(X.shape[0], k=1)
     mags = np.abs(X[iu] - X[ju])  # (pairs, K)
     d_e = np.sqrt((mags ** 2).sum(axis=1))
     differing = mags > PRODUCT_DIMENSION_TOL
     d_p = np.where(differing, mags, 1.0).prod(axis=1)
     valid = differing.any(axis=1)
     d_e_min = float(d_e.min())
-    tau_e = int((d_e <= d_e_min * (1.0 + rel_tol)).sum())
+    tau_e = int((d_e <= d_e_min * (1.0 + KISSING_REL_TOL)).sum())
     if valid.any():
         d_p_min = float(d_p[valid].min())
-        tau_p = int((d_p[valid] <= d_p_min * (1.0 + rel_tol)).sum())
+        tau_p = int((d_p[valid] <= d_p_min * (1.0 + KISSING_REL_TOL)).sum())
     else:
         d_p_min, tau_p = 0.0, 0
-    return KpiReport(d_e_min=d_e_min, tau_e=tau_e, d_p_min=d_p_min, tau_p=tau_p,
-                     rel_tol=rel_tol)
+    return KpiReport(d_e_min=d_e_min, tau_e=tau_e, d_p_min=d_p_min, tau_p=tau_p)
 
 
 def sum_constellation(cbs: CodebookSet, resource: int) -> np.ndarray:

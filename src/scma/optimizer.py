@@ -49,7 +49,8 @@ CRN_MODES = ("per-generation", "fixed")
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Monte-Carlo budget and operating point for the SER objective."""
+    """Monte-Carlo budget and operating point for the SER objective;
+    :func:`optimize` checks ``ebn0_db`` with ``ebn0_to_n0`` before any work."""
 
     ebn0_db: float
     channel: str = "awgn"
@@ -59,8 +60,6 @@ class ObjectiveConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if self.channel not in CHANNELS:
             raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         _require_int(1, frames=self.frames, threads=self.threads)
@@ -70,7 +69,8 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class DeConfig:
-    """Differential-evolution controls plus the evaluation setup."""
+    """Differential-evolution controls plus the evaluation setup; the first
+    renormalization in :func:`init_population` checks the row length ``d``."""
 
     s_p: int = 20
     d: int = 12
@@ -84,14 +84,12 @@ class DeConfig:
 
     def __post_init__(self) -> None:
         _require_int(4, s_p=self.s_p)  # three donors plus the target
-        _require_int(2, d=self.d)
         if not 0.0 <= self.c_r <= 1.0:
             raise ValueError("c_r must lie in [0, 1]")
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.d % 2 != 0:
-            raise ValueError("d must be even (interleaved re/im parts)")
-        _require_int(0, i_max=self.i_max, plateau_window=self.plateau_window, seed=self.seed)
+        _require_int(0, d=self.d, i_max=self.i_max, plateau_window=self.plateau_window,
+                     seed=self.seed)
         if not self.plateau_eps >= 0:
             raise ValueError(f"plateau_eps must be >= 0, got {self.plateau_eps}")
 
@@ -175,7 +173,8 @@ def init_population(
 ) -> Population:
     """Rows i.i.d. uniform on [-1, 1], each renormalized to unit codeword
     norms, then evaluated once without a bound.  A ``cfg.d`` other than
-    twice ``template.num_params`` fails the first renormalization."""
+    twice ``template.num_params`` raises ``MalformedParameterError`` at the
+    first renormalization, before any objective call."""
     rows = rng.uniform(-1.0, 1.0, size=(cfg.s_p, cfg.d))
     for i in range(cfg.s_p):
         rows[i] = _renormalized(template, rows[i])

@@ -264,9 +264,9 @@ def normalize(
     and the final residual.  Phases are never touched, only magnitudes.
     Parameters whose largest magnitude lies outside [1/16, 16] are first
     scaled by the power of two that brings it into [1/2, 1): from far off
-    unit scale the sweeps stall short of ``NORMALIZE_TOL``.  A norm whose
-    squares underflow to 0 or overflow to inf is taken relative to the
-    codeword's largest magnitude instead.
+    unit scale the sweeps stall short of ``NORMALIZE_TOL``.  A codeword whose
+    squares underflow to a zero norm is first scaled by the power of two that
+    brings its largest magnitude into [1/2, 1).
     """
     a = _params(template, a).copy()
     cfg = template.config
@@ -286,13 +286,14 @@ def normalize(
             for m in range(cfg.M):
                 ids = param_sets[j][m]
                 norm = np.sqrt((np.abs(a[ids]) ** 2).sum())
-                if not 0.0 < norm < np.inf:
-                    scale = np.abs(a[ids]).max()
-                    if scale == 0.0:
+                if norm == 0.0:
+                    shift = -np.frexp(np.abs(a[ids]).max())[1]
+                    a[ids] = np.ldexp(a[ids].real, shift) + 1j * np.ldexp(a[ids].imag, shift)
+                    norm = np.sqrt((np.abs(a[ids]) ** 2).sum())
+                    if norm == 0.0:
                         raise DegenerateParameterError(
                             f"codeword ({j}, {m}) has zero norm during normalization"
                         )
-                    norm = scale * np.sqrt((np.abs(a[ids] / scale) ** 2).sum())
                 a[ids] /= norm
         residual = float(np.abs(codeword_norms(template, a) - 1.0).max())
         if residual < NORMALIZE_TOL:

@@ -51,7 +51,7 @@ class TestCriterion1KpiRegression:
             ("awgn", table2, "proposed_awgn"),
             ("fading", table3, "proposed_fading"),
         ]:
-            rep = kpi(cbs, rel_tol=1e-3)
+            rep = kpi(cbs)
             exp = expected[key]
             ok = (
                 abs(rep.d_e_min - exp["d_e_min"]) <= 1e-3

@@ -42,6 +42,7 @@ def normalize_calls(monkeypatch):
 class TestRangeParser:
     def test_degenerate_range(self):
         assert parse_snr_range("10:1:10") == [10.0]
+        assert parse_snr_range("3:0:3") == [3.0]
 
     def test_ascending(self):
         assert parse_snr_range("0:2:6") == [0.0, 2.0, 4.0, 6.0]
@@ -107,10 +108,10 @@ class TestValidateCommand:
 
     def test_malformed_entries_are_usage_errors(self, tmp_path, capsys):
         """A non-list codebooks field, a numeric codeword, a null in an
-        [re, im] pair, an infinite J, an infinite F entry, a fractional J and
-        an F entry of 1.9 or "1" (both used to load as 1) each end in one
-        error line and exit 2."""
-        for case in range(8):
+        [re, im] pair, an infinite J, an infinite F entry, a fractional J, an
+        F entry of 1.9 or "1" (both used to load as 1), an F that is not 2-D
+        and no users at all each end in one error line and exit 2."""
+        for case in range(10):
             doc = codebook_to_dict(load_codebook("table2_awgn_6x4"))
             if case == 0:
                 doc["codebooks"] = 5
@@ -124,8 +125,12 @@ class TestValidateCommand:
                 doc["F"][0][0] = float("inf")
             elif case == 5:
                 doc["J"] = 6.7
-            else:
+            elif case < 8:
                 doc["F"][0][0] = [1.9, "1"][case - 6]
+            elif case == 8:
+                doc["F"] = doc["F"][0]
+            else:
+                doc["J"], doc["codebooks"] = 0, []
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert main(["validate", "--codebook", str(bad)]) == 2
@@ -162,8 +167,14 @@ class TestAnalyzeCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["kpi"]["d_e_min"] == pytest.approx(0.8966, abs=1e-3)
         assert out["kpi"]["tau_e"] == 4
+        assert sorted(out["kpi"]) == ["d_e_min", "d_p_min", "tau_e", "tau_p"]
         assert "il" not in out
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_rel_tol_flag_is_gone(self, table2_file, capsys):
+        """Kissing numbers use one fixed tolerance, so there is none to pick."""
+        assert main(["analyze", "--codebook", str(table2_file), "--rel-tol", "1e-3"]) == 2
+        assert "--rel-tol" in capsys.readouterr().err
 
     def test_grid_writes_csv_and_manifest(self, table2_file, tmp_path, capsys):
         csv = tmp_path / "il.csv"
@@ -176,7 +187,8 @@ class TestAnalyzeCommand:
         assert lines[0] == "snr_db,resource,il_bits"
         # per resource plus one mean row per grid point
         assert len(lines) == 1 + 3 * 5
-        assert (tmp_path / "il.csv.manifest.json").exists()
+        manifest = json.loads((tmp_path / "il.csv.manifest.json").read_text())
+        assert manifest["config"] == {"codebook": str(table2_file)}
 
     @pytest.mark.parametrize("flag,value,missing", [
         ("--n0-grid-db", "0:10:20", "--il-csv"),
@@ -449,7 +461,6 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--f", "nan", "alpha"), ("--f", "inf", "alpha"),
-        ("--ebno", "nan", "ebn0_db"), ("--ebno", "inf", "ebn0_db"),
     ])
     def test_non_finite_input_is_usage_error(self, tmp_path, capsys, flag,
                                              value, field):
@@ -468,18 +479,21 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     def test_malformed_template_file_is_usage_error(self, tmp_path, capsys):
-        doc = template_doc(builtin_template("6x4"))
-        doc["slots"][0][0][0] = {"p": 0, "s": 2}
-        tfile = tmp_path / "bad.json"
-        tfile.write_text(json.dumps(doc))
-        code = main([
-            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
-            "--max-iter", "0", "--out", str(tmp_path / "run"),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: malformed slot entry: {'p': 0, 's': 2}\n"
-        )
+        """A slot cell of sign 2, and slots that are not 3-D."""
+        bad_cell = template_doc(builtin_template("6x4"))
+        bad_cell["slots"][0][0][0] = {"p": 0, "s": 2}
+        for doc, err in [
+            (bad_cell, "malformed slot entry: {'p': 0, 's': 2}"),
+            ({**bad_cell, "slots": []}, "slots must be a (J, M, K) array"),
+        ]:
+            tfile = tmp_path / "bad.json"
+            tfile.write_text(json.dumps(doc))
+            code = main([
+                "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
+                "--max-iter", "0", "--out", str(tmp_path / "run"),
+            ])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("num_params,err", [
         (6.9, "missing or invalid template field: num_params must be an integer, got 6.9"),
@@ -608,6 +622,9 @@ class TestEbn0Range:
         ["analyze", "--n0-grid-db=0:2500:5000"],
         ["analyze", "--n0-grid-db=-5000"],
         ["optimize", "--ebno=5000"],
+        ["optimize", "--ebno=nan"],
+        ["optimize", "--ebno=inf"],
+        ["optimize", "--ebno=-inf"],
     ], ids=lambda c: " ".join(c))
     def test_out_of_range_is_usage_error(self, table2_file, tmp_path, monkeypatch,
                                          capsys, normalize_calls, command):

@@ -87,6 +87,11 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(J=2, K=2, M=3)
 
+    def test_users_and_resources_at_least_one(self):
+        for J, K in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError, match="J and K must be >= 1"):
+                SystemConfig(J=J, K=K, M=2)
+
 
 class TestCodebookSet:
     def test_books_are_frozen(self, table2):

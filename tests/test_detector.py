@@ -238,6 +238,10 @@ class TestMpaBehavior:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             mpa_detect_batch(bad, table2, None, 0.1)
+        h = np.ones((1, 4, 6), complex)
+        h[0, 2, 5] = np.inf
+        with pytest.raises(ValueError, match="channel gains contain non-finite"):
+            mpa_detect_batch(y, table2, h, 0.1)
 
     @pytest.mark.parametrize("detect", [mpa_detect_batch, map_detect_batch])
     @pytest.mark.parametrize("n0", [np.nan, np.inf])

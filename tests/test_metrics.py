@@ -17,7 +17,7 @@ from conftest import brute_force_kpi, qpsk_set
 class TestKpi:
     def test_awgn_table_matches_published_indicators(self, table2):
         expect = load_fixture("table4_kpi")["proposed_awgn"]
-        report = kpi(table2, rel_tol=1e-3)
+        report = kpi(table2)
         assert report.d_e_min == pytest.approx(expect["d_e_min"], abs=1e-3)
         assert report.tau_e == expect["tau_e"]
         assert report.d_p_min == pytest.approx(expect["d_p_min"], abs=1e-3)
@@ -25,7 +25,7 @@ class TestKpi:
 
     def test_fading_table_matches_published_indicators(self, table3):
         expect = load_fixture("table4_kpi")["proposed_fading"]
-        report = kpi(table3, rel_tol=1e-3)
+        report = kpi(table3)
         assert report.d_e_min == pytest.approx(expect["d_e_min"], abs=1e-3)
         assert report.tau_e == expect["tau_e"]
         assert report.d_p_min == pytest.approx(expect["d_p_min"], abs=1e-3)
@@ -75,17 +75,17 @@ class TestKpi:
         assert rot.d_p_min == pytest.approx(base.d_p_min, rel=1e-12)
         assert (rot.tau_e, rot.tau_p) == (base.tau_e, base.tau_p)
 
-    def test_rel_tol_bounds(self, table2):
-        with pytest.raises(ValueError):
-            kpi(table2, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            kpi(table2, rel_tol=0.5)
-
     def test_two_codewords_suffice(self):
         pair = np.array([[[1.0 + 0j], [-1.0 + 0j]]])
         report = kpi(CodebookSet(pair))
         assert report.d_e_min == pytest.approx(2.0)
         assert report.tau_e >= 1 and report.tau_p >= 1
+
+    def test_identical_codewords_have_no_product_distance(self):
+        pair = np.array([[[1.0 + 0j], [1.0 + 0j]]])
+        report = kpi(CodebookSet(pair))
+        assert (report.d_e_min, report.tau_e) == (0.0, 1)
+        assert (report.d_p_min, report.tau_p) == (0.0, 0)
 
 
 class TestSuperimposedPoints:

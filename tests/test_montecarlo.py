@@ -238,14 +238,16 @@ class TestBound:
     given here as ``n / (frames * J)`` for an error count ``n``."""
 
     def test_reached_bound_stops_early(self, table2, detector_calls):
+        """Also for a bound between two error counts, ``n + 0.25``."""
         full = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21)
-        n = full.symbol_errors // 3
-        bound = n / (4000 * table2.config.J)
-        est = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21, bound=bound)
-        assert est.symbol_errors >= n
-        assert est.frames < 4000
-        assert est.ser >= bound
-        assert sum(detector_calls) == 4000 + est.frames
+        for n in (full.symbol_errors // 3, full.symbol_errors // 3 + 0.25):
+            detector_calls.clear()
+            bound = n / (4000 * table2.config.J)
+            est = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21, bound=bound)
+            assert est.symbol_errors >= n
+            assert est.frames < 4000
+            assert est.ser >= bound
+            assert sum(detector_calls) == est.frames
 
     def test_unreached_bound_gives_the_unbounded_estimate(self, table2):
         for channel, frames in (("awgn", 9000), ("rayleigh", 5000)):

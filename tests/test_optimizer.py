@@ -47,9 +47,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             plain_config(c_r=1.5)
 
-    @pytest.mark.parametrize("value", [11, 12.0])
+    @pytest.mark.parametrize("value", [12.0])
     def test_even_dimension(self, value):
-        with pytest.raises(ValueError, match="d must be"):
+        with pytest.raises(ValueError, match="d must be an integer >= 0"):
             plain_config(d=value)
 
     @pytest.mark.parametrize("field,value", [
@@ -67,9 +67,16 @@ class TestConfigValidation:
             plain_config(alpha=value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_ebn0_rejected(self, value):
-        with pytest.raises(ValueError, match="ebn0_db must be finite"):
-            ObjectiveConfig(ebn0_db=value)
+    def test_non_finite_ebn0_rejected(self, value, monkeypatch):
+        """``optimize`` checks Eb/N0 with ``ebn0_to_n0`` before any
+        renormalization."""
+        def spy(*args):
+            raise AssertionError("normalize was called")
+
+        monkeypatch.setattr(opt, "normalize", spy)
+        cfg = plain_config(eval=ObjectiveConfig(ebn0_db=value))
+        with pytest.raises(ValueError, match=r"Eb/N0 .* is out of range"):
+            optimize(SIX_BY_FOUR, cfg)
 
     def test_crn_mode_names(self):
         with pytest.raises(ValueError):
@@ -113,15 +120,21 @@ class TestInitPopulation:
         # rescaling a parameter pair never pushes a magnitude past 1
         assert np.abs(pop.rows).max() <= 1.5
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("name,d,err", [
+        ("12x6", 12, "needs 8 parameters, got 6"),
+        ("6x4", 11, "length must be even, got 11"),
+        ("6x4", 0, "needs 6 parameters, got 0"),
+        ("6x4", 14, "needs 6 parameters, got 7"),
+    ], ids=["12x6-d12", "6x4-d11", "6x4-d0", "6x4-d14"])
+    def test_dimension_mismatch_rejected(self, name, d, err):
         """The first renormalization rejects the row length, so the
         objective never sees a row."""
         def objective(row: np.ndarray, bound: float) -> float:
             raise AssertionError("the objective was called")
 
-        t = builtin_template("12x6")
-        with pytest.raises(MalformedParameterError, match="needs 8 parameters, got 6"):
-            init_population(plain_config(d=12), t, de_rng(0), objective)
+        t = builtin_template(name)
+        with pytest.raises(MalformedParameterError, match=err):
+            init_population(plain_config(d=d), t, de_rng(0), objective)
 
 
 class TestDonors:

@@ -291,6 +291,20 @@ class TestNormalize:
         assert residual == np.abs(codeword_norms(t, out) - 1).max()
         assert residual < structure.NORMALIZE_TOL
 
+    @pytest.mark.parametrize("name", ["6x4", "12x6"])
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-310, 5e-324])
+    def test_underflowing_codeword_normalized(self, name, tiny):
+        """With a2 = a4 tiny and the rest 1, the codeword of a2 and a4 alone
+        has squares that underflow to a zero norm.  Dividing by a subnormal
+        largest magnitude gave inf+nanj, an overflow RuntimeWarning and a
+        DegenerateParameterError; a power-of-two shift is exact."""
+        t = builtin_template(name)
+        a = np.ones(t.num_params, complex)
+        a[[1, 3]] = tiny
+        out, residual = normalize(t, a)
+        assert residual == np.abs(codeword_norms(t, out) - 1).max()
+        assert residual < structure.NORMALIZE_TOL
+
     def test_zero_pair_raises(self):
         t = builtin_template("6x4")
         a = np.array([0, 1, 0, 1, 1, 1], dtype=complex)  # user 1 pairs a1 with a3
