@@ -6,9 +6,10 @@ One recursion yields all d_f outgoing messages of a resource from its
 M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
 so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}; each
-contraction is one ``np.einsum``.  The tables are built once per call, each
-exponent shifted by its per-(frame, resource) maximum, which cancels in the
-normalization and keeps the linear kernel alive at very small noise levels.
+contraction is one ``np.einsum``, except on AWGN (below).  The tables are
+built once per call, each exponent shifted by its per-(frame, resource)
+maximum, which cancels in the normalization and keeps the linear kernel
+alive at very small noise levels.
 The K_d resources of one degree d_f keep theirs in one (M, ..., M, K_d,
 frames) array, so one recursion serves the whole degree group; the resource
 axis sits just before frames because a leading one made the einsums slower
@@ -38,7 +39,9 @@ from ~65 to ~18 MiB.
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
 would take another path and round differently, is detected as two copies of
-its frame.
+its frame.  The AWGN path's matmul hands frames to BLAS as the columns of
+one product; a column's entries are sums over the M rows of one frame, and
+the kernels round them the same way at any column count from 2 up.
 
 A sum term is lost or coarsely rounded only below the normal range
 (``tiny`` ~2.2e-308), and arithmetic on such subnormal numbers is many times
@@ -51,6 +54,45 @@ stay normal while the messages' product stays above sqrt(tiny).  Each
 flushed entry was below sqrt(tiny), and the incoming messages are at most 1,
 so flushing moves each of the M^{d_f - 1} terms of an unnormalised message
 entry by less than sqrt(tiny).
+
+On AWGN the tables factor.  With u_p[m] = 2 Re(conj(y) s_p[m]) / n0 for the
+codeword entries s_p of slot p, -|y - S[m]|^2 / n0 = -|y|^2 / n0 +
+sum_p u_p[m_p] - |S[m]|^2 / n0, and |y|^2 cancels in the normalization.  So
+each edge keeps A_p = exp(u_p - max u_p), (M, frames), and each resource one
+frame-free table B[m] = exp(-(|S[m]|^2 - min |S|^2) / n0) and a per-frame
+scale c = exp((|S[m*]|^2 - min |S|^2) / n0), m* the per-slot argmax of u.
+The message to slot p is c A_p times the sum of B[m] prod_{j != p} (A_j
+q_j)[m_j]: a sweep multiplies Q by A into a buffer, runs the recursion on B,
+and multiplies R by A c.  B has no frame axis, so the first contraction of
+each half of the recursion, over its last dropped slot, is one batched
+``np.matmul`` over the group's resources, and the recursion goes on from its
+output.  Before the flush, A_1 ... A_d B c is the max-shifted table times
+e^delta per (resource, frame), where delta >= 0 because the per-slot maxima
+bound the joint one; and it is at most e^spread, a resource's spread being
+(max - min |S|^2) / n0.  Each A_p flushes at ``FLUSH_FLOOR`` minus its
+resource's spread: a flushed entry gives terms below sqrt(tiny) after the
+scale, as a flushed table entry does, and the max-shifted table entry of
+each such term is at most sqrt(tiny) e^-delta, so it is flushed on the
+table path too.  Each factored message is therefore at least the table
+path's message times e^delta >= 1, up to rounding: the rescue test below
+fires no more often, and its bound holds as stated.
+
+The factored path needs products formed before the scale to stay normal.
+A term the bound keeps, at least sqrt(tiny) after the scale, is at least
+sqrt(tiny) e^-spread before it, which is normal while spread < -log(tiny) /
+2 ~ 354.2 nats; and a term lost to underflow before the scale is below
+tiny e^spread after it, under the sqrt(tiny) the flush loses.  So the path
+runs only while every resource's spread is at most ``FACTOR_MAX_SPREAD`` =
+320, which leaves e^34 ~ 6e14 of headroom; kept A entries are then at least
+e^-674, still normal.  It admits ``table2_awgn_6x4`` to 15 dB (284 nats)
+and ``table5_awgn_12x6`` to 12 dB (279 nats), the paper's design point.
+Above it, or with fading gains, whose cross terms are per frame, the call
+uses the tables above.  The spread depends only on (codebook, n0), so a
+frame's beliefs still do not depend on the call; it is tested as
+max - min of |S|^2 against FACTOR_MAX_SPREAD * n0, which cannot overflow at
+a subnormal n0.  A slab's A, A c, folded messages and matmul output are
+views of one workspace, for the reason the table path keeps one buffer per
+degree group.
 
 Sum-product has one path: the linear kernel plus a rescue.  While every
 unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-96),
@@ -79,6 +121,11 @@ RESCUE_FLOOR = 1e-96
 # table exponents at or below this flush to 0 in the linear table, so every
 # kept entry is at least sqrt(tiny); see the module docstring
 FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
+
+# the AWGN tables stay factored while no resource's spread, (max - min of
+# |S|^2 over its hypotheses) / n0, exceeds this many nats; see the module
+# docstring
+FACTOR_MAX_SPREAD = 320.0
 
 # bytes one resource's weight table may take per slab: the 2 MiB per-core L2
 # cache of the machine the slab size was measured on; see the module docstring
@@ -160,10 +207,13 @@ def _log_weights(
     return np.subtract(diff, diff.max(axis=tuple(range(d)), keepdims=True), out=A)
 
 
-def _flushed_exp(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(A), with every entry at or below ``FLUSH_FLOOR`` set to exactly 0
-    instead of a subnormal or zero result; out may be A itself."""
-    keep = A > FLUSH_FLOOR
+def _flushed_exp(
+    A: np.ndarray, out: np.ndarray | None = None, floor: float | np.ndarray = FLUSH_FLOOR
+) -> np.ndarray:
+    """exp(A), with every entry at or below ``floor`` (``FLUSH_FLOOR``, or an
+    array that broadcasts against A and is no lower than log(tiny)) set to
+    exactly 0 instead of a subnormal or zero result; out may be A itself."""
+    keep = A > floor
     if keep.all():
         return np.exp(A, out=out)
     # np.exp is slow on inputs whose result underflows, and a masked
@@ -172,7 +222,7 @@ def _flushed_exp(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # all normal; the clamp also keeps -inf from turning NaN.  The product is
     # a call, not `out *= keep`, which measured ~0.4 MB more peak RSS on the
     # DE benchmark (numpy 2.4.6, cause unknown)
-    out = np.maximum(A, FLUSH_FLOOR, out=out)
+    out = np.maximum(A, floor, out=out)
     np.exp(out, out=out)
     np.multiply(out, keep, out=out)
     return out
@@ -209,6 +259,33 @@ def _sum_product(T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray]) -
             _contract(T, msgs, drop, out[lo])
         else:
             _sum_product(_contract(T, msgs, drop), msgs[lo:hi], out[lo:hi])
+
+
+def _matmul_sum_product(
+    B: tuple[np.ndarray, ...], msgs: list[np.ndarray], out: list[np.ndarray], buf: np.ndarray
+) -> None:
+    """``_sum_product`` on a degree group's frame-free AWGN tables: B holds,
+    per half of the slots, the (resources, M^{d-1}, M) layout of the tables
+    whose last axis is the half's last dropped slot, or for one slot the
+    (resources, M) tables.  Each half contracts that slot with one batched
+    ``np.matmul`` into ``buf``, then goes on as ``_sum_product`` does on the
+    (slots..., resources, frames) view of the result."""
+    n, (K, M, frames) = len(msgs), msgs[0].shape
+    if n == 1:
+        np.copyto(out[0], B[0].reshape(K, M, 1))
+        return
+    h = n // 2
+    for (lo, hi), Bh in zip(((0, h), (h, n)), B):
+        drop = [a for a in range(n) if not lo <= a < hi]
+        part = np.matmul(Bh, msgs[drop[-1]], out=buf[:Bh.size // M * frames].reshape(
+            K, -1, frames))
+        part = np.moveaxis(part.reshape(K, *(M,) * (n - 1), frames), 0, -2)
+        rest = msgs[:drop[-1]] + msgs[drop[-1] + 1:]
+        if hi - lo == 1:
+            _contract(part, rest, drop[:-1], out[lo])
+        else:
+            _sum_product(_contract(part, rest, drop[:-1]) if drop[:-1] else part,
+                         msgs[lo:hi], out[lo:hi])
 
 
 def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -254,6 +331,81 @@ def _check_inputs(
         raise ValueError("channel gains contain non-finite values")
 
 
+def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
+    """Per degree group, in edge order, the frame-free part of its AWGN
+    tables, or None if some resource's spread exceeds ``FACTOR_MAX_SPREAD``.
+
+    A group's entry is (d, D, B): D is the (K_d, M^d) array of
+    (|S[m]|^2 - min |S|^2) / n0 over each resource's hypotheses m, and B its
+    tables exp(-D) laid out for ``_matmul_sum_product``.  The guard compares
+    max - min of |S|^2 with FACTOR_MAX_SPREAD * n0, which cannot overflow."""
+    books, g, M = cbs.books, cbs.graph, cbs.config.M
+    out = []
+    for d in sorted(set(g.row_degrees.tolist())):
+        ks = np.flatnonzero(g.row_degrees == d)
+        norm2 = 0.0
+        for part in (np.real, np.imag):
+            S = 0.0
+            for p in range(d):
+                shape = [ks.size] + [1] * d
+                shape[1 + p] = M
+                S = S + part(books[g.edge_user[g.res_start[ks] + p], :, ks]).reshape(shape)
+            norm2 = norm2 + S * S
+        norm2 = norm2.reshape(ks.size, -1)
+        lo = norm2.min(axis=1, keepdims=True)
+        if (norm2.max(axis=1, keepdims=True) - lo > FACTOR_MAX_SPREAD * n0).any():
+            return None
+        D = np.divide(norm2 - lo, n0)
+        B = np.exp(-D).reshape((ks.size,) + (M,) * d)
+        h = d // 2
+        # each half's last dropped slot moved to the last axis
+        layouts = (B,) if d == 1 else (B, np.moveaxis(B, h, -1))
+        out.append((d, D, tuple(np.ascontiguousarray(b).reshape(ks.size, -1, M)
+                                for b in layouts)))
+    return out
+
+
+def _awgn_edges(
+    y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple]
+) -> tuple[np.ndarray, ...]:
+    """(A, Ac, P, buf) of one slab on the factored AWGN path, views of one
+    workspace.  A is (E, M, frames): exp(u - max u) per edge, with
+    u = 2 Re(conj(y) s) / n0 formed as 2 (v - max v) / n0 from
+    v = Re(conj(y) s), flushed at ``FLUSH_FLOOR`` minus its resource's
+    spread.  Ac is A times its resource's per-frame scale exp(D[m*]), m* the
+    per-slot argmax of v.  P, the messages times A, and buf, the matmul
+    output, are left for the sweeps; see the module docstring."""
+    g, M, frames, E = cbs.graph, cbs.config.M, y.shape[0], cbs.graph.edge_user.size
+    order = np.argsort(g.res_start)
+    edge_res = np.repeat(order, g.row_degrees[order])
+    s = cbs.books[g.edge_user, :, edge_res][:, :, None]
+    yt = y[:, edge_res].T[:, None, :]
+    n = E * M * frames
+    ws = np.empty(3 * n + max(D.size // M for _, D, _ in awgn) * frames)
+    A, Ac, P = (ws[i * n:(i + 1) * n].reshape(E, M, frames) for i in range(3))
+    np.multiply(np.ascontiguousarray(s.real), np.ascontiguousarray(yt.real), out=A)
+    A += np.multiply(np.ascontiguousarray(s.imag), np.ascontiguousarray(yt.imag), out=Ac)
+    best = A.argmax(axis=1)
+    A -= A.max(axis=1, keepdims=True)
+    A *= 2.0
+    A /= n0
+    spread = np.concatenate([np.repeat(D.max(axis=1), d) for d, D, _ in awgn])
+    _flushed_exp(A, out=A, floor=(FLUSH_FLOOR - spread)[:, None, None])
+    start = 0
+    for d, D, _ in awgn:
+        K = D.shape[0]
+        e = slice(start, start + K * d)
+        m = best[e].reshape(K, d, frames)
+        flat = m[:, 0]
+        for p in range(1, d):
+            flat = flat * M + m[:, p]
+        scale = np.exp(np.take_along_axis(D, flat, axis=1))
+        np.multiply(A[e].reshape(K, d, M, frames), scale[:, None, None, :],
+                    out=Ac[e].reshape(K, d, M, frames))
+        start = e.stop
+    return A, Ac, P, ws[3 * n:]
+
+
 def _slabs(frames: int, frame_bytes: int) -> list[slice]:
     """The fewest consecutive near-equal slices covering range(frames), each
     of at most max(1, SLAB_BYTES // frame_bytes) frames; one empty slice for
@@ -284,6 +436,7 @@ def mpa_detect_batch(
     g, M = cbs.graph, cbs.config.M
     if not (g.row_degrees.all() and g.col_degrees.all()):
         raise ValueError("factor matrix has an isolated row or column")
+    awgn = _awgn_tables(cbs, n0) if h is None else None
     out = None
     for f in _slabs(y.shape[0], 8 * M ** int(g.row_degrees.max())):
         # a lone frame is detected as two copies of itself; see the module
@@ -291,7 +444,7 @@ def mpa_detect_batch(
         n = f.stop - f.start
         rows = [f.start] * 2 if n == 1 else f
         hf = None if h is None else h[rows]
-        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg).transpose(2, 0, 1)[:n]
+        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg, awgn).transpose(2, 0, 1)[:n]
         if out is None:
             # allocated once the first slab's tables are freed, so a block of
             # one slab peaks no higher than its detection
@@ -306,8 +459,10 @@ def _detect_slab(
     h: np.ndarray | None,
     n0: float,
     cfg: MpaConfig,
+    awgn: list[tuple] | None,
 ) -> np.ndarray:
-    """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs."""
+    """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs,
+    from the factored tables ``awgn`` of ``_awgn_tables`` unless None."""
     books, g = cbs.books, cbs.graph
     M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
@@ -321,15 +476,23 @@ def _detect_slab(
     # place from the log tables, and the group's contiguous edges.  A graph
     # of one degree holds all its tables in one buffer: freeing a buffer this
     # large raises glibc's mmap and trim thresholds above what a call frees,
-    # so later calls reuse heap pages instead of mapping fresh ones
+    # so later calls reuse heap pages instead of mapping fresh ones.  On the
+    # factored AWGN path a group's tables are its frame-free layouts from
+    # ``awgn``, and the slab's per-edge arrays share one workspace likewise
     groups = []
-    for d in sorted(set(g.row_degrees.tolist())):
+    for i, d in enumerate(sorted(set(g.row_degrees.tolist()))):
         ks = np.flatnonzero(g.row_degrees == d)
-        T = np.empty((M,) * d + (ks.size, frames))
-        for i, k in enumerate(ks):
-            log_table(k, out=T[..., i, :])
         e = slice(g.res_start[ks[0]], g.res_start[ks[0]] + ks.size * d)
-        groups.append((ks, e, _flushed_exp(T, out=T)))
+        if awgn is None:
+            T = np.empty((M,) * d + (ks.size, frames))
+            for j, k in enumerate(ks):
+                log_table(k, out=T[..., j, :])
+            T = _flushed_exp(T, out=T)
+        else:
+            T = awgn[i][2]
+        groups.append((ks, e, T))
+    if awgn is not None:
+        A, Ac, P, buf = _awgn_edges(y, cbs, n0, awgn)
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
@@ -345,9 +508,14 @@ def _detect_slab(
         rescue = []
         for ks, e, T in groups:
             # the group's (d, K_d, M, frames) messages, views of Q and R
-            Qd, Rd = (m[e].reshape(ks.size, T.ndim - 2, M, frames).swapaxes(0, 1)
-                      for m in (Q, R))
-            _sum_product(T, list(Qd), list(Rd))
+            Qd, Rd = (m[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1) for m in (Q, R))
+            if awgn is None:
+                _sum_product(T, list(Qd), list(Rd))
+            else:
+                np.multiply(Q[e], A[e], out=P[e])
+                Pd = P[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1)
+                _matmul_sum_product(T, list(Pd), list(Rd), buf)
+                R[e] *= Ac[e]
             # resources and frames to rescue, read before R is normalised
             low = (Rd.max(axis=2) < RESCUE_FLOOR).any(axis=0)
             if low.any():

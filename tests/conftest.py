@@ -6,8 +6,10 @@ import pytest
 
 from scma.core import CodebookSet, superpositions
 from scma.detector import (
+    FLUSH_FLOOR,
     RESCUE_FLOOR,
     MpaConfig,
+    _awgn_tables,
     _check_inputs,
     _edge_product,
     _flushed_exp,
@@ -176,9 +178,45 @@ def _sum_product(T, msgs):
             + _sum_product(_contract(T, msgs, range(h)), msgs[h:]))
 
 
-def _per_resource_slab(y, cbs, h, n0, cfg):
+def _matmul_sum_product(B, msgs):
+    """The outgoing messages of one resource from its frame-free AWGN table,
+    laid out per half as ``_awgn_tables`` does: each half contracts its last
+    dropped slot with one matmul, then goes on as ``_sum_product``."""
+    n, (M, frames) = len(msgs), msgs[0].shape
+    if n == 1:
+        return [np.broadcast_to(B[0].reshape(M, 1), (M, frames))]
+    h, out = n // 2, []
+    for (lo, hi), Bh in zip(((0, h), (h, n)), B):
+        drop = [a for a in range(n) if not lo <= a < hi]
+        part = np.matmul(Bh, msgs[drop[-1]]).reshape((M,) * (n - 1) + (frames,))
+        rest = msgs[:drop[-1]] + msgs[drop[-1] + 1:]
+        out += _sum_product(_contract(part, rest, drop[:-1]), msgs[lo:hi])
+    return out
+
+
+def _factors(y_col, s, D, n0):
+    """(A, A times the scale) of one resource's (d, M) codeword entries s
+    on the factored AWGN path: A = exp(2 (v - max v) / n0) per slot with
+    v = Re(conj(y) s), flushed at FLUSH_FLOOR minus the resource's spread,
+    and the scale exp(D) at the per-slot argmax of v."""
+    d, M = s.shape
+    v = (np.ascontiguousarray(s.real)[:, :, None] * np.ascontiguousarray(y_col.real)
+         + np.ascontiguousarray(s.imag)[:, :, None] * np.ascontiguousarray(y_col.imag))
+    best = v.argmax(axis=1)
+    v -= v.max(axis=1, keepdims=True)
+    v *= 2.0
+    v /= n0
+    A = _flushed_exp(v, out=v, floor=FLUSH_FLOOR - D.max())
+    flat = best[0]
+    for p in range(1, d):
+        flat = flat * M + best[p]
+    return A, A * np.exp(D[flat])
+
+
+def _per_resource_slab(y, cbs, h, n0, cfg, factored):
     """(J, M, frames) beliefs of one slab, one resource update at a time,
-    with edges numbered row by row of F."""
+    with edges numbered row by row of F; ``factored`` maps each resource to
+    its frame-free AWGN (D, B), or is empty for today's tables."""
     books, F = cbs.books, np.asarray(cbs.factor_matrix)
     (K, J), M, frames = F.shape, cbs.config.M, y.shape[0]
     rows, edge_user = np.nonzero(F)
@@ -195,13 +233,22 @@ def _per_resource_slab(y, cbs, h, n0, cfg):
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
                                       for j in edge_user[edges[k]]], n0)
 
-    tables = [_flushed_exp(t, out=t) for t in map(log_table, range(K))]
+    if factored:
+        tables = [_factors(y[:, k], books[edge_user[edges[k]], :, k], factored[k][0], n0)
+                  for k in range(K)]
+    else:
+        tables = [_flushed_exp(t, out=t) for t in map(log_table, range(K))]
     Q = np.full((E + 1, M, frames), 1.0 / M)
     R = np.ones_like(Q)
     others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for _ in range(cfg.iterations):
         for k, e in enumerate(edges):
-            raw = np.stack(_sum_product(tables[k], list(Q[e])), out=R[e])
+            if factored:
+                A, Ac = tables[k]
+                raw = np.stack(_matmul_sum_product(factored[k][1], list(Q[e] * A)), out=R[e])
+                raw *= Ac
+            else:
+                raw = np.stack(_sum_product(tables[k], list(Q[e])), out=R[e])
             low = np.flatnonzero((raw.max(axis=1) < RESCUE_FLOOR).any(axis=0))
             _normalize_rows(raw)
             if len(low):
@@ -215,13 +262,18 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     """Sum-product beliefs (frames, J, M) from the detector's kernel with one
     update per resource and one normalisation per resource, in the same
     frame slabs as ``mpa_detect_batch``; a lone frame is detected as two
-    copies of itself."""
+    copies of itself.  On AWGN inside the detector's guard, each resource
+    keeps its table factored, as the detector's degree groups do."""
     y = np.asarray(y, dtype=np.complex128)
-    M = cbs.config.M
+    M, g = cbs.config.M, cbs.graph
+    factored = {}
+    for d, D, B in (_awgn_tables(cbs, n0) or []) if h is None else []:
+        for i, k in enumerate(np.flatnonzero(g.row_degrees == d)):
+            factored[k] = (D[i], tuple(b[i] for b in B))
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f in _slabs(y.shape[0], 8 * M ** int(cbs.graph.row_degrees.max())):
         n = f.stop - f.start
         rows = [f.start] * 2 if n == 1 else f
         hf = None if h is None else h[rows]
-        out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg).transpose(2, 0, 1)[:n]
+        out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg, factored).transpose(2, 0, 1)[:n]
     return out

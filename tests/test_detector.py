@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from scma import detector
 from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
-from scma.core import CodebookSet
+from scma.core import CodebookSet, superpositions
 from scma.detector import (
     FLUSH_FLOOR,
     MpaConfig,
@@ -374,6 +374,42 @@ class TestWeightTables:
         assert np.array_equal(hard_decision(beliefs), symbols)
 
 
+class TestFactoredTables:
+    """The factored AWGN tables against the tables they replace."""
+
+    @pytest.mark.parametrize("name,ebn0_db", [
+        ("table2_awgn_6x4", 0.0), ("table2_awgn_6x4", 8.0), ("table2_awgn_6x4", 15.0),
+        ("table5_awgn_12x6", 12.0), ("derive_8x4", 12.0),
+    ])
+    def test_product_is_the_table_times_a_frame_factor(self, name, ebn0_db):
+        """A_1 ... A_d B c is the flushed max-shifted table times one factor
+        per resource and frame, between 1 and e^spread, and is nonzero
+        wherever the table is."""
+        cbs = (derive_8x4(load_codebook("table2_awgn_6x4")) if name == "derive_8x4"
+               else load_codebook(name))
+        M, g = cbs.config.M, cbs.graph
+        n0 = ebn0_to_n0(ebn0_db, cbs.config)
+        _, _, y = draw_frame_block(cbs, "awgn", n0, 256, block_rng(36, 0, 0))
+        awgn = detector._awgn_tables(cbs, n0)
+        A, Ac, _, _ = detector._awgn_edges(y, cbs, n0, awgn)
+        for d, D, B in awgn:
+            for i, k in enumerate(np.flatnonzero(g.row_degrees == d)):
+                e0 = g.res_start[k]
+                prod = np.exp(-D[i]).reshape((M,) * d + (1,))
+                for p in range(d):
+                    shape = [1] * d + [256]
+                    shape[p] = M
+                    prod = prod * (Ac if p == 0 else A)[e0 + p].reshape(shape)
+                table = _flushed_exp(_log_weights(y[:, k], [cbs.books[j, :, k]
+                                                  for j in g.resource_users(k)], n0))
+                kept = table > 0.0
+                assert (prod[kept] > 0.0).all()
+                ratio = np.where(kept, prod / np.where(kept, table, 1.0), np.nan)
+                lo, hi = np.nanmin(ratio, axis=tuple(range(d))), np.nanmax(ratio, axis=tuple(range(d)))
+                assert (hi <= lo * (1 + 1e-12)).all()
+                assert (lo >= 1 - 1e-12).all() and (hi <= np.exp(D[i].max()) * (1 + 1e-12)).all()
+
+
 class TestFrameSlabs:
     """A 4096-frame 12x6 block is detected in four 1024-frame slabs."""
 
@@ -411,6 +447,26 @@ class TestFrameSlabs:
                 hi = None if h is None else h[i:i + 1]
                 got = mpa_detect_batch(y[i:i + 1], cbs, hi, n0)
                 assert got.tobytes() == whole[i].tobytes(), (ebno_db, i)
+
+    @pytest.mark.parametrize("name,ebn0_db,factored", [
+        ("table2_awgn_6x4", 8.0, True), ("table2_awgn_6x4", 20.0, False),
+        ("table5_awgn_12x6", 10.0, True), ("table5_awgn_12x6", 16.0, False),
+    ])
+    def test_awgn_beliefs_do_not_depend_on_the_call(self, name, ebn0_db, factored):
+        """Inside the guard the matmul hands frames to BLAS as the columns of
+        one product.  On both sides, calls of 1, 2, 3, 255 and 1024 frames,
+        some across the slab boundary, give the bytes of one two-slab call."""
+        cbs = load_codebook(name)
+        n0 = ebn0_to_n0(ebn0_db, cbs.config)
+        assert (detector._awgn_tables(cbs, n0) is not None) == factored
+        table_bytes = 8 * cbs.config.M ** int(cbs.graph.row_degrees.max())
+        two_slabs = detector.SLAB_BYTES // table_bytes + 1
+        _, _, y = draw_frame_block(cbs, "awgn", n0, two_slabs, block_rng(33, 0, 0))
+        whole = mpa_detect_batch(y, cbs, None, n0)
+        for size in (1, 2, 3, 255, 1024):
+            for lo in {0, 7, (two_slabs - size) // 2, two_slabs - size}:
+                got = mpa_detect_batch(y[lo:lo + size], cbs, None, n0)
+                assert got.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
 
     def test_slabs_are_near_equal(self, monkeypatch):
         for cap in (1, 2, 3, 5, 16):
@@ -530,6 +586,19 @@ ORACLE_SYSTEMS = [
 ]
 
 
+def awgn_spread_edge(cbs):
+    """The n0 at which the largest resource spread, (max - min of |S|^2) /
+    n0 over a resource's hypotheses, equals ``FACTOR_MAX_SPREAD``; the
+    factored AWGN path runs at this n0 and above."""
+    books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
+    widest = 0.0
+    for k in range(F.shape[0]):
+        users = np.flatnonzero(F[k])
+        norm2 = np.abs(superpositions(books[users][:, :, [k]])[:, 0]) ** 2
+        widest = max(widest, norm2.max() - norm2.min())
+    return widest / detector.FACTOR_MAX_SPREAD
+
+
 class TestPerResourceOracle:
     """The batched sweep gives the bytes of the per-resource sweep,
     ``conftest.per_resource_mpa``.  No digests: ``np.exp`` may round
@@ -561,6 +630,62 @@ class TestPerResourceOracle:
         got = mpa_detect_batch(y, table2, None, 1e-4)
         assert rescues
         assert got.tobytes() == per_resource_mpa(y, table2, None, 1e-4).tobytes()
+
+    @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table5_awgn_12x6", "derive_8x4"])
+    def test_both_sides_of_the_guard(self, name):
+        """300 frames just inside and just outside ``FACTOR_MAX_SPREAD``."""
+        cbs = (derive_8x4(load_codebook("table2_awgn_6x4")) if name == "derive_8x4"
+               else load_codebook(name))
+        edge = awgn_spread_edge(cbs)
+        for n0, factored in ((edge * (1 + 1e-9), True), (edge * (1 - 1e-9), False)):
+            assert (detector._awgn_tables(cbs, n0) is not None) == factored
+            _, _, y = draw_frame_block(cbs, "awgn", n0, 300, block_rng(32, 0, 0))
+            got = mpa_detect_batch(y, cbs, None, n0)
+            assert got.tobytes() == per_resource_mpa(y, cbs, None, n0).tobytes(), factored
+
+    @pytest.mark.parametrize("n0", [1e-3, 0.05, 1.0, 1e-310])
+    def test_degree_one_resources(self, n0):
+        """Resource 0 carries user 0 alone: factored at 0.05 and 1.0, on the
+        tables at 1e-3 and 1e-310, where most exponents overflow."""
+        cbs = tree_system(seed=8)
+        assert (detector._awgn_tables(cbs, n0) is not None) == (n0 >= 0.05)
+        _, _, y = draw_frame_block(cbs, "awgn", n0, 5, block_rng(34, 0, 0))
+        with np.errstate(over="ignore"):
+            got = mpa_detect_batch(y, cbs, None, n0)
+            assert got.tobytes() == per_resource_mpa(y, cbs, None, n0).tobytes()
+
+    def test_only_degree_one_resources_at_a_subnormal_n0(self):
+        """Each user alone on its resource with unit-modulus codewords: every
+        spread is 0, so even n0 = 1e-310 runs factored, and the overflowing
+        exponents flush instead of turning NaN."""
+        c = np.array([1, 1j, -1, -1j])
+        cbs = CodebookSet(np.stack([np.stack([c, 0 * c], -1), np.stack([0 * c, c], -1)]),
+                          np.eye(2, dtype=np.int64))
+        assert detector._awgn_tables(cbs, 1e-310) is not None
+        symbols, _, y = draw_frame_block(cbs, "awgn", 1e-4, 64, block_rng(35, 0, 0))
+        with np.errstate(over="ignore"):
+            got = mpa_detect_batch(y, cbs, None, 1e-310)
+            assert got.tobytes() == per_resource_mpa(y, cbs, None, 1e-310).tobytes()
+        assert np.array_equal(hard_decision(got), symbols)
+
+    def test_rescued_frame_on_the_factored_path(self, monkeypatch):
+        """A frame 20 times the size of a codeword sum: its two resources'
+        evidence for user 0 disagrees by hundreds of nats, while the spread
+        at n0 = 0.02 stays inside the guard.  The rescue runs and the
+        marginals stay exact."""
+        cbs = tree_system(seed=8)
+        books = np.asarray(cbs.books)
+        y = 20 * np.array([books[0, 1, 0], books[0, 3, 1] + books[1, 0, 1]])
+        assert detector._awgn_tables(cbs, 0.02) is not None
+        rescues = []
+        log_resource = detector._log_resource
+        monkeypatch.setattr(detector, "_log_resource",
+                            lambda *a: rescues.append(1) or log_resource(*a))
+        cfg = MpaConfig(iterations=4)
+        got = mpa_detect_batch(y[None], cbs, None, 0.02, cfg)
+        assert rescues
+        assert np.abs(got - brute_force_marginals(books, y, None, 0.02)).max() <= 1e-12
+        assert got.tobytes() == per_resource_mpa(y[None], cbs, None, 0.02, cfg).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_degree_systems(), st.sampled_from([1e-3, 0.05, 1.0]), st.integers(1, 4))
