@@ -200,8 +200,7 @@ def _factors(y_col, s, D, n0):
     v = Re(conj(y) s), flushed at FLUSH_FLOOR minus the resource's spread,
     and the scale exp(D) at the per-slot argmax of v."""
     d, M = s.shape
-    v = (np.ascontiguousarray(s.real)[:, :, None] * np.ascontiguousarray(y_col.real)
-         + np.ascontiguousarray(s.imag)[:, :, None] * np.ascontiguousarray(y_col.imag))
+    v = s.real[:, :, None] * y_col.real + s.imag[:, :, None] * y_col.imag
     best = v.argmax(axis=1)
     v -= v.max(axis=1, keepdims=True)
     v *= 2.0
@@ -266,10 +265,9 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     keeps its table factored, as the detector's degree groups do."""
     y = np.asarray(y, dtype=np.complex128)
     M, g = cbs.config.M, cbs.graph
-    factored = {}
-    for d, D, B in (_awgn_tables(cbs, n0) or []) if h is None else []:
-        for i, k in enumerate(np.flatnonzero(g.row_degrees == d)):
-            factored[k] = (D[i], tuple(b[i] for b in B))
+    awgn = _awgn_tables(cbs, n0) if h is None else None
+    factored = {k: (D[i], tuple(b[i] for b in B)) for d, D, B in awgn or []
+                for i, k in enumerate(np.flatnonzero(g.row_degrees == d))}
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f in _slabs(y.shape[0], 8 * M ** int(cbs.graph.row_degrees.max())):
         n = f.stop - f.start
