@@ -56,10 +56,12 @@ PIECE_STEP = 256
 @dataclass(frozen=True)
 class SerEstimate:
     """Monte-Carlo symbol-error-rate with its seed provenance.  It stores
-    what was counted, each user's symbol errors over ``frames`` frames; the
-    totals and the rates are computed from those counts."""
+    what was counted over ``frames`` frames: each user's symbol errors, and
+    ``frames_by_errors``, the number of frames with 0, 1, ..., J symbol
+    errors; the totals and the rates are computed from those counts."""
 
     per_user_errors: tuple[int, ...]
+    frames_by_errors: tuple[int, ...]
     frames: int
     seed: int
     ebn0_db: float
@@ -133,10 +135,10 @@ def estimate_ser(
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not target_errors >= 1:
         raise ValueError(f"target_errors must be >= 1, got {target_errors}")
-    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    n0, J = ebn0_to_n0(ebn0_db, cbs.config), cbs.config.J
     n_blocks = -(-frames // FRAME_BLOCK)
     # the fewest errors whose rate over the symbols asked reaches the bound
-    asked = frames * cbs.config.J
+    asked = frames * J
     goal = math.inf
     if bound <= 1:
         goal = round(bound * asked)
@@ -144,13 +146,14 @@ def estimate_ser(
             goal += 1
     stop = min(target_errors, goal)
 
-    def run_block(block: int, prior: int) -> tuple[np.ndarray, int]:
-        """Per-user errors and frames detected of one block, whose wave
-        started with ``prior`` errors."""
+    def run_block(block: int, prior: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Per-user errors, frames by error count and frames detected of one
+        block, whose wave started with ``prior`` errors."""
         nb = min(FRAME_BLOCK, frames - block * FRAME_BLOCK)
         rng = block_rng(seed, stream, block)
         symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
-        errs = np.zeros(cbs.config.J, dtype=np.int64)
+        errs = np.zeros(J, dtype=np.int64)
+        hist = np.zeros(J + 1, dtype=np.int64)
         done = 0
         while done < nb:
             found = int(errs.sum())
@@ -158,12 +161,13 @@ def estimate_ser(
                 done, found, goal - prior - found, nb - done)
             f = slice(done, done + n)
             hf = None if h is None else h[f]
-            decided = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa))
-            errs += (decided != symbols[f]).sum(axis=0)
+            wrong = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
+            errs += wrong.sum(axis=0)
+            hist += np.bincount(wrong.sum(axis=1), minlength=J + 1)
             done += n
             if prior + errs.sum() >= goal:
                 break
-        return errs, done
+        return errs, hist, done
 
     def in_block_order(run):
         for first in range(0, n_blocks, threads):
@@ -173,16 +177,19 @@ def estimate_ser(
             # failing block always raises
             yield from list(run(run_block, wave, repeat(int(per_user.sum()))))
 
-    per_user = np.zeros(cbs.config.J, dtype=np.int64)
+    per_user = np.zeros(J, dtype=np.int64)
+    by_errors = np.zeros(J + 1, dtype=np.int64)
     detected = 0
     # no pool at 1 worker: its thread's malloc arena costs de-6x4-awgn 12-16 MB RSS
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for user_errs, done in in_block_order(pool.map if pool else map):
+        for user_errs, hist, done in in_block_order(pool.map if pool else map):
             per_user += user_errs
+            by_errors += hist
             detected += done
             if per_user.sum() >= stop:
                 break
-    return SerEstimate(tuple(per_user.tolist()), detected, seed, float(ebn0_db), channel)
+    return SerEstimate(tuple(per_user.tolist()), tuple(by_errors.tolist()), detected, seed,
+                       float(ebn0_db), channel)
 
 
 def sweep_ser(

@@ -325,12 +325,13 @@ class TestBound:
 
 
 class TestDerivedValues:
-    """An estimate stores its per-user error counts; the totals and the
-    rates are computed from them."""
+    """An estimate stores its per-user error counts and its frames by error
+    count; the totals and the rates are computed from them."""
 
     def test_stores_only_what_was_measured(self):
         names = [f.name for f in dataclasses.fields(mc.SerEstimate)]
-        assert names == ["per_user_errors", "frames", "seed", "ebn0_db", "channel"]
+        assert names == ["per_user_errors", "frames_by_errors", "frames", "seed", "ebn0_db",
+                         "channel"]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("fixture_id,channel,ebn0_db", [
@@ -348,6 +349,8 @@ class TestDerivedValues:
         assert counts == tuple(errs.sum(axis=0).tolist())
         assert sum(counts) == est.symbol_errors > 0
         J = cbs.config.J
+        assert est.frames_by_errors == tuple(np.bincount(errs.sum(axis=1), minlength=J + 1))
+        assert all(type(c) is int for c in est.frames_by_errors)
         assert est.symbols_sent == frames * J
         assert [r.hex() for r in est.per_user_ser] == [(c / frames).hex() for c in counts]
         assert est.ser.hex() == (sum(counts) / (frames * J)).hex()

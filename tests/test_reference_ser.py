@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from scma.fixtures import load_codebook
+from scma.montecarlo import estimate_ser
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "runs" / "reference_ser"
 _spec = importlib.util.spec_from_file_location("record", REFERENCE_DIR / "record.py")
@@ -32,7 +33,8 @@ _spec.loader.exec_module(record)
 GATE_SEED = 27_182_818
 GATE_FRAMES = {"table2_awgn_6x4": 16384, "table5_awgn_12x6": 8192}
 FAMILY_FALSE_ALARM = 1e-4
-POINTS = [(name, ebn0_db) for name, pts in record.POINTS.items() for ebn0_db in pts]
+POINTS = [(name, channel, ebn0_db) for name, (channel, pts) in record.POINTS.items()
+          for ebn0_db in pts]
 Z = NormalDist().inv_cdf(1.0 - FAMILY_FALSE_ALARM / (2 * len(POINTS)))
 
 
@@ -59,15 +61,16 @@ class TestReferenceCurves:
     @pytest.mark.parametrize("name", sorted(record.POINTS))
     def test_files_hold_the_recorded_points(self, name):
         J = load_codebook(name).config.J
-        for ebn0_db in record.POINTS[name]:
+        for ebn0_db in record.POINTS[name][1]:
             hist = reference_histogram(name, ebn0_db)
             assert hist.size == J + 1
             assert hist @ np.arange(J + 1) >= record.MIN_ERRORS
 
-    @pytest.mark.parametrize("name,ebn0_db", POINTS)
-    def test_sweep_matches_reference(self, name, ebn0_db):
-        cbs = load_codebook(name)
-        got = record.frame_error_histogram(cbs, ebn0_db, GATE_SEED, frames=GATE_FRAMES[name])
+    @pytest.mark.parametrize("name,channel,ebn0_db", POINTS)
+    def test_sweep_matches_reference(self, name, channel, ebn0_db):
+        est = estimate_ser(load_codebook(name), ebn0_db, channel, GATE_FRAMES[name],
+                           seed=GATE_SEED)
+        got = np.array(est.frames_by_errors)
         z = clustered_z(reference_histogram(name, ebn0_db), got)
         assert abs(z) < Z, f"{name} at {ebn0_db} dB: z = {z:.2f}, limit {Z:.2f}"
 
