@@ -89,7 +89,9 @@ class FactorGraph:
     degree that is row by row.  ``edge_user[e]`` is the user of edge e.  Row
     j of the (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in
     ascending resource order, padded with the index E; a message array with
-    E + 1 rows keeps row E for that padding."""
+    E + 1 rows keeps row E for that padding.  ``groups`` holds one (d,
+    resources, edges) entry per degree group, in edge order: the degree, the
+    group's resources in ascending order and the slice of its edges."""
 
     F: np.ndarray
     row_degrees: np.ndarray = field(init=False)
@@ -97,6 +99,7 @@ class FactorGraph:
     res_start: np.ndarray = field(init=False)
     edge_user: np.ndarray = field(init=False)
     user_edges: np.ndarray = field(init=False)
+    groups: tuple[tuple[int, np.ndarray, slice], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         F = np.asarray(self.F)
@@ -122,6 +125,12 @@ class FactorGraph:
                             ("col_degrees", col_degrees), ("res_start", res_start),
                             ("edge_user", cols), ("user_edges", user_edges)):
             object.__setattr__(self, name, _frozen(value))
+        groups = []
+        for d in sorted(set(row_degrees.tolist())):
+            ks = np.flatnonzero(row_degrees == d)
+            start = int(res_start[ks[0]])
+            groups.append((d, _frozen(ks), slice(start, start + ks.size * d)))
+        object.__setattr__(self, "groups", tuple(groups))
 
     def resource_edges(self, k: int) -> slice:
         """The edges of resource k."""

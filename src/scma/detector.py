@@ -113,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CodebookSet, _require_int
+from .core import CodebookSet, _require_int, superpositions
 
 # rescue threshold on a message's peak; see the module docstring
 RESCUE_FLOOR = 1e-96
@@ -332,26 +332,20 @@ def _check_inputs(
 
 
 def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
-    """Per degree group, in edge order, the frame-free part of its AWGN
+    """Per degree group of ``cbs.graph``, the frame-free part of its AWGN
     tables, or None if some resource's spread exceeds ``FACTOR_MAX_SPREAD``.
 
-    A group's entry is (d, D, B): D is the (K_d, M^d) array of
+    A group's entry is (D, B): D is the (K_d, M^d) array of
     (|S[m]|^2 - min |S|^2) / n0 over each resource's hypotheses m, and B its
     tables exp(-D) laid out for ``_matmul_sum_product``.  The guard compares
     max - min of |S|^2 with FACTOR_MAX_SPREAD * n0, which cannot overflow."""
-    books, g, M = cbs.books, cbs.graph, cbs.config.M
+    g, M = cbs.graph, cbs.config.M
     out = []
-    for d in sorted(set(g.row_degrees.tolist())):
-        ks = np.flatnonzero(g.row_degrees == d)
-        norm2 = 0.0
-        for part in (np.real, np.imag):
-            S = 0.0
-            for p in range(d):
-                shape = [ks.size] + [1] * d
-                shape[1 + p] = M
-                S = S + part(books[g.edge_user[g.res_start[ks] + p], :, ks]).reshape(shape)
-            norm2 = norm2 + S * S
-        norm2 = norm2.reshape(ks.size, -1)
+    for d, ks, e in g.groups:
+        # each resource's (d, M) slot entries, hypotheses in their order
+        users = g.edge_user[e].reshape(ks.size, d).T
+        S = superpositions(cbs.books[users, :, ks].transpose(0, 2, 1)).T
+        norm2 = S.real * S.real + S.imag * S.imag
         lo = norm2.min(axis=1, keepdims=True)
         if (norm2.max(axis=1, keepdims=True) - lo > FACTOR_MAX_SPREAD * n0).any():
             return None
@@ -360,8 +354,8 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
         h = d // 2
         # each half's last dropped slot moved to the last axis
         layouts = (B,) if d == 1 else (B, np.moveaxis(B, h, -1))
-        out.append((d, D, tuple(np.ascontiguousarray(b).reshape(ks.size, -1, M)
-                                for b in layouts)))
+        out.append((D, tuple(np.ascontiguousarray(b).reshape(ks.size, -1, M)
+                             for b in layouts)))
     return out
 
 
@@ -376,12 +370,11 @@ def _awgn_edges(
     per-slot argmax of v.  P, the messages times A, and buf, the matmul
     output, are left for the sweeps; see the module docstring."""
     g, M, frames, E = cbs.graph, cbs.config.M, y.shape[0], cbs.graph.edge_user.size
-    order = np.argsort(g.res_start)
-    edge_res = np.repeat(order, g.row_degrees[order])
+    edge_res = np.concatenate([np.repeat(ks, d) for d, ks, _ in g.groups])
     s = cbs.books[g.edge_user, :, edge_res][:, :, None]
     yt = y[:, edge_res].T[:, None, :]
     n = E * M * frames
-    ws = np.empty(3 * n + max(D.size // M for _, D, _ in awgn) * frames)
+    ws = np.empty(3 * n + max(D.size // M for D, _ in awgn) * frames)
     A, Ac, P = (ws[i * n:(i + 1) * n].reshape(E, M, frames) for i in range(3))
     np.multiply(np.ascontiguousarray(s.real), np.ascontiguousarray(yt.real), out=A)
     A += np.multiply(np.ascontiguousarray(s.imag), np.ascontiguousarray(yt.imag), out=Ac)
@@ -389,20 +382,15 @@ def _awgn_edges(
     A -= A.max(axis=1, keepdims=True)
     A *= 2.0
     A /= n0
-    spread = np.concatenate([np.repeat(D.max(axis=1), d) for d, D, _ in awgn])
-    _flushed_exp(A, out=A, floor=(FLUSH_FLOOR - spread)[:, None, None])
-    start = 0
-    for d, D, _ in awgn:
-        K = D.shape[0]
-        e = slice(start, start + K * d)
-        m = best[e].reshape(K, d, frames)
+    for (d, ks, e), (D, _) in zip(g.groups, awgn):
+        Ae = A[e].reshape(ks.size, d, M, frames)
+        _flushed_exp(Ae, out=Ae, floor=(FLUSH_FLOOR - D.max(axis=1))[:, None, None, None])
+        m = best[e].reshape(ks.size, d, frames)
         flat = m[:, 0]
         for p in range(1, d):
             flat = flat * M + m[:, p]
         scale = np.exp(np.take_along_axis(D, flat, axis=1))
-        np.multiply(A[e].reshape(K, d, M, frames), scale[:, None, None, :],
-                    out=Ac[e].reshape(K, d, M, frames))
-        start = e.stop
+        np.multiply(Ae, scale[:, None, None, :], out=Ac[e].reshape(ks.size, d, M, frames))
     return A, Ac, P, ws[3 * n:]
 
 
@@ -471,27 +459,23 @@ def _detect_slab(
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
                                       for j in g.resource_users(k)], n0, out)
 
-    # per degree d, its K_d resources' flushed linear weight tables in one
-    # (M, ..., M, K_d, frames) array, fixed across iterations and built in
-    # place from the log tables, and the group's contiguous edges.  A graph
-    # of one degree holds all its tables in one buffer: freeing a buffer this
-    # large raises glibc's mmap and trim thresholds above what a call frees,
-    # so later calls reuse heap pages instead of mapping fresh ones.  On the
+    # per degree group of the graph, its K_d resources' flushed linear weight
+    # tables in one (M, ..., M, K_d, frames) array, fixed across iterations
+    # and built in place from the log tables.  A graph of one degree holds
+    # all its tables in one buffer: freeing a buffer this large raises
+    # glibc's mmap and trim thresholds above what a call frees, so later
+    # calls reuse heap pages instead of mapping fresh ones.  On the
     # factored AWGN path a group's tables are its frame-free layouts from
     # ``awgn``, and the slab's per-edge arrays share one workspace likewise
-    groups = []
-    for i, d in enumerate(sorted(set(g.row_degrees.tolist()))):
-        ks = np.flatnonzero(g.row_degrees == d)
-        e = slice(g.res_start[ks[0]], g.res_start[ks[0]] + ks.size * d)
-        if awgn is None:
+    if awgn is None:
+        tables = []
+        for d, ks, _ in g.groups:
             T = np.empty((M,) * d + (ks.size, frames))
             for j, k in enumerate(ks):
                 log_table(k, out=T[..., j, :])
-            T = _flushed_exp(T, out=T)
-        else:
-            T = awgn[i][2]
-        groups.append((ks, e, T))
-    if awgn is not None:
+            tables.append(_flushed_exp(T, out=T))
+    else:
+        tables = [B for _, B in awgn]
         A, Ac, P, buf = _awgn_edges(y, cbs, n0, awgn)
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
@@ -506,7 +490,7 @@ def _detect_slab(
             for cols, rest in zip(user_edges.T, others):
                 Q[cols] = _normalize_rows(_edge_product(R, rest))
         rescue = []
-        for ks, e, T in groups:
+        for (_, ks, e), T in zip(g.groups, tables):
             # the group's (d, K_d, M, frames) messages, views of Q and R
             Qd, Rd = (m[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1) for m in (Q, R))
             if awgn is None:

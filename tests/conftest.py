@@ -266,8 +266,8 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     y = np.asarray(y, dtype=np.complex128)
     M, g = cbs.config.M, cbs.graph
     awgn = _awgn_tables(cbs, n0) if h is None else None
-    factored = {k: (D[i], tuple(b[i] for b in B)) for d, D, B in awgn or []
-                for i, k in enumerate(np.flatnonzero(g.row_degrees == d))}
+    factored = {k: (D[i], tuple(b[i] for b in B))
+                for (_, ks, _), (D, B) in zip(g.groups, awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f in _slabs(y.shape[0], 8 * M ** int(cbs.graph.row_degrees.max())):
         n = f.stop - f.start

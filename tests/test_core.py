@@ -138,6 +138,10 @@ class TestFactorGraph:
         assert g.user_edges.tolist() == [[1, 3, 0], [4, 5, 5], [2, 5, 5]]
         assert g.resource_edges(1) == slice(3, 5)
         assert g.resource_users(1).tolist() == [0, 1]
+        # (degree, resources, edges) per degree group, in edge order
+        assert [(d, ks.tolist(), e) for d, ks, e in g.groups] == [
+            (1, [2], slice(0, 1)), (2, [0, 1], slice(1, 5))]
+        assert not g.groups[1][1].flags.writeable
         # at least two columns, so every user has an "other" slot
         assert FactorGraph(np.eye(2, dtype=int)).user_edges.tolist() == [[0, 2], [1, 2]]
 

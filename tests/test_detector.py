@@ -392,8 +392,8 @@ class TestFactoredTables:
         _, _, y = draw_frame_block(cbs, "awgn", n0, 256, block_rng(36, 0, 0))
         awgn = detector._awgn_tables(cbs, n0)
         A, Ac, _, _ = detector._awgn_edges(y, cbs, n0, awgn)
-        for d, D, B in awgn:
-            for i, k in enumerate(np.flatnonzero(g.row_degrees == d)):
+        for (d, ks, _), (D, B) in zip(g.groups, awgn):
+            for i, k in enumerate(ks):
                 e0 = g.res_start[k]
                 prod = np.exp(-D[i]).reshape((M,) * d + (1,))
                 for p in range(d):
