@@ -29,6 +29,8 @@ THREADS = 2
 POINTS = {
     "table2_awgn_6x4": ("awgn", (4.0, 6.0, 8.0)),
     "table5_awgn_12x6": ("awgn", (8.0, 10.0, 12.0)),
+    "table3_fading_6x4": ("rayleigh", (9.0, 13.0, 17.0)),
+    "table6_fading_12x6": ("rayleigh", (10.0, 14.0, 18.0)),
 }
 
 
