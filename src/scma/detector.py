@@ -7,9 +7,10 @@ M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
 so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}; each
 contraction is one ``np.einsum``, except on AWGN (below).  The tables are
-built once per call, each exponent shifted by its per-(frame, resource)
-maximum, which cancels in the normalization and keeps the linear kernel
-alive at very small noise levels.
+built once per call, each squared distance shifted by its per-(frame,
+resource) minimum before the division by -n0, which cancels in the
+normalization and keeps the linear kernel alive at very small noise levels,
+even where the other exponents overflow to -inf.
 The K_d resources of one degree d_f keep theirs in one (M, ..., M, K_d,
 frames) array, so one recursion serves the whole degree group; the resource
 axis sits just before frames because a leading one made the einsums slower
@@ -104,8 +105,9 @@ slot p at a time: the log table plus the other slots' log-messages, shifted
 by its per-frame maximum, exponentiated and summed over the other slots.
 The largest term is then exactly 1, so only terms below ``tiny`` are lost
 or coarsely rounded, which moves a normalised entry by less than
-M^{d_f - 1} * tiny.  The rescued messages are still linear probabilities,
-stored and multiplied as such at the user node.
+M^{d_f - 1} * tiny; a slot whose every term is -inf falls back to uniform.
+The rescued messages are still linear probabilities, stored and multiplied
+as such at the user node.
 """
 from __future__ import annotations
 
@@ -166,22 +168,25 @@ def _log_weights(
     n0: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(M, ..., M, frames) array of -|y - sum|^2 / n0, max-shifted per frame,
-    written to ``out`` if given.
+    """(M, ..., M, frames) array of -|y - sum|^2 / n0, shifted per frame to
+    a largest entry of 0, written to ``out`` if given.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
     (M, frames); axis p of the result indexes the p-th colliding user.  The
     real and imaginary parts are built separately and in place, rounding
     exactly as the complex formula does: the sum ((c0 + c1) + ...), then
-    (y - sum) squared per part, added, divided by -n0.  The real part's
-    difference is written straight into the result, and the imaginary part's
-    into one contiguous temporary: the sum itself where that already has the
-    table's shape.  The sum of the parts, its scaling and its max shift run
-    in that temporary, so a strided ``out``, such as one resource's slot of
-    a degree group's tables, is written twice and read twice.  Each part is
-    made contiguous before it broadcasts, which is faster than reading the
-    strided part of a complex array.  Frames do not mix, so a table built on
-    a subset of frames equals that slice of the full one."""
+    (y - sum) squared per part, added, less its per-frame minimum, divided
+    by -n0.  The shift comes before the division, so the nearest hypothesis
+    scores exactly 0 even where the others overflow to -inf at a subnormal
+    n0.  The real part's difference is written straight into the result,
+    and the imaginary part's into one contiguous temporary: the sum itself
+    where that already has the table's shape.  The sum of the parts and its
+    shift run in that temporary and the division writes the result, so a
+    strided ``out``, such as one resource's slot of a degree group's tables,
+    is written twice and read twice.  Each part is made contiguous before it
+    broadcasts, which is faster than reading the strided part of a complex
+    array.  Frames do not mix, so a table built on a subset of frames equals
+    that slice of the full one."""
     d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
     table_shape = (M,) * d + (frames,)
     A = np.empty(table_shape) if out is None else out
@@ -203,8 +208,9 @@ def _log_weights(
         )
         np.square(diff, out=diff)
     np.add(diff, A, out=diff)
-    np.divide(diff, -n0, out=diff)
-    return np.subtract(diff, diff.max(axis=tuple(range(d)), keepdims=True), out=A)
+    diff -= diff.min(axis=tuple(range(d)), keepdims=True)
+    with np.errstate(over="ignore"):
+        return np.divide(diff, -n0, out=A)
 
 
 def _flushed_exp(
@@ -301,7 +307,8 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
         B = logW
         for q in others:
             B = B + np.expand_dims(logQ[q], [a for a in range(n) if a != q])
-        B = B - B.max(axis=tuple(range(n)), keepdims=True)
+        # the clamp keeps a slot whose every term is -inf at -inf, not NaN
+        B = B - np.maximum(B.max(axis=tuple(range(n)), keepdims=True), np.finfo(float).min)
         out[p] = np.exp(B, out=B).sum(axis=others)
     return _normalize_rows(out)
 
@@ -381,7 +388,8 @@ def _awgn_edges(
     best = A.argmax(axis=1)
     A -= A.max(axis=1, keepdims=True)
     A *= 2.0
-    A /= n0
+    with np.errstate(over="ignore"):
+        A /= n0
     for (d, ks, e), (D, _) in zip(g.groups, awgn):
         Ae = A[e].reshape(ks.size, d, M, frames)
         _flushed_exp(Ae, out=Ae, floor=(FLUSH_FLOOR - D.max(axis=1))[:, None, None, None])

@@ -204,7 +204,8 @@ def _factors(y_col, s, D, n0):
     best = v.argmax(axis=1)
     v -= v.max(axis=1, keepdims=True)
     v *= 2.0
-    v /= n0
+    with np.errstate(over="ignore"):
+        v /= n0
     A = _flushed_exp(v, out=v, floor=FLUSH_FLOOR - D.max())
     flat = best[0]
     for p in range(1, d):

@@ -1,5 +1,6 @@
 """Message-passing detection against exact references."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,8 +347,8 @@ class TestWeightTables:
                     shape[d] = frames
                 S = S + c.reshape(shape)
             diff = y_col.reshape((1,) * d + (frames,)) - S
-            A = -(diff.real ** 2 + diff.imag ** 2) / n0
-            A -= A.max(axis=tuple(range(d)), keepdims=True)
+            dist = diff.real ** 2 + diff.imag ** 2
+            A = -(dist - dist.min(axis=tuple(range(d)), keepdims=True)) / n0
             got = _log_weights(y_col, contribs, n0)
             assert got.shape == A.shape and got.tobytes() == A.tobytes()
 
@@ -368,10 +369,41 @@ class TestWeightTables:
         """At a subnormal n0 most exponents overflow to -inf; they must
         flush to 0 like any other entry below the floor, not to NaN."""
         symbols, _, y = draw_frame_block(table2, "awgn", 0.0, 64, block_rng(70, 0, 0))
-        with np.errstate(over="ignore"):
-            beliefs = mpa_detect_batch(y, table2, None, 1e-310)
+        beliefs = mpa_detect_batch(y, table2, None, 1e-310)
         assert np.isfinite(beliefs).all()
         assert np.array_equal(hard_decision(beliefs), symbols)
+
+    @pytest.mark.parametrize("n0,scale", [(1e-310, 1.0), (1e-300, 1e6)])
+    @pytest.mark.parametrize("name", ["tree", "table2_awgn_6x4", "table6_fading_12x6"])
+    def test_frames_far_from_every_hypothesis(self, name, n0, scale):
+        """Random frames, far from every codeword sum at this n0: every
+        exponent but each frame's nearest overflows to -inf, in the tables
+        and in the rescue.  The beliefs stay finite, with no RuntimeWarning.
+        On the cycle-free tree system they give the joint MAP decisions
+        wherever resource 0's nearest codeword of user 0 is also user 0's
+        in resource 1's nearest pair; elsewhere float64 keeps no exponent of
+        the joint optimum, which sits on neither resource's nearest."""
+        cbs = tree_system() if name == "tree" else load_codebook(name)
+        K, J = cbs.config.K, cbs.config.J
+        rng = np.random.default_rng(37)
+        y = scale * (rng.standard_normal((64, K)) + 1j * rng.standard_normal((64, K)))
+        h = None
+        if "fading" in name:
+            h = (rng.standard_normal((64, K, J)) + 1j * rng.standard_normal((64, K, J))) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            beliefs = mpa_detect_batch(y, cbs, h, n0)
+        assert np.isfinite(beliefs).all()
+        assert np.allclose(beliefs.sum(axis=-1), 1.0)
+        if name == "tree":
+            books = np.asarray(cbs.books)
+            near0 = np.abs(y[:, :1] - books[0, :, 0]).argmin(axis=1)
+            pairs = books[0, :, 1][:, None] + books[1, :, 1][None, :]
+            near1 = np.abs(y[:, 1:] - pairs.ravel()).argmin(axis=1) // cbs.config.M
+            agree = near0 == near1
+            assert agree.sum() >= 8
+            assert np.array_equal(hard_decision(beliefs)[agree],
+                                  map_detect_batch(y, cbs, None, n0)[agree])
 
 
 class TestFactoredTables:
@@ -650,9 +682,8 @@ class TestPerResourceOracle:
         cbs = tree_system(seed=8)
         assert (detector._awgn_tables(cbs, n0) is not None) == (n0 >= 0.05)
         _, _, y = draw_frame_block(cbs, "awgn", n0, 5, block_rng(34, 0, 0))
-        with np.errstate(over="ignore"):
-            got = mpa_detect_batch(y, cbs, None, n0)
-            assert got.tobytes() == per_resource_mpa(y, cbs, None, n0).tobytes()
+        got = mpa_detect_batch(y, cbs, None, n0)
+        assert got.tobytes() == per_resource_mpa(y, cbs, None, n0).tobytes()
 
     def test_only_degree_one_resources_at_a_subnormal_n0(self):
         """Each user alone on its resource with unit-modulus codewords: every
@@ -663,9 +694,8 @@ class TestPerResourceOracle:
                           np.eye(2, dtype=np.int64))
         assert detector._awgn_tables(cbs, 1e-310) is not None
         symbols, _, y = draw_frame_block(cbs, "awgn", 1e-4, 64, block_rng(35, 0, 0))
-        with np.errstate(over="ignore"):
-            got = mpa_detect_batch(y, cbs, None, 1e-310)
-            assert got.tobytes() == per_resource_mpa(y, cbs, None, 1e-310).tobytes()
+        got = mpa_detect_batch(y, cbs, None, 1e-310)
+        assert got.tobytes() == per_resource_mpa(y, cbs, None, 1e-310).tobytes()
         assert np.array_equal(hard_decision(got), symbols)
 
     def test_rescued_frame_on_the_factored_path(self, monkeypatch):
