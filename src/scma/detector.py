@@ -349,7 +349,7 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
     g, M = cbs.graph, cbs.config.M
     out = []
     for d, ks, e in g.groups:
-        # each resource's (d, M) slot entries, hypotheses in their order
+        # users[p, i] sits in slot p of the group's i-th resource
         users = g.edge_user[e].reshape(ks.size, d).T
         S = superpositions(cbs.books[users, :, ks].transpose(0, 2, 1)).T
         norm2 = S.real * S.real + S.imag * S.imag

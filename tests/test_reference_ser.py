@@ -37,10 +37,9 @@ GATE_SEED = 27_182_818
 GATE_FRAMES = {"table2_awgn_6x4": 16384, "table5_awgn_12x6": 8192,
                "table3_fading_6x4": 24576, "table6_fading_12x6": 8192}
 FAMILY_FALSE_ALARM = 1e-4
-POINTS = [(name, channel, ebn0_db) for name, (channel, pts) in record.POINTS.items()
-          for ebn0_db in pts]
+POINTS = [(name, ebn0_db) for name, (_, pts) in record.POINTS.items() for ebn0_db in pts]
 Z = {channel: NormalDist().inv_cdf(1.0 - FAMILY_FALSE_ALARM / (2 * n))
-     for channel, n in Counter(channel for _, channel, _ in POINTS).items()}
+     for channel, n in Counter(record.POINTS[name][0] for name, _ in POINTS).items()}
 
 
 def reference_histogram(name: str, ebn0_db: float) -> np.ndarray:
@@ -71,8 +70,9 @@ class TestReferenceCurves:
             assert hist.size == J + 1
             assert hist @ np.arange(J + 1) >= record.MIN_ERRORS
 
-    @pytest.mark.parametrize("name,channel,ebn0_db", POINTS)
-    def test_sweep_matches_reference(self, name, channel, ebn0_db):
+    @pytest.mark.parametrize("name,ebn0_db", POINTS)
+    def test_sweep_matches_reference(self, name, ebn0_db):
+        channel = record.POINTS[name][0]
         est = estimate_ser(load_codebook(name), ebn0_db, channel, GATE_FRAMES[name],
                            seed=GATE_SEED)
         got = np.array(est.frames_by_errors)
