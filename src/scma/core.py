@@ -170,12 +170,14 @@ class CodebookSet:
 
 def superpositions(books: np.ndarray) -> np.ndarray:
     """(M^J, K) sums of one codeword per user of (J, M, K) ``books``, in
-    lexicographic symbol order with user 0 as the most significant digit."""
+    lexicographic symbol order with user 0 as the most significant digit.
+    The result is allocated once, before any sum, so a size numpy cannot
+    allocate raises before memory is touched."""
     J, M, K = books.shape
-    S = np.zeros((1, K), dtype=np.complex128)
+    S = np.zeros((M,) * J + (K,), dtype=np.complex128)
     for j in range(J):
-        S = (S[:, None, :] + books[j][None, :, :]).reshape(-1, K)
-    return S
+        S += books[j].reshape((1,) * j + (M,) + (1,) * (J - 1 - j) + (K,))
+    return S.reshape(-1, K)
 
 
 def pack_params(a: Iterable[complex]) -> np.ndarray:

@@ -162,14 +162,9 @@ def _normalize_rows(msg: np.ndarray) -> np.ndarray:
     return msg
 
 
-def _log_weights(
-    y_col: np.ndarray,
-    contribs: list[np.ndarray],
-    n0: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """(M, ..., M, frames) array of -|y - sum|^2 / n0, shifted per frame to
-    a largest entry of 0, written to ``out`` if given.
+def _log_weights(y_col: np.ndarray, contribs: list[np.ndarray], n0: float) -> np.ndarray:
+    """Fresh (M, ..., M, frames) array of -|y - sum|^2 / n0, shifted per
+    frame to a largest entry of 0.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
     (M, frames); axis p of the result indexes the p-th colliding user.  The
@@ -178,18 +173,15 @@ def _log_weights(
     (y - sum) squared per part, added, less its per-frame minimum, divided
     by -n0.  The shift comes before the division, so the nearest hypothesis
     scores exactly 0 even where the others overflow to -inf at a subnormal
-    n0.  The real part's difference is written straight into the result,
-    and the imaginary part's into one contiguous temporary: the sum itself
-    where that already has the table's shape.  The sum of the parts and its
-    shift run in that temporary and the division writes the result, so a
-    strided ``out``, such as one resource's slot of a degree group's tables,
-    is written twice and read twice.  Each part is made contiguous before it
-    broadcasts, which is faster than reading the strided part of a complex
-    array.  Frames do not mix, so a table built on a subset of frames equals
-    that slice of the full one."""
+    n0.  Each part's difference is written into its own sum where that
+    already has the table's shape, and the rest runs in place in the real
+    part's.  Each part is made contiguous before it broadcasts, which is
+    faster than reading the strided part of a complex array.  Frames do not
+    mix, so a table built on a subset of frames equals that slice of the
+    full one."""
     d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
     table_shape = (M,) * d + (frames,)
-    A = np.empty(table_shape) if out is None else out
+    diffs = []
     for part in (np.real, np.imag):
         S = None
         for p, c in enumerate(contribs):
@@ -199,18 +191,13 @@ def _log_weights(
                 shape[d] = frames
             c = np.ascontiguousarray(part(c)).reshape(shape)
             S = c if S is None else S + c
-        if part is np.real:
-            dst = A
-        else:
-            dst = S if d > 1 and S.shape == table_shape else None
-        diff = np.subtract(
-            np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)), S, out=dst
-        )
-        np.square(diff, out=diff)
-    np.add(diff, A, out=diff)
-    diff -= diff.min(axis=tuple(range(d)), keepdims=True)
+        diff = np.subtract(np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)), S,
+                           out=S if d > 1 and S.shape == table_shape else None)
+        diffs.append(np.square(diff, out=diff))
+    A = np.add(*diffs, out=diffs[0])
+    A -= A.min(axis=tuple(range(d)), keepdims=True)
     with np.errstate(over="ignore"):
-        return np.divide(diff, -n0, out=A)
+        return np.divide(A, -n0, out=A)
 
 
 def _flushed_exp(
@@ -462,25 +449,26 @@ def _detect_slab(
     books, g = cbs.books, cbs.graph
     M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
-    def log_table(k: int, f: slice | np.ndarray = slice(None), out=None) -> np.ndarray:
+    def log_table(k: int, f: slice | np.ndarray = slice(None)) -> np.ndarray:
         return _log_weights(y[f, k], [books[j, :, k] if h is None else
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
-                                      for j in g.resource_users(k)], n0, out)
+                                      for j in g.resource_users(k)], n0)
 
     # per degree group of the graph, its K_d resources' flushed linear weight
-    # tables in one (M, ..., M, K_d, frames) array, fixed across iterations
-    # and built in place from the log tables.  A graph of one degree holds
-    # all its tables in one buffer: freeing a buffer this large raises
-    # glibc's mmap and trim thresholds above what a call frees, so later
-    # calls reuse heap pages instead of mapping fresh ones.  On the
-    # factored AWGN path a group's tables are its frame-free layouts from
-    # ``awgn``, and the slab's per-edge arrays share one workspace likewise
+    # tables in one (M, ..., M, K_d, frames) array, fixed across iterations:
+    # each log table is copied into its slot, then the whole array is
+    # flushed in place.  A graph of one degree holds all its tables in one
+    # buffer: freeing a buffer this large raises glibc's mmap and trim
+    # thresholds above what a call frees, so later calls reuse heap pages
+    # instead of mapping fresh ones.  On the factored AWGN path a group's
+    # tables are its frame-free layouts from ``awgn``, and the slab's
+    # per-edge arrays share one workspace likewise
     if awgn is None:
         tables = []
         for d, ks, _ in g.groups:
             T = np.empty((M,) * d + (ks.size, frames))
             for j, k in enumerate(ks):
-                log_table(k, out=T[..., j, :])
+                T[..., j, :] = log_table(k)
             tables.append(_flushed_exp(T, out=T))
     else:
         tables = [B for _, B in awgn]

@@ -56,16 +56,19 @@ PIECE_STEP = 256
 @dataclass(frozen=True)
 class SerEstimate:
     """Monte-Carlo symbol-error-rate with its seed provenance.  It stores
-    what was counted over ``frames`` frames: each user's symbol errors, and
-    ``frames_by_errors``, the number of frames with 0, 1, ..., J symbol
-    errors; the totals and the rates are computed from those counts."""
+    what was counted: each user's symbol errors, and ``frames_by_errors``,
+    the number of frames with 0, 1, ..., J symbol errors; the frame count,
+    the totals and the rates are computed from those counts."""
 
     per_user_errors: tuple[int, ...]
     frames_by_errors: tuple[int, ...]
-    frames: int
     seed: int
     ebn0_db: float
     channel: str
+
+    @property
+    def frames(self) -> int:
+        return sum(self.frames_by_errors)
 
     @property
     def symbol_errors(self) -> int:
@@ -146,9 +149,9 @@ def estimate_ser(
             goal += 1
     stop = min(target_errors, goal)
 
-    def run_block(block: int, prior: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Per-user errors, frames by error count and frames detected of one
-        block, whose wave started with ``prior`` errors."""
+    def run_block(block: int, prior: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-user errors and frames by error count of one block, whose wave
+        started with ``prior`` errors."""
         nb = min(FRAME_BLOCK, frames - block * FRAME_BLOCK)
         rng = block_rng(seed, stream, block)
         symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
@@ -167,7 +170,7 @@ def estimate_ser(
             done += n
             if prior + errs.sum() >= goal:
                 break
-        return errs, hist, done
+        return errs, hist
 
     def in_block_order(run):
         for first in range(0, n_blocks, threads):
@@ -179,16 +182,14 @@ def estimate_ser(
 
     per_user = np.zeros(J, dtype=np.int64)
     by_errors = np.zeros(J + 1, dtype=np.int64)
-    detected = 0
     # no pool at 1 worker: its thread's malloc arena costs de-6x4-awgn 12-16 MB RSS
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for user_errs, hist, done in in_block_order(pool.map if pool else map):
+        for user_errs, hist in in_block_order(pool.map if pool else map):
             per_user += user_errs
             by_errors += hist
-            detected += done
             if per_user.sum() >= stop:
                 break
-    return SerEstimate(tuple(per_user.tolist()), tuple(by_errors.tolist()), detected, seed,
+    return SerEstimate(tuple(per_user.tolist()), tuple(by_errors.tolist()), seed,
                        float(ebn0_db), channel)
 
 

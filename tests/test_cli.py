@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import scma
 from scma import cli, montecarlo, optimizer
 from scma.cli import MAX_RANGE_POINTS, UsageError, build_parser, main, parse_snr_range
 from scma.core import CodebookSet, codebook_to_dict, write_codebook_json
+from scma.detector import mpa_detect_batch
 from scma.fixtures import load_codebook
 from scma.montecarlo import DEFAULT_MAX_FRAMES, DEFAULT_TARGET_ERRORS
 from scma.structure import builtin_template, normalize
@@ -645,38 +647,67 @@ class TestEbn0Range:
         assert normalize_calls == []
 
 
+def crowded_codebook() -> CodebookSet:
+    """25 users on one resource: their weight table has 4**25 entries."""
+    books = np.zeros((25, 4, 1), complex)
+    books[:, :, 0] = [1.0, 0.5, -0.5, -1.0]
+    return CodebookSet(books)
+
+
 class TestAllocationRefused:
     """A size numpy cannot allocate is a one-line usage error, not a
-    traceback, and no file is written.  Both sizes exceed 2**47 bytes, so
-    the allocation fails before any memory is touched."""
+    traceback, and no file is written.  Every size exceeds 2**47 bytes and
+    is asked for at once, so the allocation fails before any memory is
+    touched."""
+
+    @pytest.fixture()
+    def crowded_file(self, tmp_path):
+        path = tmp_path / "crowded.json"
+        write_codebook_json(crowded_codebook(), path)
+        return path
+
+    def assert_refused(self, argv, tmp_path, capsys, left=()):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert len(captured.err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(left)
 
     def test_population_too_large(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main([
+        self.assert_refused([
             "optimize", "--template", "6x4", "--ebno", "8", "--np", str(10 ** 15),
-            "--max-iter", "1", "--frames-per-eval", "256", "--out", str(out),
-        ]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: Unable to allocate ")
-        assert len(captured.err.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+            "--max-iter", "1", "--frames-per-eval", "256", "--out", str(tmp_path / "run"),
+        ], tmp_path, capsys)
 
-    def test_weight_table_too_large(self, tmp_path, capsys):
-        """25 users on one resource need a 4**25-entry weight table."""
-        books = np.zeros((25, 4, 1), complex)
-        books[:, :, 0] = [1.0, 0.5, -0.5, -1.0]
-        path = tmp_path / "crowded.json"
-        write_codebook_json(CodebookSet(books), path)
-        assert main([
-            "simulate", "--codebook", str(path), "--ebno", "10", "--frames", "64",
+    def test_weight_table_too_large(self, tmp_path, capsys, crowded_file):
+        self.assert_refused([
+            "simulate", "--codebook", str(crowded_file), "--ebno", "10", "--frames", "64",
             "--out", str(tmp_path / "x.csv"),
-        ]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: Unable to allocate ")
-        assert len(captured.err.splitlines()) == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["crowded.json"]
+        ], tmp_path, capsys, [crowded_file.name])
+
+    def test_sum_constellation_too_large(self, tmp_path, capsys, crowded_file):
+        self.assert_refused([
+            "analyze", "--codebook", str(crowded_file), "--n0-grid-db=10",
+            "--il-csv", str(tmp_path / "il.csv"),
+        ], tmp_path, capsys, [crowded_file.name])
+
+    def test_refusal_touches_no_memory(self):
+        """The detector asks for the whole 25-user table before it fills
+        anything, so the refusal holds under 1 MiB on the way.  numpy 2
+        traces a failed request as a live allocation, so the transient
+        memory is the traced peak less what is still traced after the
+        refusal."""
+        cbs = crowded_codebook()
+        y = np.zeros((64, 1), complex)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                mpa_detect_batch(y, cbs, None, 0.1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < 2 ** 20
 
 
 class TestNumpyOnlyRuntime:
