@@ -33,9 +33,12 @@ A block is detected in frame slabs.  One resource's table takes 8 * M^{d_f}
 bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
 ``mpa_detect_batch`` splits the frames into the fewest near-equal slabs
 whose largest table fits ``SLAB_BYTES`` and runs the tables, the sweeps and
-the rescue on one slab at a time.  A 4096-frame block is 4 slabs of 1024
-frames on 12x6 and one slab on 6x4; one 12x6 call's peak allocation falls
-from ~65 to ~18 MiB.
+the rescue on one slab at a time: 4 slabs of 1024 frames for a 4096-frame
+12x6 block, one for 6x4.  A slab's Q, R and tables, or AWGN per-edge arrays,
+are views of one buffer, 11.25 MiB on 6x4 Rayleigh.  Freeing it, once
+mmapped, lifts glibc's trim threshold to twice that, above the ~20 MiB such
+a block frees at the heap top (the 8 MiB table alone set 16 MiB), so later
+blocks reuse its pages: 0 minor faults per 4-block estimate, not 10,828.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -91,9 +94,7 @@ Above it, or with fading gains, whose cross terms are per frame, the call
 uses the tables above.  The spread depends only on (codebook, n0), so a
 frame's beliefs still do not depend on the call; it is tested as
 max - min of |S|^2 against FACTOR_MAX_SPREAD * n0, which cannot overflow at
-a subnormal n0.  A slab's A, A c, folded messages and matmul output are
-views of one workspace, for the reason the table path keeps one buffer per
-degree group.
+a subnormal n0.
 
 Sum-product has one path: the linear kernel plus a rescue.  While every
 unnormalised outgoing message peaks at or above ``RESCUE_FLOOR`` (1e-96),
@@ -354,11 +355,11 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
 
 
 def _awgn_edges(
-    y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple]
+    y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], ws: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """(A, Ac, P, buf) of one slab on the factored AWGN path, views of one
-    workspace.  A is (E, M, frames): exp(u - max u) per edge, with
-    u = 2 Re(conj(y) s) / n0 formed as 2 (v - max v) / n0 from
+    """(A, Ac, P, buf) of one slab on the factored AWGN path, views of ``ws``,
+    its slab buffer's last slice.  A is (E, M, frames): exp(u - max u) per
+    edge, with u = 2 Re(conj(y) s) / n0 formed as 2 (v - max v) / n0 from
     v = Re(conj(y) s), flushed at ``FLUSH_FLOOR`` minus its resource's
     spread.  Ac is A times its resource's per-frame scale exp(D[m*]), m* the
     per-slot argmax of v.  P, the messages times A, and buf, the matmul
@@ -368,7 +369,6 @@ def _awgn_edges(
     s = cbs.books[g.edge_user, :, edge_res][:, :, None]
     yt = y[:, edge_res].T[:, None, :]
     n = E * M * frames
-    ws = np.empty(3 * n + max(D.size // M for D, _ in awgn) * frames)
     A, Ac, P = (ws[i * n:(i + 1) * n].reshape(E, M, frames) for i in range(3))
     np.multiply(np.ascontiguousarray(s.real), np.ascontiguousarray(yt.real), out=A)
     A += np.multiply(np.ascontiguousarray(s.imag), np.ascontiguousarray(yt.imag), out=Ac)
@@ -419,6 +419,8 @@ def mpa_detect_batch(
     g, M = cbs.graph, cbs.config.M
     if not (g.row_degrees.all() and g.col_degrees.all()):
         raise ValueError("factor matrix has an isolated row or column")
+    if not y.shape[0]:
+        return np.empty((0, cbs.config.J, M))
     awgn = _awgn_tables(cbs, n0) if h is None else None
     out = None
     for f in _slabs(y.shape[0], 8 * M ** int(g.row_degrees.max())):
@@ -454,30 +456,30 @@ def _detect_slab(
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
                                       for j in g.resource_users(k)], n0)
 
-    # per degree group of the graph, its K_d resources' flushed linear weight
-    # tables in one (M, ..., M, K_d, frames) array, fixed across iterations:
-    # each log table is copied into its slot, then the whole array is
-    # flushed in place.  A graph of one degree holds all its tables in one
-    # buffer: freeing a buffer this large raises glibc's mmap and trim
-    # thresholds above what a call frees, so later calls reuse heap pages
-    # instead of mapping fresh ones.  On the factored AWGN path a group's
-    # tables are its frame-free layouts from ``awgn``, and the slab's
-    # per-edge arrays share one workspace likewise
+    # per degree group, its K_d resources' flushed linear weight tables in one
+    # (M, ..., M, K_d, frames) array, fixed across iterations: each log table
+    # is copied into its slot, then the array is flushed in place.  On the
+    # factored AWGN path, the frame-free layouts from ``awgn`` and the
+    # per-edge arrays of ``_awgn_edges``.  All share one buffer with Q and R
+    sizes = [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
+                                 else [3 * E * M + max(D.size // M for D, _ in awgn)])
+    QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
     if awgn is None:
         tables = []
-        for d, ks, _ in g.groups:
-            T = np.empty((M,) * d + (ks.size, frames))
+        for (d, ks, _), T in zip(g.groups, parts):
+            T = T.reshape((M,) * d + (ks.size, frames))
             for j, k in enumerate(ks):
                 T[..., j, :] = log_table(k)
             tables.append(_flushed_exp(T, out=T))
     else:
         tables = [B for _, B in awgn]
-        A, Ac, P, buf = _awgn_edges(y, cbs, n0, awgn)
+        A, Ac, P, buf = _awgn_edges(y, cbs, n0, awgn, parts[0])
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
-    Q = np.full((E + 1, M, frames), 1.0 / M)
-    R = np.ones_like(Q)
+    Q, R = QR.reshape(2, E + 1, M, frames)
+    Q.fill(1.0 / M)
+    R.fill(1.0)
 
     others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for sweep in range(cfg.iterations):
