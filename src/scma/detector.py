@@ -458,9 +458,9 @@ def _detect_slab(
 
     # per degree group, its K_d resources' flushed linear weight tables in one
     # (M, ..., M, K_d, frames) array, fixed across iterations: each log table
-    # is copied into its slot, then the array is flushed in place.  On the
-    # factored AWGN path, the frame-free layouts from ``awgn`` and the
-    # per-edge arrays of ``_awgn_edges``.  All share one buffer with Q and R
+    # is copied into its slot, then the array is flushed in place; on the
+    # factored AWGN path, the ``awgn`` layouts and ``_awgn_edges``'s arrays.
+    # One buffer holds these and Q and R; see the module docstring
     sizes = [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
                                  else [3 * E * M + max(D.size // M for D, _ in awgn)])
     QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
