@@ -5,9 +5,8 @@ and user nodes, exchanging length-M probability vectors stored frames last.
 One recursion yields all d_f outgoing messages of a resource from its
 M^{d_f}-entry weight table: it contracts the table with the incoming messages
 of one half of the slots, recurses on the other half, then swaps the halves,
-so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}; each
-contraction is one ``np.einsum``, except on AWGN (below).  The tables are
-built once per call, each squared distance shifted by its per-(frame,
+so it costs ~2 * M^{d_f} per frame instead of d_f * M^{d_f}.  The tables
+are built once per call, each squared distance shifted by its per-(frame,
 resource) minimum before the division by -n0, which cancels in the
 normalization and keeps the linear kernel alive at very small noise levels,
 even where the other exponents overflow to -inf.
@@ -67,19 +66,19 @@ frame-free table B[m] = exp(-(|S[m]|^2 - min |S|^2) / n0) and a per-frame
 scale c = exp((|S[m*]|^2 - min |S|^2) / n0), m* the per-slot argmax of u.
 The message to slot p is c A_p times the sum of B[m] prod_{j != p} (A_j
 q_j)[m_j]: a sweep multiplies Q by A into a buffer, runs the recursion on B,
-and multiplies R by A c.  B has no frame axis, so the first contraction of
-each half of the recursion, over its last dropped slot, is one batched
-``np.matmul`` over the group's resources, and the recursion goes on from its
-output.  Before the flush, A_1 ... A_d B c is the max-shifted table times
-e^delta per (resource, frame), where delta >= 0 because the per-slot maxima
-bound the joint one; and it is at most e^spread, a resource's spread being
-(max - min |S|^2) / n0.  Each A_p flushes at ``FLUSH_FLOOR`` minus its
-resource's spread: a flushed entry gives terms below sqrt(tiny) after the
-scale, as a flushed table entry does, and the max-shifted table entry of
-each such term is at most sqrt(tiny) e^-delta, so it is flushed on the
-table path too.  Each factored message is therefore at least the table
-path's message times e^delta >= 1, up to rounding: the rescue test below
-fires no more often, and its bound holds as stated.
+and multiplies R by A c.  B has a length-1 frame axis, so ``_contract``
+takes the last dropped slot of each half as one batched ``np.matmul`` over
+the group's resources.  Before the flush, A_1 ... A_d B c is the max-shifted
+table times e^delta per (resource, frame), where delta >= 0 because the
+per-slot maxima bound the joint one; and it is at most e^spread, a
+resource's spread being (max - min |S|^2) / n0.  Each A_p flushes at
+``FLUSH_FLOOR`` minus its resource's spread: a flushed entry gives terms
+below sqrt(tiny) after the scale, as a flushed table entry does, and the
+max-shifted table entry of each such term is at most sqrt(tiny) e^-delta,
+so it is flushed on the table path too.  Each factored message is
+therefore at least the table path's message times e^delta >= 1, up to
+rounding: the rescue test below fires no more often, and its bound holds as
+stated.
 
 The factored path needs products formed before the scale to stay normal.
 A term the bound keeps, at least sqrt(tiny) after the scale, is at least
@@ -223,13 +222,25 @@ def _flushed_exp(
 
 
 def _contract(
-    T: np.ndarray, msgs: list[np.ndarray], axes: list[int], out: np.ndarray | None = None
+    T: np.ndarray, msgs: list[np.ndarray], axes: list[int], out: np.ndarray | None = None,
+    buf: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum T (slot axes, then resources, then frames) times the (resources,
     M, frames) message msgs[a] over each slot axis a in axes: the partial
     table of the other slots, or, written to ``out``, the one slot's
-    message."""
+    message.  A frame-free T, whose frame axis has length 1 (slabs hold at
+    least 2 frames), first takes axes[-1] as one batched ``np.matmul`` into
+    ``buf``, whose output is the partial table if no axis is left."""
     n = T.ndim - 2
+    if T.shape[-1] == 1:
+        a, (K, M, frames) = axes[-1], msgs[axes[-1]].shape
+        # a transposed view: np.moveaxis costs measurably more per call
+        T = T[..., 0].transpose([n, *(b for b in range(n) if b != a), a]).reshape(K, -1, M)
+        T = np.matmul(T, msgs[a], out=buf[:T.size // M * frames].reshape(K, -1, frames))
+        n, msgs, axes = n - 1, msgs[:a] + msgs[a + 1:], axes[:-1]
+        T = T.reshape(K, *(M,) * n, frames).transpose([*range(1, n + 1), 0, n + 1])
+        if not axes and out is None:
+            return T
     ops = [T, list(range(n + 2))]
     for a in axes:
         ops += [msgs[a], [n, a, n + 1]]
@@ -237,11 +248,13 @@ def _contract(
     return np.einsum(*ops, kept + [n, n + 1] if out is None else [n, *kept, n + 1], out=out)
 
 
-def _sum_product(T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray]) -> None:
+def _sum_product(
+    T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray], buf: np.ndarray | None = None
+) -> None:
     """Write to out[p] the unnormalised outgoing message of every slot p of
     the linear table T: T contracted with every other slot's incoming
     message.  Each half of the slots is contracted away once and shared by
-    the other half's messages."""
+    the other half's messages; ``buf`` is ``_contract``'s."""
     n = len(msgs)
     if n == 1:
         np.copyto(out[0], np.moveaxis(T, 0, 1))
@@ -250,36 +263,9 @@ def _sum_product(T: np.ndarray, msgs: list[np.ndarray], out: list[np.ndarray]) -
     for lo, hi in ((0, h), (h, n)):
         drop = [a for a in range(n) if not lo <= a < hi]
         if hi - lo == 1:
-            _contract(T, msgs, drop, out[lo])
+            _contract(T, msgs, drop, out[lo], buf)
         else:
-            _sum_product(_contract(T, msgs, drop), msgs[lo:hi], out[lo:hi])
-
-
-def _matmul_sum_product(
-    B: tuple[np.ndarray, ...], msgs: list[np.ndarray], out: list[np.ndarray], buf: np.ndarray
-) -> None:
-    """``_sum_product`` on a degree group's frame-free AWGN tables: B holds,
-    per half of the slots, the (resources, M^{d-1}, M) layout of the tables
-    whose last axis is the half's last dropped slot, or for one slot the
-    (resources, M) tables.  Each half contracts that slot with one batched
-    ``np.matmul`` into ``buf``, then goes on as ``_sum_product`` does on the
-    (slots..., resources, frames) view of the result."""
-    n, (K, M, frames) = len(msgs), msgs[0].shape
-    if n == 1:
-        np.copyto(out[0], B[0].reshape(K, M, 1))
-        return
-    h = n // 2
-    for (lo, hi), Bh in zip(((0, h), (h, n)), B):
-        drop = [a for a in range(n) if not lo <= a < hi]
-        part = np.matmul(Bh, msgs[drop[-1]], out=buf[:Bh.size // M * frames].reshape(
-            K, -1, frames))
-        part = np.moveaxis(part.reshape(K, *(M,) * (n - 1), frames), 0, -2)
-        rest = msgs[:drop[-1]] + msgs[drop[-1] + 1:]
-        if hi - lo == 1:
-            _contract(part, rest, drop[:-1], out[lo])
-        else:
-            _sum_product(_contract(part, rest, drop[:-1]) if drop[:-1] else part,
-                         msgs[lo:hi], out[lo:hi])
+            _sum_product(_contract(T, msgs, drop, buf=buf), msgs[lo:hi], out[lo:hi])
 
 
 def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -331,9 +317,10 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
     tables, or None if some resource's spread exceeds ``FACTOR_MAX_SPREAD``.
 
     A group's entry is (D, B): D is the (K_d, M^d) array of
-    (|S[m]|^2 - min |S|^2) / n0 over each resource's hypotheses m, and B its
-    tables exp(-D) laid out for ``_matmul_sum_product``.  The guard compares
-    max - min of |S|^2 with FACTOR_MAX_SPREAD * n0, which cannot overflow."""
+    (|S[m]|^2 - min |S|^2) / n0 over each resource's hypotheses m, and B is
+    exp(-D) in the per-frame tables' layout with a length-1 frame axis, an
+    (M, ..., M, K_d, 1) view.  The guard compares max - min of |S|^2 with
+    FACTOR_MAX_SPREAD * n0, which cannot overflow."""
     g, M = cbs.graph, cbs.config.M
     out = []
     for d, ks, e in g.groups:
@@ -346,11 +333,7 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
             return None
         D = np.divide(norm2 - lo, n0)
         B = np.exp(-D).reshape((ks.size,) + (M,) * d)
-        h = d // 2
-        # each half's last dropped slot moved to the last axis
-        layouts = (B,) if d == 1 else (B, np.moveaxis(B, h, -1))
-        out.append((D, tuple(np.ascontiguousarray(b).reshape(ks.size, -1, M)
-                             for b in layouts)))
+        out.append((D, B.transpose([*range(1, d + 1), 0])[..., None]))
     return out
 
 
@@ -459,13 +442,13 @@ def _detect_slab(
     # per degree group, its K_d resources' flushed linear weight tables in one
     # (M, ..., M, K_d, frames) array, fixed across iterations: each log table
     # is copied into its slot, then the array is flushed in place; on the
-    # factored AWGN path, the ``awgn`` layouts and ``_awgn_edges``'s arrays.
-    # One buffer holds these and Q and R; see the module docstring
+    # factored AWGN path, ``awgn``'s frame-free tables and ``_awgn_edges``'s
+    # arrays.  One buffer holds these and Q and R; see the module docstring
     sizes = [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
                                  else [3 * E * M + max(D.size // M for D, _ in awgn)])
     QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
     if awgn is None:
-        tables = []
+        tables, buf = [], None
         for (d, ks, _), T in zip(g.groups, parts):
             T = T.reshape((M,) * d + (ks.size, frames))
             for j, k in enumerate(ks):
@@ -487,16 +470,16 @@ def _detect_slab(
         if sweep:
             for cols, rest in zip(user_edges.T, others):
                 Q[cols] = _normalize_rows(_edge_product(R, rest))
+        if awgn is not None:
+            np.multiply(Q[:E], A, out=P)
         rescue = []
         for (_, ks, e), T in zip(g.groups, tables):
-            # the group's (d, K_d, M, frames) messages, views of Q and R
-            Qd, Rd = (m[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1) for m in (Q, R))
-            if awgn is None:
-                _sum_product(T, list(Qd), list(Rd))
-            else:
-                np.multiply(Q[e], A[e], out=P[e])
-                Pd = P[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1)
-                _matmul_sum_product(T, list(Pd), list(Rd), buf)
+            # the group's (d, K_d, M, frames) messages, views of R and of Q, or
+            # on the factored path of P = Q A
+            Qd, Rd = (m[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1)
+                      for m in (Q if awgn is None else P, R))
+            _sum_product(T, list(Qd), list(Rd), buf)
+            if awgn is not None:
                 R[e] *= Ac[e]
             # resources and frames to rescue, read before R is normalised
             low = (Rd.max(axis=2) < RESCUE_FLOOR).any(axis=0)

@@ -79,7 +79,8 @@ def i_lower_bound(points: np.ndarray, n0: float) -> float:
         raise ValueError(f"n0 must be finite and positive, got {n0}")
     T = points.size
     d2 = np.abs(points[:, None] - points[None, :]) ** 2
-    cross = float(np.exp(-d2 / (4.0 * n0)).sum() - T)  # off-diagonal terms
+    with np.errstate(over="ignore"):  # a subnormal n0 sends -d2 / (4 n0) to -inf
+        cross = float(np.exp(-d2 / (4.0 * n0)).sum() - T)  # off-diagonal terms
     val = np.log2(T) - np.log2(1.0 + cross / T)
     return float(np.clip(val, 0.0, np.log2(T)))
 

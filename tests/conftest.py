@@ -178,9 +178,18 @@ def _sum_product(T, msgs):
             + _sum_product(_contract(T, msgs, range(h)), msgs[h:]))
 
 
+def _halves(B):
+    """Per half of the slots, the (M^{d-1}, M) layout of one resource's
+    (M, ..., M) frame-free AWGN table whose last axis is the half's last
+    dropped slot; for one slot, just the (1, M) table."""
+    d = B.ndim
+    layouts = (B,) if d == 1 else (B, np.moveaxis(B, d // 2 - 1, -1))
+    return tuple(np.ascontiguousarray(b).reshape(-1, B.shape[0]) for b in layouts)
+
+
 def _matmul_sum_product(B, msgs):
-    """The outgoing messages of one resource from its frame-free AWGN table,
-    laid out per half as ``_awgn_tables`` does: each half contracts its last
+    """The outgoing messages of one resource from the per-half layouts B of
+    its frame-free AWGN table (``_halves``): each half contracts its last
     dropped slot with one matmul, then goes on as ``_sum_product``."""
     n, (M, frames) = len(msgs), msgs[0].shape
     if n == 1:
@@ -216,7 +225,8 @@ def _factors(y_col, s, D, n0):
 def _per_resource_slab(y, cbs, h, n0, cfg, factored):
     """(J, M, frames) beliefs of one slab, one resource update at a time,
     with edges numbered row by row of F; ``factored`` maps each resource to
-    its frame-free AWGN (D, B), or is empty for today's tables."""
+    its D and the ``_halves`` of its frame-free AWGN table, or is empty for
+    the per-frame tables."""
     books, F = cbs.books, np.asarray(cbs.factor_matrix)
     (K, J), M, frames = F.shape, cbs.config.M, y.shape[0]
     rows, edge_user = np.nonzero(F)
@@ -267,7 +277,7 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     y = np.asarray(y, dtype=np.complex128)
     M, g = cbs.config.M, cbs.graph
     awgn = _awgn_tables(cbs, n0) if h is None else None
-    factored = {k: (D[i], tuple(b[i] for b in B))
+    factored = {k: (D[i], _halves(B[..., i, 0]))
                 for (_, ks, _), (D, B) in zip(g.groups, awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f in _slabs(y.shape[0], 8 * M ** int(cbs.graph.row_degrees.max())):

@@ -129,6 +129,11 @@ class TestLowerBound:
         pts = sum_constellation(table2, 0)
         assert i_lower_bound(pts, 1e-6) == pytest.approx(6.0, abs=1e-9)
 
+    def test_subnormal_noise_saturates_silently(self, table2):
+        """At a subnormal n0 every off-diagonal exponent overflows to -inf,
+        which used to raise a RuntimeWarning."""
+        assert i_lower_bound(sum_constellation(table2, 0), 1e-310) == 6.0
+
     def test_two_point_closed_form(self):
         pts = np.array([1 + 0j, -1 + 0j])
         expect = 1.0 - np.log2(1.0 + np.exp(-4.0))
