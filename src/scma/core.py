@@ -82,12 +82,12 @@ class FactorGraph:
     its degrees and edge indices.  Each entry of F must be an integer or bool
     equal to 0 or 1; no other value is coerced.
 
-    The E edges (nonzeros of F) are numbered group by group, the resources
-    of one degree in ascending degree order, then resource by resource, so
-    resource k owns the contiguous edges from ``res_start[k]`` in ascending
-    user order, and each degree group's edges are contiguous too.  With one
-    degree that is row by row.  ``edge_user[e]`` is the user of edge e.  Row
-    j of the (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in
+    The E edges (nonzeros of F) are numbered by degree group, in ascending
+    degree, then resource by resource, so resource k owns the contiguous
+    edges from ``res_start[k]`` in ascending user order, and each degree
+    group's edges are contiguous too.  With one degree that is row by row.
+    Edge e joins resource ``edge_res[e]`` to user ``edge_user[e]``.  Row j of
+    the (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in
     ascending resource order, padded with the index E; a message array with
     E + 1 rows keeps row E for that padding.  ``groups`` holds one (d,
     resources, edges) entry per degree group, in edge order: the degree, the
@@ -97,6 +97,7 @@ class FactorGraph:
     row_degrees: np.ndarray = field(init=False)
     col_degrees: np.ndarray = field(init=False)
     res_start: np.ndarray = field(init=False)
+    edge_res: np.ndarray = field(init=False)
     edge_user: np.ndarray = field(init=False)
     user_edges: np.ndarray = field(init=False)
     groups: tuple[tuple[int, np.ndarray, slice], ...] = field(init=False)
@@ -121,9 +122,9 @@ class FactorGraph:
         col_start = np.cumsum(col_degrees) - col_degrees
         user_edges = np.full((F.shape[1], max(2, *col_degrees)), rows.size)
         user_edges[users, np.arange(rows.size) - col_start[users]] = by_user
-        for name, value in (("F", F), ("row_degrees", row_degrees),
-                            ("col_degrees", col_degrees), ("res_start", res_start),
-                            ("edge_user", cols), ("user_edges", user_edges)):
+        for name, value in dict(F=F, row_degrees=row_degrees, col_degrees=col_degrees,
+                                res_start=res_start, edge_res=rows, edge_user=cols,
+                                user_edges=user_edges).items():
             object.__setattr__(self, name, _frozen(value))
         groups = []
         for d in sorted(set(row_degrees.tolist())):

@@ -348,9 +348,8 @@ def _awgn_edges(
     per-slot argmax of v.  P, the messages times A, and buf, the matmul
     output, are left for the sweeps; see the module docstring."""
     g, M, frames, E = cbs.graph, cbs.config.M, y.shape[0], cbs.graph.edge_user.size
-    edge_res = np.concatenate([np.repeat(ks, d) for d, ks, _ in g.groups])
-    s = cbs.books[g.edge_user, :, edge_res][:, :, None]
-    yt = y[:, edge_res].T[:, None, :]
+    s = cbs.books[g.edge_user, :, g.edge_res][:, :, None]
+    yt = y[:, g.edge_res].T[:, None, :]
     n = E * M * frames
     A, Ac, P = (ws[i * n:(i + 1) * n].reshape(E, M, frames) for i in range(3))
     np.multiply(np.ascontiguousarray(s.real), np.ascontiguousarray(yt.real), out=A)

@@ -72,7 +72,7 @@ def i_lower_bound(points: np.ndarray, n0: float) -> float:
     """Mutual-information lower bound (bits) for a sum constellation's
     ``points`` under complex Gaussian noise of total variance n0, clamped to
     its [0, log2(#points)] range."""
-    points = np.asarray(points, dtype=np.complex128)
+    points = np.asarray(points, dtype=np.complex128).ravel()
     if points.size == 0:
         raise ValueError("points must not be empty")
     if not (np.isfinite(n0) and n0 > 0.0):

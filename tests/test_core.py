@@ -21,7 +21,7 @@ from scma.core import (
     unpack_params,
     write_codebook_json,
 )
-from scma.fixtures import load_fixture
+from scma.fixtures import load_factor_matrix, load_fixture
 from scma.structure import builtin_template, instantiate, read_template_json
 
 
@@ -144,6 +144,18 @@ class TestFactorGraph:
         assert not g.groups[1][1].flags.writeable
         # at least two columns, so every user has an "other" slot
         assert FactorGraph(np.eye(2, dtype=int)).user_edges.tolist() == [[0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("source", [
+        "eq2_factor_6x4", "eq9_factor_8x4", "eq10_factor_12x6", [[1, 0, 1], [1, 1, 0], [1, 0, 0]],
+    ], ids=["6x4", "8x4", "12x6", "mixed-degree"])
+    def test_edge_resources_follow_the_groups(self, source):
+        """``edge_res`` is the one copy of each edge's resource, which the
+        AWGN detector reads; the groups imply it."""
+        g = FactorGraph(load_factor_matrix(source) if isinstance(source, str) else np.array(source))
+        expect = np.concatenate([np.repeat(ks, d) for d, ks, _ in g.groups])
+        assert np.array_equal(g.edge_res, expect)
+        assert np.array_equal(g.F[g.edge_res, g.edge_user], np.ones(g.edge_user.size))
+        assert not g.edge_res.flags.writeable
 
 
 class TestCodebookJson:

@@ -161,6 +161,18 @@ class TestLowerBound:
         assert i_lower_bound(pts.tolist(), 0.3) == i_lower_bound(pts, 0.3)
         assert i_lower_bound([0, 1 + 0j], 0.1) == i_lower_bound(np.array([0, 1 + 0j]), 0.1)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1)])
+    def test_shape_of_points_does_not_matter(self, shape):
+        """The distances used to run along axis 0 only, so these 4 points
+        read 1.548 bits as a (2, 2) array and 2.0 as (1, 4), not 1.096."""
+        pts = np.array([1, -1, 1j, -1j])
+        assert i_lower_bound(pts.reshape(shape), 0.5) == i_lower_bound(pts, 0.5)
+
+    @pytest.mark.parametrize("point", [np.complex128(1 + 1j), [1 + 1j]])
+    def test_lone_point_carries_no_information(self, point):
+        """A 0-d point used to raise IndexError."""
+        assert i_lower_bound(point, 0.5) == 0.0
+
     @pytest.mark.parametrize("n0", [0.0, np.nan, np.inf])
     def test_bad_noise_rejected(self, table2, n0):
         with pytest.raises(ValueError, match="n0 must be finite and positive"):
