@@ -33,11 +33,16 @@ bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
 ``mpa_detect_batch`` splits the frames into the fewest near-equal slabs
 whose largest table fits ``SLAB_BYTES`` and runs the tables, the sweeps and
 the rescue on one slab at a time: 4 slabs of 1024 frames for a 4096-frame
-12x6 block, one for 6x4.  A slab's Q, R and tables, or AWGN per-edge arrays,
-are views of one buffer, 11.25 MiB on 6x4 Rayleigh.  Freeing it, once
-mmapped, lifts glibc's trim threshold to twice that, above the ~20 MiB such
-a block frees at the heap top (the 8 MiB table alone set 16 MiB), so later
-blocks reuse its pages: 0 minor faults per 4-block estimate, not 10,828.
+12x6 block, one for 6x4.  That bounds memory, not cache fit: a recursion
+reads a degree group's K_d tables, 8 MiB on 6x4 and 12 MiB on 12x6, and
+einsum took 0.53-0.70 ns per term at 64 to 2,048 frames per slab.  A slab's
+Q, R and tables, or AWGN per-edge arrays, are views of one buffer, 11.25
+MiB on 6x4 Rayleigh.  Q and R are set only after the table build, so where
+their piece holds one table, 2 (E + 1) M >= M^{d_f} doubles per frame (6x4,
+not 12x6), each table is built there and copied into its slot.  Freeing the
+buffer, once mmapped, lifts glibc's trim threshold to twice its size, above
+the ~15 MiB a block frees at the heap top, so later blocks reuse its pages:
+0 minor faults per 4-block estimate, not 10,828.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -129,8 +134,8 @@ FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 # docstring
 FACTOR_MAX_SPREAD = 320.0
 
-# bytes one resource's weight table may take per slab: the 2 MiB per-core L2
-# cache of the machine the slab size was measured on; see the module docstring
+# bytes one resource's weight table may take per slab, a bound on memory,
+# not a cache size; see the module docstring
 SLAB_BYTES = 2 * 2 ** 20
 
 
@@ -162,9 +167,10 @@ def _normalize_rows(msg: np.ndarray) -> np.ndarray:
     return msg
 
 
-def _log_weights(y_col: np.ndarray, contribs: list[np.ndarray], n0: float) -> np.ndarray:
-    """Fresh (M, ..., M, frames) array of -|y - sum|^2 / n0, shifted per
-    frame to a largest entry of 0.
+def _log_weights(y_col: np.ndarray, contribs: list[np.ndarray], n0: float,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """(M, ..., M, frames) array of -|y - sum|^2 / n0, shifted per frame to
+    a largest entry of 0: ``scratch``, a float array of that shape, if given.
 
     Each entry of ``contribs`` is either (M,) for frame-constant gains or
     (M, frames); axis p of the result indexes the p-th colliding user.  The
@@ -173,26 +179,26 @@ def _log_weights(y_col: np.ndarray, contribs: list[np.ndarray], n0: float) -> np
     (y - sum) squared per part, added, less its per-frame minimum, divided
     by -n0.  The shift comes before the division, so the nearest hypothesis
     scores exactly 0 even where the others overflow to -inf at a subnormal
-    n0.  Each part's difference is written into its own sum where that
-    already has the table's shape, and the rest runs in place in the real
-    part's.  Each part is made contiguous before it broadcasts, which is
-    faster than reading the strided part of a complex array.  Frames do not
-    mix, so a table built on a subset of frames equals that slice of the
-    full one."""
+    n0.  The real part's last add (its difference if d = 1) writes into
+    ``scratch``, broadcast to the table's shape; the imaginary part's
+    difference is written into its own sum where that already has the
+    table's shape, and the rest runs in place in the real part's.  Each part
+    is made contiguous before it broadcasts, which is faster than reading
+    the strided part of a complex array.  Frames do not mix, so a table
+    built on a subset of frames equals that slice of the full one."""
     d, frames, M = len(contribs), y_col.shape[0], contribs[0].shape[0]
-    table_shape = (M,) * d + (frames,)
     diffs = []
-    for part in (np.real, np.imag):
+    for part, dst in ((np.real, scratch), (np.imag, None)):
         S = None
         for p, c in enumerate(contribs):
-            shape = [1] * (1 + d)
+            shape = [1] * d + [frames if c.ndim == 2 else 1]
             shape[p] = M
-            if c.ndim == 2:
-                shape[d] = frames
             c = np.ascontiguousarray(part(c)).reshape(shape)
-            S = c if S is None else S + c
+            S = c if S is None else np.add(S, c, out=dst if p == d - 1 else None)
+        if dst is None and d > 1 and S.size == M ** d * frames:
+            dst = S
         diff = np.subtract(np.ascontiguousarray(part(y_col)).reshape((1,) * d + (frames,)), S,
-                           out=S if d > 1 and S.shape == table_shape else None)
+                           out=dst)
         diffs.append(np.square(diff, out=diff))
     A = np.add(*diffs, out=diffs[0])
     A -= A.min(axis=tuple(range(d)), keepdims=True)
@@ -433,16 +439,16 @@ def _detect_slab(
     books, g = cbs.books, cbs.graph
     M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
-    def log_table(k: int, f: slice | np.ndarray = slice(None)) -> np.ndarray:
+    def log_table(k: int, f: slice | np.ndarray = slice(None), scratch=None) -> np.ndarray:
         return _log_weights(y[f, k], [books[j, :, k] if h is None else
                                       h[f, k, j][None, :] * books[j, :, k][:, None]
-                                      for j in g.resource_users(k)], n0)
+                                      for j in g.resource_users(k)], n0, scratch)
 
     # per degree group, its K_d resources' flushed linear weight tables in one
     # (M, ..., M, K_d, frames) array, fixed across iterations: each log table
-    # is copied into its slot, then the array is flushed in place; on the
-    # factored AWGN path, ``awgn``'s frame-free tables and ``_awgn_edges``'s
-    # arrays.  One buffer holds these and Q and R; see the module docstring
+    # is built in Q and R's piece if it fits, copied into its slot, then the
+    # array is flushed in place; on the factored AWGN path, ``awgn``'s tables
+    # and ``_awgn_edges``'s arrays.  One buffer holds these, Q and R
     sizes = [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
                                  else [3 * E * M + max(D.size // M for D, _ in awgn)])
     QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
@@ -450,8 +456,10 @@ def _detect_slab(
         tables, buf = [], None
         for (d, ks, _), T in zip(g.groups, parts):
             T = T.reshape((M,) * d + (ks.size, frames))
+            n = M ** d * frames
+            scratch = QR[:n].reshape(T.shape[:d] + (frames,)) if n <= QR.size else None
             for j, k in enumerate(ks):
-                T[..., j, :] = log_table(k)
+                T[..., j, :] = log_table(k, scratch=scratch)
             tables.append(_flushed_exp(T, out=T))
     else:
         tables = [B for _, B in awgn]
