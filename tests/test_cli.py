@@ -191,6 +191,8 @@ class TestAnalyzeCommand:
         assert len(lines) == 1 + 3 * 5
         manifest = json.loads((tmp_path / "il.csv.manifest.json").read_text())
         assert manifest["config"] == {"codebook": str(table2_file)}
+        kpi = json.loads(capsys.readouterr().out)["kpi"]
+        assert sorted(kpi) == ["d_e_min", "d_p_min", "tau_e", "tau_p"]
 
     @pytest.mark.parametrize("flag,value,missing", [
         ("--n0-grid-db", "0:10:20", "--il-csv"),
@@ -254,24 +256,28 @@ class TestSimulateCommand:
         assert int(errors) >= 40
         assert (tmp_path / "sweep.csv.manifest.json").exists()
 
-    def test_csv_rows_are_the_printed_estimates(self, table2_file, tmp_path, capsys):
+    def test_csv_rows_are_the_printed_estimates(self, tmp_path, capsys):
         """One row per point: the SER with 10 significant digits, and the
-        error and frame counts and the seed as integers."""
-        out = tmp_path / "sweep.csv"
-        assert main([
-            "simulate", "--codebook", str(table2_file), "--ebno", "2:2:4",
-            "--frames", "3000", "--seed", "16", "--out", str(out),
-        ]) == 0
-        points = json.loads(capsys.readouterr().out)["points"]
-        lines = out.read_text().splitlines()
-        assert lines[0] == "ebno_db,ser,errors,frames,seed"
-        assert len(lines) == 1 + len(points) == 3
-        for p, line in zip(points, lines[1:]):
-            ebno, ser, errors, frames, seed = line.split(",")
-            assert float(ebno) == p["ebno_db"]
-            assert ser == f"{p['ser']:.10g}"
-            assert float(ser) == pytest.approx(p["ser"], rel=1e-9)
-            assert [errors, frames, seed] == [str(p[k]) for k in ("errors", "frames", "seed")]
+        error and frame counts and the seed as integers.  6x4 on AWGN, and
+        6x4 and 12x6 on Rayleigh fading."""
+        cb, out = tmp_path / "cb.json", tmp_path / "sweep.csv"
+        for name, channel in [("table2_awgn_6x4", "awgn"), ("table3_fading_6x4", "rayleigh"),
+                              ("table6_fading_12x6", "rayleigh")]:
+            write_codebook_json(load_codebook(name), cb)
+            assert main([
+                "simulate", "--codebook", str(cb), "--channel", channel, "--ebno", "2:2:4",
+                "--frames", "3000", "--seed", "16", "--out", str(out),
+            ]) == 0
+            points = json.loads(capsys.readouterr().out)["points"]
+            lines = out.read_text().splitlines()
+            assert lines[0] == "ebno_db,ser,errors,frames,seed"
+            assert len(lines) == 1 + len(points) == 3
+            for p, line in zip(points, lines[1:]):
+                ebno, ser, errors, frames, seed = line.split(",")
+                assert float(ebno) == p["ebno_db"]
+                assert ser == f"{p['ser']:.10g}"
+                assert float(ser) == pytest.approx(p["ser"], rel=1e-9)
+                assert [errors, frames, seed] == [str(p[k]) for k in ("errors", "frames", "seed")]
 
     def test_same_seed_same_bytes(self, table2_file, tmp_path):
         outs = []
@@ -432,15 +438,21 @@ class TestOptimizeCommand:
         assert main(["validate", "--codebook", str(out / "codebook.json")]) == 0
 
     def test_template_file_accepted(self, tmp_path, capsys):
-        tfile = tmp_path / "custom.json"
-        tfile.write_text(json.dumps(template_doc(builtin_template("6x4"))))
-        out = tmp_path / "run3"
-        code = main([
-            "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
-            "--max-iter", "0", "--frames-per-eval", "300", "--seed", "2",
-            "--out", str(out),
-        ])
-        assert code == 0
+        """The 6x4 template written out, and 2 users on 1 resource (d_v = 1):
+        each search exits 0 and writes a codebook that validates."""
+        tiny = {"name": "tiny", "num_params": 2, "F": [[1, 1]],
+                "slots": [[[{"p": p, "s": 1}], [{"p": p, "s": -1}]] for p in (0, 1)]}
+        for doc in [template_doc(builtin_template("6x4")), tiny]:
+            tfile = tmp_path / f"{doc['name']}.json"
+            tfile.write_text(json.dumps(doc))
+            out = tmp_path / f"{doc['name']}_run"
+            code = main([
+                "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
+                "--max-iter", "1", "--frames-per-eval", "300", "--seed", "2",
+                "--out", str(out),
+            ])
+            assert code == 0
+            assert main(["validate", "--codebook", str(out / "codebook.json")]) == 0
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--max-iter", "-3", "i_max"), ("--plateau-window", "-1", "plateau_window"),
@@ -481,14 +493,16 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     def test_malformed_template_file_is_usage_error(self, tmp_path, capsys):
-        """A slot cell of sign 2, and slots that are not 3-D."""
+        """A slot cell of sign 2, slots that are not 3-D, and a top level
+        that is a JSON array."""
         bad_cell = template_doc(builtin_template("6x4"))
         bad_cell["slots"][0][0][0] = {"p": 0, "s": 2}
+        tfile = tmp_path / "bad.json"
         for doc, err in [
             (bad_cell, "malformed slot entry: {'p': 0, 's': 2}"),
             ({**bad_cell, "slots": []}, "slots must be a (J, M, K) array"),
+            ([1, 2], f"{tfile}: top level must be an object"),
         ]:
-            tfile = tmp_path / "bad.json"
             tfile.write_text(json.dumps(doc))
             code = main([
                 "optimize", "--template", str(tfile), "--ebno", "10", "--np", "4",
@@ -496,6 +510,7 @@ class TestOptimizeCommand:
             ])
             assert code == 2
             assert capsys.readouterr().err == f"error: {err}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     @pytest.mark.parametrize("num_params,err", [
         (6.9, "missing or invalid template field: num_params must be an integer, got 6.9"),
@@ -645,6 +660,26 @@ class TestEbn0Range:
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table2.json"]
         assert normalize_calls == []
+
+
+class TestSubnormalNoise:
+    """At Eb/N0 = 3080 dB the noise variance is subnormal, so every exponent
+    but each frame's nearest overflows to -inf: the commands run without a
+    warning, here made an error whatever the pytest settings."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,command", [
+        ("table2_awgn_6x4", ["simulate", "--ebno", "3080", "--frames", "64",
+                             "--out", "x.csv"]),
+        ("table3_fading_6x4", ["simulate", "--channel", "rayleigh", "--ebno", "3080",
+                               "--frames", "64", "--out", "x.csv"]),
+        ("table2_awgn_6x4", ["analyze", "--n0-grid-db=3080", "--il-csv", "il.csv"]),
+    ], ids=["simulate-awgn", "simulate-rayleigh", "analyze"])
+    def test_runs_silently(self, tmp_path, monkeypatch, capsys, name, command):
+        monkeypatch.chdir(tmp_path)
+        write_codebook_json(load_codebook(name), "cb.json")
+        assert main([command[0], "--codebook", "cb.json", *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def crowded_codebook() -> CodebookSet:
