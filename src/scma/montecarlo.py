@@ -15,19 +15,19 @@ therefore does not depend on the worker count, and neither does the
 estimate.  The default error target, infinity, is never reached, so the run
 covers every frame.
 
-An SER ``bound`` lets a run stop inside a block, once its errors over the
-symbols asked, ``frames * J``, reach it.  A bounded block is drawn whole and
-detected in consecutive pieces: ``FIRST_PIECE`` frames, then the frames its
-error rate so far projects it needs to reach the bound, rounded up to a
-multiple of ``PIECE_STEP``, or the rest of the block once the projection
-reaches its end.  The block stops at the end of the first piece where its
-errors plus those counted before its wave reach the bound.  A frame's
-beliefs do not depend on the detector call, so a bound the run never
-reaches, infinity (no bound) included, gives the unbounded estimate exactly.
-Whether a run stops depends only on its full error count, so not on
-``threads``; its frame count when it stops may, because the blocks of a wave
-all start from the count before the wave.  Unbounded runs detect each block
-in one call.
+An SER ``bound`` ends a run at the first frame where its errors over the
+symbols asked, ``frames * J``, reach it: a bounded estimate is the shortest
+prefix of the frame stream that reaches the bound.  A bounded block is
+drawn whole and detected in consecutive pieces, ``FIRST_PIECE`` frames, then
+the frames its error rate so far projects it needs to reach the bound, or
+the rest of the block once the projection reaches its end, until its errors
+plus those counted before its wave reach the bound.  The block-order
+reduction cuts the detected frames' error flags at the frame that reaches
+the bound.  A frame's beliefs do not depend on the detector call that holds
+it, so the pieces and ``threads`` decide only how many frames are detected,
+never the estimate, and a bound the run never reaches, infinity (no bound)
+included, gives the unbounded estimate exactly.  Unbounded runs detect each
+block in one call.
 """
 from __future__ import annotations
 
@@ -47,10 +47,8 @@ from .detector import MpaConfig, hard_decision, mpa_detect_batch
 DEFAULT_TARGET_ERRORS = 200
 DEFAULT_MAX_FRAMES = 10 ** 6
 
-# a bounded block's first piece, and the multiple its later pieces round up
-# to: detector calls below ~512 frames lose throughput to fixed costs
+# a bounded block's first piece, before its error rate can project the rest
 FIRST_PIECE = 1024
-PIECE_STEP = 256
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def _next_piece(done: int, errors: int, need: int, left: int) -> int:
     elif errors * left <= need * done:
         n = left
     else:
-        n = -(-math.ceil(need * done / errors) // PIECE_STEP) * PIECE_STEP
+        n = math.ceil(need * done / errors)
     return min(n, left)
 
 
@@ -126,12 +124,12 @@ def estimate_ser(
 ) -> SerEstimate:
     """Simulate up to ``frames`` independent frames and count per-user symbol
     errors.  Identical (seed, stream, frames, config) always produce the
-    identical estimate.  The run stops early at the end of the first block
-    at which ``target_errors`` symbol errors are counted, or, with an SER
-    ``bound``, at the end of the first detector piece where its errors
-    divided by ``frames * J`` reach it (see the module docstring); the
-    estimate then covers the frames detected, and a bounded one's SER is at
-    least ``bound``.  Infinity, the default of both, never stops a run."""
+    identical estimate, at any ``threads``.  The run stops early at the end
+    of the first block at which ``target_errors`` symbol errors are counted,
+    or, with an SER ``bound``, at the first frame where its errors divided
+    by ``frames * J`` reach it (see the module docstring); a stopped bounded
+    estimate's SER is therefore at least ``bound``.  Infinity, the default of
+    both, never stops a run."""
     _require_int(1, frames=frames, threads=threads)
     _require_int(0, seed=seed, stream=stream)
     if not bound >= 0:
@@ -149,28 +147,25 @@ def estimate_ser(
             goal += 1
     stop = min(target_errors, goal)
 
-    def run_block(block: int, prior: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user errors and frames by error count of one block, whose wave
-        started with ``prior`` errors."""
+    def run_block(block: int, prior: int) -> np.ndarray:
+        """(frames, J) symbol-error flags of the frames of one block that were
+        detected, its wave having started with ``prior`` errors."""
         nb = min(FRAME_BLOCK, frames - block * FRAME_BLOCK)
         rng = block_rng(seed, stream, block)
         symbols, h, y = draw_frame_block(cbs, channel, n0, nb, rng)
-        errs = np.zeros(J, dtype=np.int64)
-        hist = np.zeros(J + 1, dtype=np.int64)
-        done = 0
+        wrong = np.empty(symbols.shape, dtype=bool)
+        done = found = 0
         while done < nb:
-            found = int(errs.sum())
             n = nb if goal == math.inf else _next_piece(
                 done, found, goal - prior - found, nb - done)
             f = slice(done, done + n)
             hf = None if h is None else h[f]
-            wrong = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
-            errs += wrong.sum(axis=0)
-            hist += np.bincount(wrong.sum(axis=1), minlength=J + 1)
+            wrong[f] = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
+            found += int(wrong[f].sum())
             done += n
-            if prior + errs.sum() >= goal:
+            if prior + found >= goal:
                 break
-        return errs, hist
+        return wrong[:done]
 
     def in_block_order(run):
         for first in range(0, n_blocks, threads):
@@ -184,9 +179,12 @@ def estimate_ser(
     by_errors = np.zeros(J + 1, dtype=np.int64)
     # no pool at 1 worker: its thread's malloc arena costs de-6x4-awgn 12-16 MB RSS
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for user_errs, hist in in_block_order(pool.map if pool else map):
-            per_user += user_errs
-            by_errors += hist
+        for wrong in in_block_order(pool.map if pool else map):
+            counts = wrong.sum(axis=1)
+            # up to the first frame whose running error count reaches the goal
+            end = np.searchsorted(np.cumsum(counts), goal - per_user.sum()) + 1
+            per_user += wrong[:end].sum(axis=0)
+            by_errors += np.bincount(counts[:end], minlength=J + 1)
             if per_user.sum() >= stop:
                 break
     return SerEstimate(tuple(per_user.tolist()), tuple(by_errors.tolist()), seed,

@@ -18,8 +18,8 @@ stopped SER is at least the row's, so the strict ``<`` rejects it with no
 special case, and an accepted trial never stops, so every recorded fitness
 is a full estimate.  The population init and the survivor refresh run with
 an infinite bound, that is none, because they set the bounds.
-A stopped trial's frame count may depend on ``threads``; whether it stops,
-and so every output, does not.
+A stopped trial's estimate, like every other, does not depend on
+``threads``.
 
 The SER objective is stochastic; two stream policies are supported:
 

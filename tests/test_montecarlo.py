@@ -232,22 +232,39 @@ def detector_calls(monkeypatch):
     return calls
 
 
+def shortest_prefix(errs: np.ndarray, n: float) -> np.ndarray:
+    """The first frames of ``errs`` up to the one whose running error count
+    reaches ``n``, or all of them if none does."""
+    reached = np.flatnonzero(errs.sum(axis=1).cumsum() >= n)
+    return errs[:reached[0] + 1] if reached.size else errs
+
+
+def assert_counts(est, errs: np.ndarray) -> None:
+    """``est`` counts exactly the frames of ``errs``."""
+    J = errs.shape[1]
+    assert est.frames == len(errs)
+    assert est.per_user_errors == tuple(errs.sum(axis=0).tolist())
+    assert est.frames_by_errors == tuple(np.bincount(errs.sum(axis=1), minlength=J + 1))
+
+
 class TestBound:
-    """An SER bound stops a run at the end of the first detector piece where
-    the running error count over the symbols asked reaches it; bounds are
-    given here as ``n / (frames * J)`` for an error count ``n``."""
+    """An SER bound ends a run at the first frame where the running error
+    count over the symbols asked reaches it, so a bounded estimate is the
+    shortest prefix of the frame stream that reaches it; bounds are given
+    here as ``n / (frames * J)`` for an error count ``n``."""
 
     def test_reached_bound_stops_early(self, table2, detector_calls):
         """Also for a bound between two error counts, ``n + 0.25``."""
-        full = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21)
-        for n in (full.symbol_errors // 3, full.symbol_errors // 3 + 0.25):
+        errs = frame_errors(table2, 4.0, "awgn", 4000, seed=21)
+        for n in (int(errs.sum()) // 3, int(errs.sum()) // 3 + 0.25):
             detector_calls.clear()
             bound = n / (4000 * table2.config.J)
             est = estimate_ser(table2, 4.0, "awgn", frames=4000, seed=21, bound=bound)
+            assert_counts(est, shortest_prefix(errs, n))
             assert est.symbol_errors >= n
             assert est.frames < 4000
             assert est.ser >= bound
-            assert sum(detector_calls) == est.frames
+            assert sum(detector_calls) >= est.frames
 
     def test_unreached_bound_gives_the_unbounded_estimate(self, table2):
         for channel, frames in (("awgn", 9000), ("rayleigh", 5000)):
@@ -271,57 +288,65 @@ class TestBound:
         assert est.symbol_errors == int(prefix.sum()) >= n
         assert est.symbols_sent == est.frames * table2.config.J
         assert est.per_user_ser == tuple(prefix.sum(axis=0) / est.frames)
-        # it stopped at the end of the first piece that reached the bound
-        assert int(errs[:est.frames - mc.PIECE_STEP].sum()) < n
+        # it stopped at the first frame that reached the bound
+        assert int(errs[:est.frames - 1].sum()) < n
 
     @pytest.mark.parametrize("frames", [1109, 1116])
     def test_bound_of_the_first_piece_errors_stops_there(self, table2, frames):
         """``n / symbols * symbols`` rounds above ``n`` at 1109 frames and
         below it at 1116; either way the bound ``n / symbols`` stops the run
-        exactly when ``n`` errors are counted."""
+        at the frame that brings the count to ``n``, inside the first
+        piece, and ``(n + 1) / symbols`` at the one that passes ``n``."""
         symbols = frames * table2.config.J
-        n = int(frame_errors(table2, 4.0, "awgn", frames, seed=25)[:1024].sum())
+        errs = frame_errors(table2, 4.0, "awgn", frames, seed=25)
+        n = int(errs[:mc.FIRST_PIECE].sum())
         assert n / symbols * symbols != n
         est = estimate_ser(table2, 4.0, "awgn", frames, seed=25, bound=n / symbols)
-        assert (est.frames, est.symbol_errors) == (1024, n)
+        assert_counts(est, shortest_prefix(errs, n))
+        assert est.symbol_errors >= n and est.frames <= mc.FIRST_PIECE
         est = estimate_ser(table2, 4.0, "awgn", frames, seed=25,
                            bound=(n + 1) / symbols)
-        assert est.frames > 1024
+        assert_counts(est, shortest_prefix(errs, n + 1))
+        assert est.frames > mc.FIRST_PIECE
 
     @pytest.mark.parametrize("frames", [1025, 2049, 5121, 9000])
     def test_detector_calls_cover_the_frames_detected(self, table2, detector_calls,
                                                        frames):
+        errs = frame_errors(table2, 3.0, "awgn", frames, seed=24)
         for n in (1, 40, 150, 400, 10 ** 9):
             detector_calls.clear()
             est = estimate_ser(table2, 3.0, "awgn", frames=frames, seed=24,
                                bound=n / (frames * table2.config.J))
-            assert sum(detector_calls) == est.frames
+            assert_counts(est, shortest_prefix(errs, n))
+            assert frames >= sum(detector_calls) >= est.frames
 
     def test_negative_bound_rejected(self, table2):
         with pytest.raises(ValueError, match="bound"):
             estimate_ser(table2, 10.0, "awgn", frames=100, bound=-1)
 
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
     @settings(max_examples=12, deadline=None)
     @example(seed=0, n=0, frames=3 * FRAME_BLOCK - 1)
+    @example(seed=25716, n=2059, frames=7717)
     @given(
         seed=st.integers(0, 2 ** 16),
         n=st.integers(0, 1500),
         frames=PARTIAL_FRAMES,
     )
     def test_whether_it_stops_does_not_depend_on_threads(
-        self, table2, seed, n, frames
+        self, table2, channel, seed, n, frames
     ):
-        full = estimate_ser(table2, 4.0, "awgn", frames, seed=seed)
+        errs = frame_errors(table2, 4.0, channel, frames, seed=seed)
         bound = n / (frames * table2.config.J)
-        for t in (1, 2, 3):
-            est = estimate_ser(table2, 4.0, "awgn", frames, seed=seed, threads=t,
-                               bound=bound)
-            stopped = est.symbol_errors >= n
-            assert stopped == (full.symbol_errors >= n)
-            if stopped:
-                assert est.ser >= bound
-            else:
-                assert est == full
+        runs = [
+            estimate_ser(table2, 4.0, channel, frames, seed=seed, threads=t,
+                         bound=bound)
+            for t in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        assert_counts(runs[0], shortest_prefix(errs, n))
+        if errs.sum() >= n:
+            assert runs[0].ser >= bound
 
 
 class TestDerivedValues:
