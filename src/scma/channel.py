@@ -20,6 +20,9 @@ from .core import CodebookSet, SystemConfig
 
 FRAME_BLOCK = 4096
 
+# frames per piece of the noiseless signal: 1.1 MiB of 12x6 codewords
+SIGNAL_CHUNK = 1024
+
 CHANNELS = ("awgn", "rayleigh")
 
 
@@ -63,16 +66,23 @@ def draw_frame_block(
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     cfg = cbs.config
     symbols = rng.integers(0, cfg.M, size=(frames, cfg.J))
-    x = cbs.books[np.arange(cfg.J)[None, :], symbols, :]  # (F, J, K)
+    h = None
     if channel == "rayleigh":
-        h = rng.standard_normal((frames, cfg.K, cfg.J)) + 1j * rng.standard_normal(
-            (frames, cfg.K, cfg.J)
-        )
+        # each part drawn whole into one float buffer, so the stream is the
+        # one of re + 1j * im, without its full-size temporaries
+        h = np.empty((frames, cfg.K, cfg.J), dtype=complex)
+        part = rng.standard_normal(h.shape)
+        h.real = part
+        h.imag = rng.standard_normal(out=part)
+        del part
         h /= np.sqrt(2.0)
-        signal = np.einsum("fkj,fjk->fk", h, x)
-    else:
-        h = None
-        signal = x.sum(axis=1)
+    # the noiseless signal over frame chunks, so the (F, J, K) codewords are
+    # never held whole; each frame's sum is the whole block's
+    signal = np.empty((frames, cfg.K), dtype=complex)
+    for lo in range(0, frames, SIGNAL_CHUNK):
+        f = slice(lo, lo + SIGNAL_CHUNK)
+        x = cbs.books[np.arange(cfg.J)[None, :], symbols[f], :]  # (chunk, J, K)
+        signal[f] = x.sum(axis=1) if h is None else np.einsum("fkj,fjk->fk", h[f], x)
     noise = rng.standard_normal((frames, cfg.K)) + 1j * rng.standard_normal(
         (frames, cfg.K)
     )

@@ -28,21 +28,24 @@ written to Q at column s.  It opens every sweep but the first, since no
 one reads the Q of the last sweep.  Users with fewer edges than columns are
 padded with the index E; row E is all ones in R and a write-only sink in Q.
 
-A block is detected in frame slabs.  One resource's table takes 8 * M^{d_f}
-bytes per frame, 8 MiB for 4096 frames at M = 4 and d_f = 4, so
-``mpa_detect_batch`` splits the frames into the fewest near-equal slabs
-whose largest table fits ``SLAB_BYTES`` and runs the tables, the sweeps and
-the rescue on one slab at a time: 4 slabs of 1024 frames for a 4096-frame
-12x6 block, one for 6x4.  That bounds memory, not cache fit: a recursion
-reads a degree group's K_d tables, 8 MiB on 6x4 and 12 MiB on 12x6, and
-einsum took 0.53-0.70 ns per term at 64 to 2,048 frames per slab.  A slab's
-Q, R and tables, or AWGN per-edge arrays, are views of one buffer, 11.25
-MiB on 6x4 Rayleigh.  Q and R are set only after the table build, so where
-their piece holds one table, 2 (E + 1) M >= M^{d_f} doubles per frame (6x4,
-not 12x6), each table is built there and copied into its slot.  Freeing the
+A block is detected in frame slabs.  A slab's Q, R and tables, or on the
+factored AWGN path its per-edge arrays, are views of one buffer, whose
+doubles per frame ``_slab_sizes`` lists: 1,736 on 12x6 and 360 on 6x4 with
+per-frame tables, 872 and 312 factored.  ``mpa_detect_batch`` splits the
+frames into the fewest near-equal slabs whose buffer fits ``SLAB_BYTES`` (6
+MiB) and runs the tables, the sweeps and the rescue on one slab at a time:
+10 slabs of 409 or 410 frames for a 4096-frame 12x6 Rayleigh block, 2 of
+2048 for 6x4.  That bounds memory, not cache fit: einsum took 0.53-0.70 ns
+per term at 64 to 2,048 frames per slab, but at 4 MiB, 3 slabs per 6x4
+block, a 2-worker 6x4 estimate ran 1.16-1.21x slower.  Q and R are set only
+after the table build, so where their piece holds one table, 2 (E + 1) M >=
+M^{d_f} doubles per frame (6x4, not 12x6), each table is built there and
+copied into its slot.  The beliefs are allocated before the first slab, so
+each slab's buffer takes the memory its predecessor freed.  Freeing the
 buffer, once mmapped, lifts glibc's trim threshold to twice its size, above
-the ~15 MiB a block frees at the heap top, so later blocks reuse its pages:
-0 minor faults per 4-block estimate, not 10,828.
+what a 6x4 block frees at the heap top, so later blocks reuse its pages: 0
+minor faults per 4-block 6x4 estimate.  A 12x6 Rayleigh block frees more
+than twice its 5.4 MiB buffer, so its pages are trimmed and mapped again.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -134,9 +137,9 @@ FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 # docstring
 FACTOR_MAX_SPREAD = 320.0
 
-# bytes one resource's weight table may take per slab, a bound on memory,
-# not a cache size; see the module docstring
-SLAB_BYTES = 2 * 2 ** 20
+# bytes a slab's one buffer may take: Q, R and its tables or per-edge
+# arrays; a bound on memory, not a cache size; see the module docstring
+SLAB_BYTES = 6 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -377,6 +380,16 @@ def _awgn_edges(
     return A, Ac, P, ws[3 * n:]
 
 
+def _slab_sizes(cbs: CodebookSet, awgn: list[tuple] | None) -> list[int]:
+    """Doubles per frame of each part of a slab's one buffer: Q and R, then
+    each degree group's tables, or on the factored AWGN path (``awgn`` from
+    ``_awgn_tables``) ``_awgn_edges``'s arrays; 8 times their sum is the
+    slab's bytes per frame."""
+    g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
+    return [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
+                                else [3 * E * M + max(D.size // M for D, _ in awgn)])
+
+
 def _slabs(frames: int, frame_bytes: int) -> list[slice]:
     """The fewest consecutive near-equal slices covering range(frames), each
     of at most max(1, SLAB_BYTES // frame_bytes) frames; one empty slice for
@@ -410,18 +423,17 @@ def mpa_detect_batch(
     if not y.shape[0]:
         return np.empty((0, cbs.config.J, M))
     awgn = _awgn_tables(cbs, n0) if h is None else None
-    out = None
-    for f in _slabs(y.shape[0], 8 * M ** int(g.row_degrees.max())):
+    sizes = _slab_sizes(cbs, awgn)
+    # before the first slab, so each slab's buffer takes the memory its
+    # predecessor freed; see the module docstring
+    out = np.empty((y.shape[0], cbs.config.J, M))
+    for f in _slabs(y.shape[0], 8 * sum(sizes)):
         # a lone frame is detected as two copies of itself; see the module
         # docstring
         n = f.stop - f.start
         rows = [f.start] * 2 if n == 1 else f
         hf = None if h is None else h[rows]
-        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg, awgn).transpose(2, 0, 1)[:n]
-        if out is None:
-            # allocated once the first slab's tables are freed, so a block of
-            # one slab peaks no higher than its detection
-            out = np.empty((y.shape[0], cbs.config.J, M))
+        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg, awgn, sizes).transpose(2, 0, 1)[:n]
         out[f] = beliefs
     return out
 
@@ -433,9 +445,11 @@ def _detect_slab(
     n0: float,
     cfg: MpaConfig,
     awgn: list[tuple] | None,
+    sizes: list[int],
 ) -> np.ndarray:
     """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs,
-    from the factored tables ``awgn`` of ``_awgn_tables`` unless None."""
+    from the factored tables ``awgn`` of ``_awgn_tables`` unless None, in
+    one buffer of the parts ``_slab_sizes`` gives."""
     books, g = cbs.books, cbs.graph
     M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
@@ -449,8 +463,6 @@ def _detect_slab(
     # is built in Q and R's piece if it fits, copied into its slot, then the
     # array is flushed in place; on the factored AWGN path, ``awgn``'s tables
     # and ``_awgn_edges``'s arrays.  One buffer holds these, Q and R
-    sizes = [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
-                                 else [3 * E * M + max(D.size // M for D, _ in awgn)])
     QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
     if awgn is None:
         tables, buf = [], None
@@ -471,11 +483,10 @@ def _detect_slab(
     Q.fill(1.0 / M)
     R.fill(1.0)
 
-    others = [np.delete(user_edges, s, axis=1) for s in range(user_edges.shape[1])]
     for sweep in range(cfg.iterations):
         # the previous sweep's user update; the last sweep's Q would go unread
         if sweep:
-            for cols, rest in zip(user_edges.T, others):
+            for cols, rest in zip(user_edges.T, g.other_edges):
                 Q[cols] = _normalize_rows(_edge_product(R, rest))
         if awgn is not None:
             np.multiply(Q[:E], A, out=P)

@@ -16,6 +16,7 @@ from scma.detector import (
     _log_resource,
     _log_weights,
     _normalize_rows,
+    _slab_sizes,
     _slabs,
 )
 from scma.fixtures import load_codebook
@@ -280,7 +281,7 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     factored = {k: (D[i], _halves(B[..., i, 0]))
                 for (_, ks, _), (D, B) in zip(g.groups, awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
-    for f in _slabs(y.shape[0], 8 * M ** int(cbs.graph.row_degrees.max())):
+    for f in _slabs(y.shape[0], 8 * sum(_slab_sizes(cbs, awgn))):
         n = f.stop - f.start
         rows = [f.start] * 2 if n == 1 else f
         hf = None if h is None else h[rows]

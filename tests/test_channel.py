@@ -1,9 +1,12 @@
 """Noise-variance mapping, signal synthesis, and stream derivation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
+from scma.channel import CHANNELS, SIGNAL_CHUNK, block_rng, draw_frame_block, ebn0_to_n0
 from scma.core import CodebookSet
+from scma.fixtures import load_codebook
 
 
 def _solo(cbs: CodebookSet, j: int) -> CodebookSet:
@@ -16,6 +19,23 @@ def _solo(cbs: CodebookSet, j: int) -> CodebookSet:
 def _draw(cbs: CodebookSet, channel: str, n0: float, seed: int):
     """One 64-frame block; equal seeds give equal rng states."""
     return draw_frame_block(cbs, channel, n0, 64, block_rng(seed, 0, 0))
+
+
+def whole_block_draw(cbs, channel, n0, frames, rng):
+    """``draw_frame_block`` with whole-block temporaries: every codeword at
+    once, and each gain formed as re + 1j * im.  The reference for its
+    bytes."""
+    cfg = cbs.config
+    symbols = rng.integers(0, cfg.M, size=(frames, cfg.J))
+    x = cbs.books[np.arange(cfg.J)[None, :], symbols, :]
+    h = None
+    if channel == "rayleigh":
+        h = rng.standard_normal((frames, cfg.K, cfg.J)) + 1j * rng.standard_normal(
+            (frames, cfg.K, cfg.J))
+        h /= np.sqrt(2.0)
+    signal = x.sum(axis=1) if h is None else np.einsum("fkj,fjk->fk", h, x)
+    noise = rng.standard_normal((frames, cfg.K)) + 1j * rng.standard_normal((frames, cfg.K))
+    return symbols, h, signal + np.sqrt(n0 / 2.0) * noise
 
 
 class TestEbn0Mapping:
@@ -125,3 +145,37 @@ class TestRealizationGains:
             assert np.allclose(y_j, h[:, :, j] * x_j, atol=1e-15)
             total += y_j
         assert np.allclose(y, total, atol=1e-15)
+
+
+class TestDrawMemory:
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table6_fading_12x6"])
+    def test_bytes_equal_the_whole_block_draw(self, name, channel):
+        """At frame counts around the signal's chunk edges, on three seeds."""
+        cbs = load_codebook(name)
+        for frames in (0, 1, SIGNAL_CHUNK - 1, SIGNAL_CHUNK, SIGNAL_CHUNK + 1,
+                       2 * SIGNAL_CHUNK + 3, 4096):
+            for seed in (1, 2, 3):
+                got = draw_frame_block(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
+                ref = whole_block_draw(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
+                for a, b in zip(got, ref):
+                    assert (a is None) == (b is None), (frames, seed)
+                    if a is not None:
+                        assert a.dtype == b.dtype and a.shape == b.shape, (frames, seed)
+                        assert a.tobytes() == b.tobytes(), (frames, seed)
+
+    def test_peak_of_a_12x6_rayleigh_block(self):
+        """A 4096-frame block holds what it returns, one float part of the
+        gains while it draws them and at most two chunks of codewords: ~7.6
+        MiB, against ~14.0 MiB with the whole block's codewords and
+        temporaries."""
+        cbs = load_codebook("table6_fading_12x6")
+        cfg = cbs.config
+        tracemalloc.start()
+        try:
+            symbols, h, y = draw_frame_block(cbs, "rayleigh", 0.1, 4096, block_rng(1, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = SIGNAL_CHUNK * cfg.J * cfg.K * 16
+        assert peak <= symbols.nbytes + 1.5 * h.nbytes + y.nbytes + 2 * chunk

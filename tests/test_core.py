@@ -136,6 +136,10 @@ class TestFactorGraph:
         assert g.edge_user.tolist() == [0, 0, 2, 0, 1]
         # one row per user, its edges by resource, padded with E = 5
         assert g.user_edges.tolist() == [[1, 3, 0], [4, 5, 5], [2, 5, 5]]
+        # the other columns of each column s
+        assert g.other_edges.tolist() == [[[3, 0], [5, 5], [5, 5]], [[1, 0], [4, 5], [2, 5]],
+                                          [[1, 3], [4, 5], [2, 5]]]
+        assert not g.other_edges.flags.writeable
         assert g.resource_edges(1) == slice(3, 5)
         assert g.resource_users(1).tolist() == [0, 1]
         # (degree, resources, edges) per degree group, in edge order

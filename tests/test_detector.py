@@ -474,8 +474,18 @@ class TestFactoredTables:
                 assert (lo >= 1 - 1e-12).all() and (hi <= np.exp(D[i].max()) * (1 + 1e-12)).all()
 
 
+def two_slab_frames(cbs, channel, n0):
+    """The fewest frames ``mpa_detect_batch`` splits into two slabs on this
+    channel and n0, checked to be two slabs."""
+    awgn = detector._awgn_tables(cbs, n0) if channel == "awgn" else None
+    frame_bytes = 8 * sum(detector._slab_sizes(cbs, awgn))
+    frames = detector.SLAB_BYTES // frame_bytes + 1
+    assert len(detector._slabs(frames, frame_bytes)) == 2
+    return frames
+
+
 class TestFrameSlabs:
-    """A 4096-frame 12x6 block is detected in four 1024-frame slabs."""
+    """A 4096-frame 12x6 Rayleigh block, detected in frame slabs."""
 
     @pytest.fixture(scope="class")
     def block(self):
@@ -518,16 +528,16 @@ class TestFrameSlabs:
     ])
     def test_awgn_beliefs_do_not_depend_on_the_call(self, name, ebn0_db, factored):
         """Inside the guard the matmul hands frames to BLAS as the columns of
-        one product.  On both sides, calls of 1, 2, 3, 255 and 1024 frames,
-        some across the slab boundary, give the bytes of one two-slab call."""
+        one product.  On both sides, calls of 1, 2, 3 and 255 frames and of
+        the most one slab holds, some across the slab boundary, give the
+        bytes of one two-slab call."""
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
         assert (detector._awgn_tables(cbs, n0) is not None) == factored
-        table_bytes = 8 * cbs.config.M ** int(cbs.graph.row_degrees.max())
-        two_slabs = detector.SLAB_BYTES // table_bytes + 1
+        two_slabs = two_slab_frames(cbs, "awgn", n0)
         _, _, y = draw_frame_block(cbs, "awgn", n0, two_slabs, block_rng(33, 0, 0))
         whole = mpa_detect_batch(y, cbs, None, n0)
-        for size in (1, 2, 3, 255, 1024):
+        for size in (1, 2, 3, 255, two_slabs - 1):
             for lo in {0, 7, (two_slabs - size) // 2, two_slabs - size}:
                 got = mpa_detect_batch(y[lo:lo + size], cbs, None, n0)
                 assert got.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
@@ -545,22 +555,24 @@ class TestFrameSlabs:
                 assert len(slabs) == max(1, -(-frames // cap))
 
     def test_peak_memory_of_a_block(self, block):
-        """Whole-block tables held 6 x 8 MiB and peaked at ~65 MiB; slab
-        tables of 2 MiB, with the messages in one slab buffer, peak at ~20 MiB."""
+        """The call holds its beliefs and one slab buffer of at most
+        ``SLAB_BYTES``, and its table build's temporaries take less than
+        half that again: ~9.1 MiB in all.  Whole-block tables peaked at ~65
+        MiB, and 2 MiB tables per resource, six to a slab, at ~20.4 MiB."""
         tracemalloc.start()
         try:
-            mpa_detect_batch(*block)
+            beliefs = mpa_detect_batch(*block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert peak <= beliefs.nbytes + 1.5 * detector.SLAB_BYTES
 
 
 def test_peak_memory_of_a_6x4_rayleigh_call():
     """Each 6x4 table's real part is built in the slab buffer's Q/R piece,
     which the sweeps take only after the build: the traced peak of a
-    4096-frame call is ~14.7 MiB, against ~16.7 MiB with a fresh real part
-    per table."""
+    4096-frame call, two slabs of 2048 frames, is ~8.5 MiB, against ~9.5
+    MiB with a fresh real part per table."""
     cbs = load_codebook("table3_fading_6x4")
     n0 = ebn0_to_n0(9.0, cbs.config)
     _, h, y = draw_frame_block(cbs, "rayleigh", n0, 4096, block_rng(1, 0, 0))
@@ -570,33 +582,38 @@ def test_peak_memory_of_a_6x4_rayleigh_call():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.5 * 2 ** 20
+    assert peak <= 9 * 2 ** 20
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap")
 def test_later_blocks_reuse_heap_pages():
-    """A second 4-block 6x4 Rayleigh estimate maps no fresh pages: freeing a
-    slab's one buffer lifts glibc's trim threshold above what a block frees
-    at the heap top.  Separate group tables, Q and R took ~10.8k minor
-    faults.  It runs in a fresh process, since earlier tests raise the
-    thresholds of this one."""
-    script = (
-        "import resource\n"
-        "from scma.fixtures import load_codebook\n"
-        "from scma.montecarlo import estimate_ser\n"
-        "cbs = load_codebook('table3_fading_6x4')\n"
-        "estimate_ser(cbs, 9.0, 'rayleigh', 4 * 4096)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "estimate_ser(cbs, 9.0, 'rayleigh', 4 * 4096)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
+    """A second 4-block 6x4 estimate maps no fresh pages, on Rayleigh and on
+    factored AWGN: freeing a slab's one buffer lifts glibc's trim threshold
+    above what a block frees at the heap top, and each slab's buffer takes
+    the memory its predecessor freed, as the beliefs are allocated before
+    the first.  Separate group tables, Q and R took ~10.8k minor faults on
+    Rayleigh; beliefs allocated after the first of two slabs took 3.6-5.8k
+    on Rayleigh and 5.1-6.2k on AWGN.  Each runs in a fresh process, since
+    earlier tests raise the thresholds of this one."""
     src = str(Path(scma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) < 1000
+    for name, channel, ebn0_db in (("table3_fading_6x4", "rayleigh", 9.0),
+                                   ("table2_awgn_6x4", "awgn", 8.0)):
+        script = (
+            "import resource\n"
+            "from scma.fixtures import load_codebook\n"
+            "from scma.montecarlo import estimate_ser\n"
+            f"cbs = load_codebook({name!r})\n"
+            f"estimate_ser(cbs, {ebn0_db}, {channel!r}, 4 * 4096)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"estimate_ser(cbs, {ebn0_db}, {channel!r}, 4 * 4096)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 1000, name
 
 
 def underflowing_frame(cbs):
@@ -717,10 +734,9 @@ class TestPerResourceOracle:
         """1, 2 and 300 frames, and a call of two slabs."""
         cbs = (derive_8x4(load_codebook("table2_awgn_6x4")) if name == "derive_8x4"
                else load_codebook(name))
-        table_bytes = 8 * cbs.config.M ** int(cbs.graph.row_degrees.max())
-        two_slabs = detector.SLAB_BYTES // table_bytes + 1
         for ebn0_db in (0.0, design_db, 40.0):
             n0 = ebn0_to_n0(ebn0_db, cbs.config)
+            two_slabs = two_slab_frames(cbs, channel, n0)
             _, h, y = draw_frame_block(cbs, channel, n0, two_slabs, block_rng(31, 0, 0))
             for frames in (1, 2, 300, two_slabs):
                 hf = None if h is None else h[:frames]
