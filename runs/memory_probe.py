@@ -17,7 +17,7 @@ from __future__ import annotations
 import tracemalloc
 
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
-from scma.detector import _awgn_tables, _slab_sizes, _slabs, mpa_detect_batch
+from scma.detector import _slab_plan, mpa_detect_batch
 from scma.fixtures import load_codebook
 
 # (codebook, channel, Eb/N0 dB): each AWGN codebook on its factored path and
@@ -39,8 +39,7 @@ def main() -> None:
     for name, channel, ebn0_db in POINTS:
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
-        awgn = _awgn_tables(cbs, n0) if channel == "awgn" else None
-        slabs = _slabs(FRAME_BLOCK, 8 * sum(_slab_sizes(cbs, awgn)))
+        plan = _slab_plan(cbs, n0, channel != "awgn", FRAME_BLOCK)
         # an untraced 2-frame block first, so no row carries one-off set-up
         _, h, y = draw_frame_block(cbs, channel, n0, 2, block_rng(1, 0, 0))
         mpa_detect_batch(y, cbs, h, n0)
@@ -53,8 +52,8 @@ def main() -> None:
             detect = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        path = "factored" if awgn is not None else "tables"
-        split = f"{len(slabs)} x {max(f.stop - f.start for f in slabs)}"
+        path = "factored" if plan.awgn is not None else "tables"
+        split = f"{len(plan.slabs)} x {max(f.stop - f.start for f, _ in plan.slabs)}"
         print(f"{name:<20} {channel:<9} {ebn0_db:>4g} {path:<9} {split:>10} "
               f"{draw / MIB:>8.2f} {detect / MIB:>8.2f} {max(draw, held + detect) / MIB:>8.2f}")
 

@@ -28,24 +28,22 @@ written to Q at column s.  It opens every sweep but the first, since no
 one reads the Q of the last sweep.  Users with fewer edges than columns are
 padded with the index E; row E is all ones in R and a write-only sink in Q.
 
-A block is detected in frame slabs.  A slab's Q, R and tables, or on the
-factored AWGN path its per-edge arrays, are views of one buffer, whose
-doubles per frame ``_slab_sizes`` lists: 1,736 on 12x6 and 360 on 6x4 with
-per-frame tables, 872 and 312 factored.  ``mpa_detect_batch`` splits the
-frames into the fewest near-equal slabs whose buffer fits ``SLAB_BYTES`` (6
-MiB) and runs the tables, the sweeps and the rescue on one slab at a time:
-10 slabs of 409 or 410 frames for a 4096-frame 12x6 Rayleigh block, 2 of
-2048 for 6x4.  That bounds memory, not cache fit: einsum took 0.53-0.70 ns
-per term at 64 to 2,048 frames per slab, but at 4 MiB, 3 slabs per 6x4
-block, a 2-worker 6x4 estimate ran 1.16-1.21x slower.  Q and R are set only
-after the table build, so where their piece holds one table, 2 (E + 1) M >=
-M^{d_f} doubles per frame (6x4, not 12x6), each table is built there and
-copied into its slot.  The beliefs are allocated before the first slab, so
-each slab's buffer takes the memory its predecessor freed.  Freeing the
-buffer, once mmapped, lifts glibc's trim threshold to twice its size, above
-what a 6x4 block frees at the heap top, so later blocks reuse its pages: 0
-minor faults per 4-block 6x4 estimate.  A 12x6 Rayleigh block frees more
-than twice its 5.4 MiB buffer, so its pages are trimmed and mapped again.
+A block is detected in frame slabs, as ``_slab_plan`` gives them.  A
+slab's Q, R and tables, or on the factored AWGN path its per-edge arrays,
+are views of one buffer.  ``mpa_detect_batch`` splits the frames into the
+fewest near-equal slabs whose buffer fits ``SLAB_BYTES`` (6 MiB) and runs
+the tables, the sweeps and the rescue on one slab at a time.  That bounds
+memory, not cache fit: einsum took 0.53-0.70 ns per term at 64 to 2,048
+frames per slab, but at 4 MiB, 3 slabs per 6x4 block, a 2-worker 6x4
+estimate ran 1.16-1.21x slower.  Q and R are set only after the table
+build, so where their piece holds one table, 2 (E + 1) M >= M^{d_f}
+doubles per frame (6x4, not 12x6), each table is built there and copied
+into its slot.  The beliefs are allocated before the first slab, so each
+slab's buffer takes the memory its predecessor freed.  Freeing the buffer,
+once mmapped, lifts glibc's trim threshold to twice its size, above what a
+6x4 block frees at the heap top, so later blocks reuse its pages: 0 minor
+faults per 4-block 6x4 estimate.  A 12x6 Rayleigh block frees more than
+twice its 5.4 MiB buffer, so its pages are trimmed and mapped again.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -119,7 +117,9 @@ as such at the user node.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def _contract(
         a, (K, M, frames) = axes[-1], msgs[axes[-1]].shape
         # a transposed view: np.moveaxis costs measurably more per call
         T = T[..., 0].transpose([n, *(b for b in range(n) if b != a), a]).reshape(K, -1, M)
-        T = np.matmul(T, msgs[a], out=buf[:T.size // M * frames].reshape(K, -1, frames))
+        T = np.matmul(T, msgs[a], out=buf[:T.size // M].reshape(K, -1, frames))
         n, msgs, axes = n - 1, msgs[:a] + msgs[a + 1:], axes[:-1]
         T = T.reshape(K, *(M,) * n, frames).transpose([*range(1, n + 1), 0, n + 1])
         if not axes and out is None:
@@ -346,21 +346,16 @@ def _awgn_tables(cbs: CodebookSet, n0: float) -> list[tuple] | None:
     return out
 
 
-def _awgn_edges(
-    y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], ws: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """(A, Ac, P, buf) of one slab on the factored AWGN path, views of ``ws``,
-    its slab buffer's last slice.  A is (E, M, frames): exp(u - max u) per
-    edge, with u = 2 Re(conj(y) s) / n0 formed as 2 (v - max v) / n0 from
-    v = Re(conj(y) s), flushed at ``FLUSH_FLOOR`` minus its resource's
-    spread.  Ac is A times its resource's per-frame scale exp(D[m*]), m* the
-    per-slot argmax of v.  P, the messages times A, and buf, the matmul
-    output, are left for the sweeps; see the module docstring."""
-    g, M, frames, E = cbs.graph, cbs.config.M, y.shape[0], cbs.graph.edge_user.size
+def _awgn_edges(y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], A: np.ndarray,
+                Ac: np.ndarray) -> None:
+    """Fill one slab's (E, M, frames) A and Ac on the factored AWGN path: A
+    is exp(u - max u) per edge, with u = 2 Re(conj(y) s) / n0 formed as 2 (v
+    - max v) / n0 from v = Re(conj(y) s), flushed at ``FLUSH_FLOOR`` minus
+    its resource's spread.  Ac is A times its resource's per-frame scale
+    exp(D[m*]), m* the per-slot argmax of v; see the module docstring."""
+    g, M, frames = cbs.graph, cbs.config.M, y.shape[0]
     s = cbs.books[g.edge_user, :, g.edge_res][:, :, None]
     yt = y[:, g.edge_res].T[:, None, :]
-    n = E * M * frames
-    A, Ac, P = (ws[i * n:(i + 1) * n].reshape(E, M, frames) for i in range(3))
     np.multiply(np.ascontiguousarray(s.real), np.ascontiguousarray(yt.real), out=A)
     A += np.multiply(np.ascontiguousarray(s.imag), np.ascontiguousarray(yt.imag), out=Ac)
     best = A.argmax(axis=1)
@@ -377,17 +372,6 @@ def _awgn_edges(
             flat = flat * M + m[:, p]
         scale = np.exp(np.take_along_axis(D, flat, axis=1))
         np.multiply(Ae, scale[:, None, None, :], out=Ac[e].reshape(ks.size, d, M, frames))
-    return A, Ac, P, ws[3 * n:]
-
-
-def _slab_sizes(cbs: CodebookSet, awgn: list[tuple] | None) -> list[int]:
-    """Doubles per frame of each part of a slab's one buffer: Q and R, then
-    each degree group's tables, or on the factored AWGN path (``awgn`` from
-    ``_awgn_tables``) ``_awgn_edges``'s arrays; 8 times their sum is the
-    slab's bytes per frame."""
-    g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
-    return [2 * (E + 1) * M] + ([M ** d * ks.size for d, ks, _ in g.groups] if awgn is None
-                                else [3 * E * M + max(D.size // M for D, _ in awgn)])
 
 
 def _slabs(frames: int, frame_bytes: int) -> list[slice]:
@@ -397,6 +381,31 @@ def _slabs(frames: int, frame_bytes: int) -> list[slice]:
     n = max(1, -(-frames // max(1, SLAB_BYTES // frame_bytes)))
     bounds = [frames * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _SlabPlan(NamedTuple):
+    """How ``mpa_detect_batch`` cuts a call into slabs: ``awgn``, the tables
+    of ``_awgn_tables`` or None; ``shapes``, each part of a slab's one buffer
+    without its frame axis, Q and R, then each degree group's tables, or on
+    the factored path A, Ac, the messages times A and the matmul output;
+    ``capacity``, the most frames a slab holds; ``slabs``, (output slice,
+    rows) pairs, a lone frame's rows being two copies of it."""
+
+    awgn: list[tuple] | None
+    shapes: list[tuple[int, ...]]
+    capacity: int
+    slabs: list[tuple[slice, slice | list[int]]]
+
+
+def _slab_plan(cbs: CodebookSet, n0: float, fading: bool, frames: int) -> _SlabPlan:
+    """The slab plan of a call of ``frames`` frames, with or without fading."""
+    g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
+    awgn = None if fading else _awgn_tables(cbs, n0)
+    shapes = [(2, E + 1, M)] + ([(M,) * d + (ks.size,) for d, ks, _ in g.groups] if awgn is None
+                                else [(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)])
+    frame_bytes = 8 * sum(map(math.prod, shapes))
+    slabs = [(f, [f.start] * 2 if f.stop == f.start + 1 else f) for f in _slabs(frames, frame_bytes)]
+    return _SlabPlan(awgn, shapes, max(1, SLAB_BYTES // frame_bytes), slabs)
 
 
 def mpa_detect_batch(
@@ -422,34 +431,20 @@ def mpa_detect_batch(
         raise ValueError("factor matrix has an isolated row or column")
     if not y.shape[0]:
         return np.empty((0, cbs.config.J, M))
-    awgn = _awgn_tables(cbs, n0) if h is None else None
-    sizes = _slab_sizes(cbs, awgn)
+    plan = _slab_plan(cbs, n0, h is not None, y.shape[0])
     # before the first slab, so each slab's buffer takes the memory its
     # predecessor freed; see the module docstring
     out = np.empty((y.shape[0], cbs.config.J, M))
-    for f in _slabs(y.shape[0], 8 * sum(sizes)):
-        # a lone frame is detected as two copies of itself; see the module
-        # docstring
-        n = f.stop - f.start
-        rows = [f.start] * 2 if n == 1 else f
-        hf = None if h is None else h[rows]
-        beliefs = _detect_slab(y[rows], cbs, hf, n0, cfg, awgn, sizes).transpose(2, 0, 1)[:n]
-        out[f] = beliefs
+    for f, rows in plan.slabs:
+        out[f] = _detect_slab(y[rows], cbs, None if h is None else h[rows], n0, cfg,
+                              plan).transpose(2, 0, 1)[:f.stop - f.start]
     return out
 
 
-def _detect_slab(
-    y: np.ndarray,
-    cbs: CodebookSet,
-    h: np.ndarray | None,
-    n0: float,
-    cfg: MpaConfig,
-    awgn: list[tuple] | None,
-    sizes: list[int],
-) -> np.ndarray:
-    """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs,
-    from the factored tables ``awgn`` of ``_awgn_tables`` unless None, in
-    one buffer of the parts ``_slab_sizes`` gives."""
+def _detect_slab(y: np.ndarray, cbs: CodebookSet, h: np.ndarray | None, n0: float,
+                 cfg: MpaConfig, plan: _SlabPlan) -> np.ndarray:
+    """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs, in
+    one buffer of ``plan``'s parts, from its factored tables unless None."""
     books, g = cbs.books, cbs.graph
     M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
 
@@ -463,23 +458,25 @@ def _detect_slab(
     # is built in Q and R's piece if it fits, copied into its slot, then the
     # array is flushed in place; on the factored AWGN path, ``awgn``'s tables
     # and ``_awgn_edges``'s arrays.  One buffer holds these, Q and R
-    QR, *parts = np.split(np.empty(sum(sizes) * frames), np.cumsum(sizes[:-1]) * frames)
+    sizes, awgn = [math.prod(s) * frames for s in plan.shapes], plan.awgn
+    QR, *parts = (v.reshape(s + (frames,)) for v, s in zip(
+        np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1])), plan.shapes))
     if awgn is None:
-        tables, buf = [], None
+        tables, buf, flat = [], None, QR.reshape(-1)
         for (d, ks, _), T in zip(g.groups, parts):
-            T = T.reshape((M,) * d + (ks.size, frames))
             n = M ** d * frames
-            scratch = QR[:n].reshape(T.shape[:d] + (frames,)) if n <= QR.size else None
+            scratch = flat[:n].reshape(T.shape[:d] + (frames,)) if n <= flat.size else None
             for j, k in enumerate(ks):
                 T[..., j, :] = log_table(k, scratch=scratch)
             tables.append(_flushed_exp(T, out=T))
     else:
         tables = [B for _, B in awgn]
-        A, Ac, P, buf = _awgn_edges(y, cbs, n0, awgn, parts[0])
+        A, Ac, P, buf = parts
+        _awgn_edges(y, cbs, n0, awgn, A, Ac)
 
     # user -> resource (Q) and resource -> user (R) messages per edge, uniform
     # to start; row E pads user_edges, all ones in R and a write-only sink in Q
-    Q, R = QR.reshape(2, E + 1, M, frames)
+    Q, R = QR
     Q.fill(1.0 / M)
     R.fill(1.0)
 

@@ -9,15 +9,13 @@ from scma.detector import (
     FLUSH_FLOOR,
     RESCUE_FLOOR,
     MpaConfig,
-    _awgn_tables,
     _check_inputs,
     _edge_product,
     _flushed_exp,
     _log_resource,
     _log_weights,
     _normalize_rows,
-    _slab_sizes,
-    _slabs,
+    _slab_plan,
 )
 from scma.fixtures import load_codebook
 from scma.structure import StructureTemplate
@@ -271,19 +269,18 @@ def _per_resource_slab(y, cbs, h, n0, cfg, factored):
 
 def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     """Sum-product beliefs (frames, J, M) from the detector's kernel with one
-    update per resource and one normalisation per resource, in the same
-    frame slabs as ``mpa_detect_batch``; a lone frame is detected as two
-    copies of itself.  On AWGN inside the detector's guard, each resource
-    keeps its table factored, as the detector's degree groups do."""
+    update per resource and one normalisation per resource, in the slabs and
+    rows of the detector's slab plan.  On AWGN inside the detector's guard,
+    each resource keeps its table factored, as the detector's degree groups
+    do."""
     y = np.asarray(y, dtype=np.complex128)
     M, g = cbs.config.M, cbs.graph
-    awgn = _awgn_tables(cbs, n0) if h is None else None
-    factored = {k: (D[i], _halves(B[..., i, 0]))
-                for (_, ks, _), (D, B) in zip(g.groups, awgn or []) for i, k in enumerate(ks)}
+    plan = _slab_plan(cbs, n0, h is not None, y.shape[0])
+    factored = {k: (D[i], _halves(B[..., i, 0])) for (_, ks, _), (D, B)
+                in zip(g.groups, plan.awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
-    for f in _slabs(y.shape[0], 8 * sum(_slab_sizes(cbs, awgn))):
-        n = f.stop - f.start
-        rows = [f.start] * 2 if n == 1 else f
+    for f, rows in plan.slabs:
         hf = None if h is None else h[rows]
-        out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg, factored).transpose(2, 0, 1)[:n]
+        out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg,
+                                    factored).transpose(2, 0, 1)[:f.stop - f.start]
     return out

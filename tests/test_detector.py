@@ -454,8 +454,8 @@ class TestFactoredTables:
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
         _, _, y = draw_frame_block(cbs, "awgn", n0, 256, block_rng(36, 0, 0))
         awgn = detector._awgn_tables(cbs, n0)
-        ws = np.empty((3 * g.edge_user.size * M + max(D.size // M for D, _ in awgn)) * 256)
-        A, Ac, _, _ = detector._awgn_edges(y, cbs, n0, awgn, ws)
+        A, Ac = np.empty((2, g.edge_user.size, M, 256))
+        detector._awgn_edges(y, cbs, n0, awgn, A, Ac)
         for (d, ks, _), (D, B) in zip(g.groups, awgn):
             for i, k in enumerate(ks):
                 e0 = g.res_start[k]
@@ -477,10 +477,8 @@ class TestFactoredTables:
 def two_slab_frames(cbs, channel, n0):
     """The fewest frames ``mpa_detect_batch`` splits into two slabs on this
     channel and n0, checked to be two slabs."""
-    awgn = detector._awgn_tables(cbs, n0) if channel == "awgn" else None
-    frame_bytes = 8 * sum(detector._slab_sizes(cbs, awgn))
-    frames = detector.SLAB_BYTES // frame_bytes + 1
-    assert len(detector._slabs(frames, frame_bytes)) == 2
+    frames = detector._slab_plan(cbs, n0, channel != "awgn", 1).capacity + 1
+    assert len(detector._slab_plan(cbs, n0, channel != "awgn", frames).slabs) == 2
     return frames
 
 
@@ -542,6 +540,32 @@ class TestFrameSlabs:
                 got = mpa_detect_batch(y[lo:lo + size], cbs, None, n0)
                 assert got.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
 
+    @pytest.mark.parametrize("name,channel,ebn0_db", [
+        ("table2_awgn_6x4", "awgn", 8.0), ("table3_fading_6x4", "rayleigh", 9.0),
+    ])
+    def test_calls_follow_the_plan(self, name, channel, ebn0_db, monkeypatch):
+        """On the factored AWGN path and on per-frame tables, a call runs
+        one slab per plan slab, on the plan's rows, and a lone frame as two
+        copies of itself."""
+        cbs = load_codebook(name)
+        n0 = ebn0_to_n0(ebn0_db, cbs.config)
+        _, h, y = draw_frame_block(cbs, channel, n0, 4096, block_rng(34, 0, 0))
+        calls, detect_slab = [], detector._detect_slab
+        monkeypatch.setattr(detector, "_detect_slab",
+                            lambda y, c, h, *a: calls.append((y, h)) or detect_slab(y, c, h, *a))
+        capacity = detector._slab_plan(cbs, n0, h is not None, 1).capacity
+        for frames in (1, 2, capacity, capacity + 1, 4096):
+            calls.clear()
+            mpa_detect_batch(y[:frames], cbs, None if h is None else h[:frames], n0)
+            plan = detector._slab_plan(cbs, n0, h is not None, frames)
+            assert (plan.awgn is None) == (h is not None)
+            assert len(calls) == len(plan.slabs) == (1 if frames <= capacity else 2)
+            for (got_y, got_h), (_, rows) in zip(calls, plan.slabs):
+                assert np.array_equal(got_y, y[rows])
+                assert got_h is None if h is None else np.array_equal(got_h, h[rows])
+            if frames == 1:
+                assert np.array_equal(calls[0][0], y[[0, 0]])
+
     def test_slabs_are_near_equal(self, monkeypatch):
         for cap in (1, 2, 3, 5, 16):
             monkeypatch.setattr(detector, "SLAB_BYTES", 8 * cap)
@@ -557,7 +581,7 @@ class TestFrameSlabs:
     def test_peak_memory_of_a_block(self, block):
         """The call holds its beliefs and one slab buffer of at most
         ``SLAB_BYTES``, and its table build's temporaries take less than
-        half that again: ~9.1 MiB in all.  Whole-block tables peaked at ~65
+        half that again: ~9.0 MiB in all.  Whole-block tables peaked at ~65
         MiB, and 2 MiB tables per resource, six to a slab, at ~20.4 MiB."""
         tracemalloc.start()
         try:
@@ -571,7 +595,7 @@ class TestFrameSlabs:
 def test_peak_memory_of_a_6x4_rayleigh_call():
     """Each 6x4 table's real part is built in the slab buffer's Q/R piece,
     which the sweeps take only after the build: the traced peak of a
-    4096-frame call, two slabs of 2048 frames, is ~8.5 MiB, against ~9.5
+    4096-frame call, two slabs of 2048 frames, is ~8.1 MiB, against ~9.1
     MiB with a fresh real part per table."""
     cbs = load_codebook("table3_fading_6x4")
     n0 = ebn0_to_n0(9.0, cbs.config)
