@@ -72,9 +72,10 @@ frame-free table B[m] = exp(-(|S[m]|^2 - min |S|^2) / n0) and a per-frame
 scale c = exp((|S[m*]|^2 - min |S|^2) / n0), m* the per-slot argmax of u.
 The message to slot p is c A_p times the sum of B[m] prod_{j != p} (A_j
 q_j)[m_j]: a sweep multiplies Q by A into a buffer, runs the recursion on B,
-and multiplies R by A c.  B has a length-1 frame axis, so ``_contract``
-takes the last dropped slot of each half as one batched ``np.matmul`` over
-the group's resources.  Before the flush, A_1 ... A_d B c is the max-shifted
+and multiplies R by A c.  The slab's table kind marks B as frame-free, so
+the sweep hands ``_contract`` a matmul buffer, and it takes the last
+dropped slot of each half as one batched ``np.matmul`` over the group's
+resources.  Before the flush, A_1 ... A_d B c is the max-shifted
 table times e^delta per (resource, frame), where delta >= 0 because the
 per-slot maxima bound the joint one; and it is at most e^spread, a
 resource's spread being (max - min |S|^2) / n0.  Each A_p flushes at
@@ -237,15 +238,15 @@ def _contract(
     """Sum T (slot axes, then resources, then frames) times the (resources,
     M, frames) message msgs[a] over each slot axis a in axes: the partial
     table of the other slots, or, written to ``out``, the one slot's
-    message.  A frame-free T, whose frame axis has length 1 (slabs hold at
-    least 2 frames), first takes axes[-1] as one batched ``np.matmul`` into
-    ``buf``, whose output is the partial table if no axis is left."""
+    message.  Given a flat matmul buffer ``buf``, T is frame-free (its frame
+    axis has length 1) and first takes axes[-1] as one batched ``np.matmul``
+    into ``buf``'s front, the partial table if no axis is left."""
     n = T.ndim - 2
-    if T.shape[-1] == 1:
+    if buf is not None:
         a, (K, M, frames) = axes[-1], msgs[axes[-1]].shape
         # a transposed view: np.moveaxis costs measurably more per call
         T = T[..., 0].transpose([n, *(b for b in range(n) if b != a), a]).reshape(K, -1, M)
-        T = np.matmul(T, msgs[a], out=buf[:T.size // M].reshape(K, -1, frames))
+        T = np.matmul(T, msgs[a], out=buf[:T.size // M * frames].reshape(K, -1, frames))
         n, msgs, axes = n - 1, msgs[:a] + msgs[a + 1:], axes[:-1]
         T = T.reshape(K, *(M,) * n, frames).transpose([*range(1, n + 1), 0, n + 1])
         if not axes and out is None:
@@ -263,7 +264,7 @@ def _sum_product(
     """Write to out[p] the unnormalised outgoing message of every slot p of
     the linear table T: T contracted with every other slot's incoming
     message.  Each half of the slots is contracted away once and shared by
-    the other half's messages; ``buf`` is ``_contract``'s."""
+    the other half's messages; ``buf``, for a frame-free T, is ``_contract``'s."""
     n = len(msgs)
     if n == 1:
         np.copyto(out[0], np.moveaxis(T, 0, 1))
@@ -436,76 +437,85 @@ def mpa_detect_batch(
     # predecessor freed; see the module docstring
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f, rows in plan.slabs:
-        out[f] = _detect_slab(y[rows], cbs, None if h is None else h[rows], n0, cfg,
-                              plan).transpose(2, 0, 1)[:f.stop - f.start]
+        slab = _Slab(y[rows], cbs, None if h is None else h[rows], n0, plan)
+        for sweep in range(cfg.iterations):
+            slab.sweep(users=sweep > 0)
+        out[f] = slab.beliefs().transpose(2, 0, 1)[:f.stop - f.start]
+        # freed before the next slab is carved, so one buffer is held at a time
+        del slab
     return out
 
 
-def _detect_slab(y: np.ndarray, cbs: CodebookSet, h: np.ndarray | None, n0: float,
-                 cfg: MpaConfig, plan: _SlabPlan) -> np.ndarray:
-    """(J, M, frames) beliefs of ``mpa_detect_batch`` on checked inputs, in
-    one buffer of ``plan``'s parts, from its factored tables unless None."""
-    books, g = cbs.books, cbs.graph
-    M, frames, user_edges, E = cbs.config.M, y.shape[0], g.user_edges, g.edge_user.size
+class _Slab:
+    """One slab of ``mpa_detect_batch``: its y and h, ``frames``, its table
+    kind ``awgn`` (the plan's frame-free tables, or None for per-frame ones)
+    and its views into one buffer of the plan's parts, which the build fills."""
 
-    def log_table(k: int, f: slice | np.ndarray = slice(None), scratch=None) -> np.ndarray:
-        return _log_weights(y[f, k], [books[j, :, k] if h is None else
-                                      h[f, k, j][None, :] * books[j, :, k][:, None]
-                                      for j in g.resource_users(k)], n0, scratch)
+    def __init__(self, y: np.ndarray, cbs: CodebookSet, h: np.ndarray | None, n0: float,
+                 plan: _SlabPlan) -> None:
+        self.y, self.cbs, self.h, self.n0, self.awgn = y, cbs, h, n0, plan.awgn
+        M, self.frames, self.buf = cbs.config.M, y.shape[0], None
+        # per degree group, its K_d resources' flushed linear weight tables in one (M, ..., M,
+        # K_d, frames) array, fixed across iterations: each log table is built in Q and R's
+        # piece if it fits, copied into its slot, then the array is flushed in place; on the
+        # factored AWGN path, ``awgn``'s tables and ``_awgn_edges``'s arrays
+        sizes = [math.prod(s) * self.frames for s in plan.shapes]
+        QR, *parts = (v.reshape(s + (self.frames,)) for v, s in zip(
+            np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1])), plan.shapes))
+        if self.awgn is None:
+            self.tables, flat = [], QR.reshape(-1)
+            for (d, ks, _), T in zip(cbs.graph.groups, parts):
+                n = M ** d * self.frames
+                scratch = flat[:n].reshape(T.shape[:d] + (self.frames,)) if n <= flat.size else None
+                for j, k in enumerate(ks):
+                    T[..., j, :] = self.log_table(k, scratch=scratch)
+                self.tables.append(_flushed_exp(T, out=T))
+        else:
+            self.tables = [B for _, B in self.awgn]
+            (self.A, self.Ac, self.P), self.buf = parts[:3], parts[3].reshape(-1)
+            _awgn_edges(y, cbs, n0, self.awgn, self.A, self.Ac)
+        # user -> resource (Q) and resource -> user (R) messages per edge, uniform
+        # to start; row E pads user_edges, all ones in R and a write-only sink in Q
+        self.Q, self.R = QR
+        self.Q.fill(1.0 / M)
+        self.R.fill(1.0)
 
-    # per degree group, its K_d resources' flushed linear weight tables in one
-    # (M, ..., M, K_d, frames) array, fixed across iterations: each log table
-    # is built in Q and R's piece if it fits, copied into its slot, then the
-    # array is flushed in place; on the factored AWGN path, ``awgn``'s tables
-    # and ``_awgn_edges``'s arrays.  One buffer holds these, Q and R
-    sizes, awgn = [math.prod(s) * frames for s in plan.shapes], plan.awgn
-    QR, *parts = (v.reshape(s + (frames,)) for v, s in zip(
-        np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1])), plan.shapes))
-    if awgn is None:
-        tables, buf, flat = [], None, QR.reshape(-1)
-        for (d, ks, _), T in zip(g.groups, parts):
-            n = M ** d * frames
-            scratch = flat[:n].reshape(T.shape[:d] + (frames,)) if n <= flat.size else None
-            for j, k in enumerate(ks):
-                T[..., j, :] = log_table(k, scratch=scratch)
-            tables.append(_flushed_exp(T, out=T))
-    else:
-        tables = [B for _, B in awgn]
-        A, Ac, P, buf = parts
-        _awgn_edges(y, cbs, n0, awgn, A, Ac)
+    def log_table(self, k: int, f: slice | np.ndarray = slice(None), scratch=None) -> np.ndarray:
+        """Resource k's log table on frames f, for the build and the rescue."""
+        b, h, users = self.cbs.books[:, :, k], self.h, self.cbs.graph.resource_users(k)
+        return _log_weights(self.y[f, k], [b[j] if h is None else h[f, k, j] * b[j, :, None]
+                                           for j in users], self.n0, scratch)
 
-    # user -> resource (Q) and resource -> user (R) messages per edge, uniform
-    # to start; row E pads user_edges, all ones in R and a write-only sink in Q
-    Q, R = QR
-    Q.fill(1.0 / M)
-    R.fill(1.0)
-
-    for sweep in range(cfg.iterations):
-        # the previous sweep's user update; the last sweep's Q would go unread
-        if sweep:
-            for cols, rest in zip(user_edges.T, g.other_edges):
+    def sweep(self, users: bool) -> None:
+        """The previous sweep's user update if ``users``, then the resource
+        updates, R's normalisation and the rescue."""
+        g, M, frames, Q, R = self.cbs.graph, self.cbs.config.M, self.frames, self.Q, self.R
+        if users:
+            for cols, rest in zip(g.user_edges.T, g.other_edges):
                 Q[cols] = _normalize_rows(_edge_product(R, rest))
-        if awgn is not None:
-            np.multiply(Q[:E], A, out=P)
+        if self.awgn is not None:
+            np.multiply(Q[:-1], self.A, out=self.P)
         rescue = []
-        for (_, ks, e), T in zip(g.groups, tables):
+        for (_, ks, e), T in zip(g.groups, self.tables):
             # the group's (d, K_d, M, frames) messages, views of R and of Q, or
             # on the factored path of P = Q A
             Qd, Rd = (m[e].reshape(ks.size, -1, M, frames).swapaxes(0, 1)
-                      for m in (Q if awgn is None else P, R))
-            _sum_product(T, list(Qd), list(Rd), buf)
-            if awgn is not None:
-                R[e] *= Ac[e]
+                      for m in (Q if self.awgn is None else self.P, R))
+            _sum_product(T, list(Qd), list(Rd), self.buf)
+            if self.awgn is not None:
+                R[e] *= self.Ac[e]
             # resources and frames to rescue, read before R is normalised
             low = (Rd.max(axis=2) < RESCUE_FLOOR).any(axis=0)
             if low.any():
                 rescue += [(k, np.flatnonzero(f)) for k, f in zip(ks, low) if f.any()]
-        _normalize_rows(R[:E])
+        _normalize_rows(R[:-1])
         for k, f in rescue:
             e = g.resource_edges(k)
-            R[e, :, f] = _log_resource(log_table(k, f), Q[e, :, f])
+            R[e, :, f] = _log_resource(self.log_table(k, f), Q[e, :, f])
 
-    return _normalize_rows(_edge_product(R, user_edges))
+    def beliefs(self) -> np.ndarray:
+        """The (J, M, frames) beliefs of the last sweep."""
+        return _normalize_rows(_edge_product(self.R, self.cbs.graph.user_edges))
 
 
 def hard_decision(belief: np.ndarray) -> np.ndarray:

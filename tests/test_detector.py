@@ -474,6 +474,39 @@ class TestFactoredTables:
                 assert (lo >= 1 - 1e-12).all() and (hi <= np.exp(D[i].max()) * (1 + 1e-12)).all()
 
 
+class TestContract:
+    """``_contract`` learns that a table is frame-free from the matmul
+    buffer it is given, not from the length of the table's frame axis."""
+
+    def test_a_one_frame_table_without_buffer_is_contracted_by_einsum(self):
+        """A per-frame table of one frame gives the einsum contraction, as
+        the partial table and as one slot's message."""
+        rng = np.random.default_rng(46)
+        T = rng.random((4, 4, 4, 3, 1))
+        msgs = list(rng.random((3, 3, 4, 1)))
+        got = detector._contract(T, msgs, [1])
+        want = np.einsum("abckf,kbf->ackf", T, msgs[1])
+        assert got.tobytes() == want.tobytes()
+        got = detector._contract(T, msgs, [0, 2], out=np.empty((3, 4, 1)))
+        want = np.einsum("abckf,kaf,kcf->kbf", T, msgs[0], msgs[2])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_frame_free_table_serves_fewer_frames_than_its_buffer(self):
+        """A matmul buffer carved for 8 frames serves a 5-frame call of each
+        half of the factored 6x4 recursion with the bytes of a buffer carved
+        for 5, whatever the larger buffer held before."""
+        cbs = load_codebook("table2_awgn_6x4")
+        (d, ks, _), = cbs.graph.groups
+        (_, B), = detector._awgn_tables(cbs, ebn0_to_n0(8.0, cbs.config))
+        msgs = list(np.random.default_rng(46).random((d, ks.size, 4, 5)))
+        rows = ks.size * 4 ** (d - 1)
+        for axes, out in (([1, 2], np.empty((ks.size, 4, 5))), ([0], None)):
+            got = detector._contract(B, msgs, axes, out, np.full(rows * 8, np.nan))
+            want = detector._contract(B, msgs, axes, None if out is None else out.copy(),
+                                      np.empty(rows * 5))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def two_slab_frames(cbs, channel, n0):
     """The fewest frames ``mpa_detect_batch`` splits into two slabs on this
     channel and n0, checked to be two slabs."""
@@ -544,15 +577,15 @@ class TestFrameSlabs:
         ("table2_awgn_6x4", "awgn", 8.0), ("table3_fading_6x4", "rayleigh", 9.0),
     ])
     def test_calls_follow_the_plan(self, name, channel, ebn0_db, monkeypatch):
-        """On the factored AWGN path and on per-frame tables, a call runs
+        """On the factored AWGN path and on per-frame tables, a call builds
         one slab per plan slab, on the plan's rows, and a lone frame as two
         copies of itself."""
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
         _, h, y = draw_frame_block(cbs, channel, n0, 4096, block_rng(34, 0, 0))
-        calls, detect_slab = [], detector._detect_slab
-        monkeypatch.setattr(detector, "_detect_slab",
-                            lambda y, c, h, *a: calls.append((y, h)) or detect_slab(y, c, h, *a))
+        calls, build = [], detector._Slab
+        monkeypatch.setattr(detector, "_Slab",
+                            lambda y, c, h, *a: calls.append((y, h)) or build(y, c, h, *a))
         capacity = detector._slab_plan(cbs, n0, h is not None, 1).capacity
         for frames in (1, 2, capacity, capacity + 1, 4096):
             calls.clear()
