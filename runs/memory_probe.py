@@ -7,8 +7,10 @@ Each row draws the block with ``draw_frame_block`` from ``block_rng(1, 0,
 0)`` and detects it with one ``mpa_detect_batch`` call, under
 ``tracemalloc``.  ``draw`` is the draw's peak; ``detect`` is the peak the
 call adds above the block it detects; ``block`` is the larger of the draw's
-peak and the block's arrays plus ``detect``.  ``slabs`` is the call's
-frame slabs.  tracemalloc counts numpy's buffers, not the interpreter's
+peak and the block's arrays plus ``detect``.  ``worker`` is the peak of one
+4096-frame ``estimate_ser`` at ``threads=1``, what a block worker holds:
+the draw, then each detector slab with its beliefs and decisions, one
+slab per call.  ``slabs`` is the call's frame slabs.  tracemalloc counts numpy's buffers, not the interpreter's
 own memory or the heap's free pages, so a process's resident memory is
 larger.
 """
@@ -19,6 +21,7 @@ import tracemalloc
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from scma.detector import _slab_plan, mpa_detect_batch
 from scma.fixtures import load_codebook
+from scma.montecarlo import estimate_ser
 
 # (codebook, channel, Eb/N0 dB): each AWGN codebook on its factored path and
 # on the per-frame tables
@@ -35,7 +38,7 @@ MIB = 2 ** 20
 
 def main() -> None:
     print(f"{'codebook':<20} {'channel':<9} {'dB':>4} {'path':<9} {'slabs':>10} "
-          f"{'draw':>8} {'detect':>8} {'block':>8}  (MiB)")
+          f"{'draw':>8} {'detect':>8} {'block':>8} {'worker':>8}  (MiB)")
     for name, channel, ebn0_db in POINTS:
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
@@ -43,6 +46,7 @@ def main() -> None:
         # an untraced 2-frame block first, so no row carries one-off set-up
         _, h, y = draw_frame_block(cbs, channel, n0, 2, block_rng(1, 0, 0))
         mpa_detect_batch(y, cbs, h, n0)
+        estimate_ser(cbs, ebn0_db, channel, 2)
         tracemalloc.start()
         try:
             _, h, y = draw_frame_block(cbs, channel, n0, FRAME_BLOCK, block_rng(1, 0, 0))
@@ -52,10 +56,18 @@ def main() -> None:
             detect = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        del h, y
+        tracemalloc.start()
+        try:
+            estimate_ser(cbs, ebn0_db, channel, FRAME_BLOCK)
+            worker = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         path = "factored" if plan.awgn is not None else "tables"
         split = f"{len(plan.slabs)} x {max(f.stop - f.start for f, _ in plan.slabs)}"
         print(f"{name:<20} {channel:<9} {ebn0_db:>4g} {path:<9} {split:>10} "
-              f"{draw / MIB:>8.2f} {detect / MIB:>8.2f} {max(draw, held + detect) / MIB:>8.2f}")
+              f"{draw / MIB:>8.2f} {detect / MIB:>8.2f} {max(draw, held + detect) / MIB:>8.2f} "
+              f"{worker / MIB:>8.2f}")
 
 
 if __name__ == "__main__":

@@ -8,10 +8,13 @@ real dimension).
 Randomness is derived from a master seed in fixed-size frame blocks so that
 results are reproducible regardless of how blocks are scheduled across
 workers: block b of stream s uses ``SeedSequence((master_seed, s, b))``.
-Within a block the draw order is symbols, then fading gains, then noise.
+Within a block the draw order is symbols, then the real parts of all (K, J)
+fading gains, then their imaginary parts, then noise.  Every gain reaches
+the signal, but only the graph's edges are returned, as detection reads.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -20,7 +23,7 @@ from .core import CodebookSet, SystemConfig
 
 FRAME_BLOCK = 4096
 
-# frames per piece of the noiseless signal: 1.1 MiB of 12x6 codewords
+# frames per piece of gains and signal: 1.1 MiB of 12x6 codewords or gains
 SIGNAL_CHUNK = 1024
 
 CHANNELS = ("awgn", "rayleigh")
@@ -58,33 +61,41 @@ def draw_frame_block(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Synthesize a block of independent frames.
 
-    Returns (symbols (F, J), gains (F, K, J) or None for AWGN, received
-    (F, K)).  The unit-variance noise is drawn before scaling by sqrt(n0), so
-    two calls with the same rng state but different n0 see paired noise.
+    Returns (symbols (F, J), gains (F, E) on the edges of ``cbs.graph`` or
+    None for AWGN, received (F, K)).  The unit-variance noise is drawn before
+    scaling by sqrt(n0), so two calls with the same rng state but different
+    n0 see paired noise.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     cfg = cbs.config
     symbols = rng.integers(0, cfg.M, size=(frames, cfg.J))
-    h = None
+    g, h = cbs.graph, None
     if channel == "rayleigh":
-        # each part drawn whole into one float buffer, so the stream is the
-        # one of re + 1j * im, without its full-size temporaries
-        h = np.empty((frames, cfg.K, cfg.J), dtype=complex)
-        part = rng.standard_normal(h.shape)
-        h.real = part
-        h.imag = rng.standard_normal(out=part)
-        del part
-        h /= np.sqrt(2.0)
-    # the noiseless signal over frame chunks, so the (F, J, K) codewords are
-    # never held whole; each frame's sum is the whole block's
+        # rng passes the real parts; a copy taken before replays them in step
+        # with the imaginary parts, chunk by chunk
+        replay = copy.deepcopy(rng)
+        part = np.empty((min(frames, SIGNAL_CHUNK), cfg.K, cfg.J))
+        hc = np.empty(part.shape, dtype=complex)
+        for lo in range(0, frames, SIGNAL_CHUNK):
+            rng.standard_normal(out=part[:frames - lo])
+        h = np.empty((frames, g.edge_res.size), dtype=complex)
+    # the noiseless signal over frame chunks, so the (F, J, K) codewords and
+    # (F, K, J) gains are never held whole; each frame's sum is the whole block's
     signal = np.empty((frames, cfg.K), dtype=complex)
     for lo in range(0, frames, SIGNAL_CHUNK):
         f = slice(lo, lo + SIGNAL_CHUNK)
         x = cbs.books[np.arange(cfg.J)[None, :], symbols[f], :]  # (chunk, J, K)
-        signal[f] = x.sum(axis=1) if h is None else np.einsum("fkj,fjk->fk", h[f], x)
-    noise = rng.standard_normal((frames, cfg.K)) + 1j * rng.standard_normal(
-        (frames, cfg.K)
-    )
+        if h is None:
+            signal[f] = x.sum(axis=1)
+            continue
+        c, p = hc[:len(x)], part[:len(x)]
+        c.real = replay.standard_normal(out=p)
+        c.imag = rng.standard_normal(out=p)
+        c /= np.sqrt(2.0)
+        signal[f] = np.einsum("fkj,fjk->fk", c, x)
+        h[f] = c[:, g.edge_res, g.edge_user]
+        del x  # freed before the next chunk's codewords are gathered
+    noise = rng.standard_normal((frames, cfg.K)) + 1j * rng.standard_normal((frames, cfg.K))
     y = signal + np.sqrt(n0 / 2.0) * noise
     return symbols, h, y

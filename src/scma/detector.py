@@ -41,9 +41,9 @@ doubles per frame (6x4, not 12x6), each table is built there and copied
 into its slot.  The beliefs are allocated before the first slab, so each
 slab's buffer takes the memory its predecessor freed.  Freeing the buffer,
 once mmapped, lifts glibc's trim threshold to twice its size, above what a
-6x4 block frees at the heap top, so later blocks reuse its pages: 0 minor
-faults per 4-block 6x4 estimate.  A 12x6 Rayleigh block frees more than
-twice its 5.4 MiB buffer, so its pages are trimmed and mapped again.
+block frees at the heap top, so later blocks reuse its pages: 0 minor
+faults per 4-block estimate, 12x6 Rayleigh included, whose block holds
+only its (frames, E) edge gains and one slab's beliefs at a time.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -309,11 +309,11 @@ def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _check_inputs(
     y: np.ndarray, cbs: CodebookSet, h: np.ndarray | None, n0: float
 ) -> None:
-    K, J = cbs.config.K, cbs.config.J
+    K, E = cbs.config.K, cbs.graph.edge_user.size
     if y.ndim != 2 or y.shape[1] != K:
         raise ValueError(f"y has shape {y.shape}, expected (frames, K) = (frames, {K})")
-    if h is not None and np.shape(h) != (len(y), K, J):
-        raise ValueError(f"h has shape {np.shape(h)}, expected {(len(y), K, J)}")
+    if h is not None and np.shape(h) != (len(y), E):
+        raise ValueError(f"h has shape {np.shape(h)}, expected (frames, E) = {(len(y), E)}")
     if not (np.isfinite(n0) and n0 > 0.0):
         raise ValueError(f"n0 must be finite and positive, got {n0}")
     if not np.isfinite(y).all():
@@ -418,9 +418,10 @@ def mpa_detect_batch(
 ) -> np.ndarray:
     """Sum-product detection of a batch of frames.
 
-    y is (frames, K); h is (frames, K, J) complex gains or None for all-ones
-    (AWGN) gains.  Returns beliefs of shape (frames, J, M): per frame and user
-    a probability vector over the M codewords.  A frame's beliefs do not
+    y is (frames, K); h is (frames, E) complex gains on the edges of
+    ``cbs.graph``, in edge order, or None for all-ones (AWGN) gains.
+    Returns beliefs of shape (frames, J, M): per frame and user a
+    probability vector over the M codewords.  A frame's beliefs do not
     depend on the call: detected alone or in any batch, it gives the same
     bytes (see the module docstring).
     """
@@ -482,9 +483,10 @@ class _Slab:
 
     def log_table(self, k: int, f: slice | np.ndarray = slice(None), scratch=None) -> np.ndarray:
         """Resource k's log table on frames f, for the build and the rescue."""
-        b, h, users = self.cbs.books[:, :, k], self.h, self.cbs.graph.resource_users(k)
-        return _log_weights(self.y[f, k], [b[j] if h is None else h[f, k, j] * b[j, :, None]
-                                           for j in users], self.n0, scratch)
+        b, h, e = self.cbs.books[:, :, k], self.h, self.cbs.graph.resource_edges(k)
+        return _log_weights(self.y[f, k], [b[j] if h is None else h[f, i] * b[j, :, None]
+                                           for i, j in enumerate(self.cbs.graph.edge_user[e],
+                                                                 e.start)], self.n0, scratch)
 
     def sweep(self, users: bool) -> None:
         """The previous sweep's user update if ``users``, then the resource

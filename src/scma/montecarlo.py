@@ -26,8 +26,8 @@ reduction cuts the detected frames' error flags at the frame that reaches
 the bound.  A frame's beliefs do not depend on the detector call that holds
 it, so the pieces and ``threads`` decide only how many frames are detected,
 never the estimate, and a bound the run never reaches, infinity (no bound)
-included, gives the unbounded estimate exactly.  Unbounded runs detect each
-block in one call.
+included, gives the unbounded estimate exactly.  An unbounded block is one
+piece.  Each piece is detected and decided one ``_slab_plan`` slab per call.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
 from .core import CodebookSet, _require_int
-from .detector import MpaConfig, hard_decision, mpa_detect_batch
+from .detector import MpaConfig, _slab_plan, hard_decision, mpa_detect_batch
 
 DEFAULT_TARGET_ERRORS = 200
 DEFAULT_MAX_FRAMES = 10 ** 6
@@ -158,10 +158,11 @@ def estimate_ser(
         while done < nb:
             n = nb if goal == math.inf else _next_piece(
                 done, found, goal - prior - found, nb - done)
-            f = slice(done, done + n)
-            hf = None if h is None else h[f]
-            wrong[f] = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
-            found += int(wrong[f].sum())
+            for s, _ in _slab_plan(cbs, n0, h is not None, n).slabs:
+                f = slice(done + s.start, done + s.stop)
+                hf = None if h is None else h[f]
+                wrong[f] = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
+            found += int(wrong[done:done + n].sum())
             done += n
             if prior + found >= goal:
                 break

@@ -96,12 +96,25 @@ def brute_force_kpi(books: np.ndarray, rel_tol: float = 1e-3):
     return d_e_min, tau_e, d_p_min, tau_p
 
 
+def full_gains(cbs: CodebookSet, h: np.ndarray | None) -> np.ndarray | None:
+    """The (frames, K, J) gains of the (frames, E) edge gains h of
+    ``cbs.graph``, 0 off its edges, for the oracles that index gains by
+    (resource, user); None stays None."""
+    if h is None:
+        return None
+    g = cbs.graph
+    out = np.zeros((len(h),) + g.F.shape, dtype=complex)
+    out[:, g.edge_res, g.edge_user] = h
+    return out
+
+
 def brute_force_marginals(
     books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float
 ) -> np.ndarray:
     """Exact posterior symbol marginals by enumerating every joint
-    hypothesis.  The log posterior is shifted by its maximum, so a small n0
-    does not underflow every hypothesis."""
+    hypothesis; h is one frame's (K, J) gains or None.  The log posterior is
+    shifted by its maximum, so a small n0 does not underflow every
+    hypothesis."""
     J, M, K = books.shape
     scaled = books if h is None else books * h.T[:, None, :]
     log_post = np.zeros((M,) * J)
@@ -124,13 +137,14 @@ def map_detect_batch(
     h: np.ndarray | None,
     n0: float,
 ) -> np.ndarray:
-    """Joint maximum-likelihood decisions by enumerating all M^J hypotheses;
+    """Joint maximum-likelihood decisions by enumerating all M^J hypotheses,
+    from the detector's inputs, h being (frames, E) edge gains or None;
     returns (frames, J) symbol indices.  Ties break toward the
     lexicographically smallest symbol tuple.  The exact oracle that message
     passing is checked against on small systems."""
     y = np.asarray(y, dtype=np.complex128)
     _check_inputs(y, cbs, h, n0)
-    cfg = cbs.config
+    h, cfg = full_gains(cbs, h), cbs.config
     n_hyp = cfg.M ** cfg.J
     if n_hyp > MAP_ENUMERATION_LIMIT:
         raise ValueError(
@@ -270,7 +284,8 @@ def _per_resource_slab(y, cbs, h, n0, cfg, factored):
 def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     """Sum-product beliefs (frames, J, M) from the detector's kernel with one
     update per resource and one normalisation per resource, in the slabs and
-    rows of the detector's slab plan.  On AWGN inside the detector's guard,
+    rows of the detector's slab plan, from the detector's inputs.  On AWGN
+    inside the detector's guard,
     each resource keeps its table factored, as the detector's degree groups
     do."""
     y = np.asarray(y, dtype=np.complex128)
@@ -280,7 +295,7 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
                 in zip(g.groups, plan.awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f, rows in plan.slabs:
-        hf = None if h is None else h[rows]
+        hf = None if h is None else full_gains(cbs, h[rows])
         out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg,
                                     factored).transpose(2, 0, 1)[:f.stop - f.start]
     return out

@@ -8,6 +8,8 @@ from scma.channel import CHANNELS, SIGNAL_CHUNK, block_rng, draw_frame_block, eb
 from scma.core import CodebookSet
 from scma.fixtures import load_codebook
 
+from conftest import full_gains
+
 
 def _solo(cbs: CodebookSet, j: int) -> CodebookSet:
     """The same codebook set with every user but ``j`` silenced."""
@@ -98,15 +100,15 @@ class TestTransmit:
 class TestRayleigh:
     def test_unit_mean_square_gain(self, table2):
         rng = block_rng(11, 0, 0)
-        frames = 42000  # about one million gain draws
+        frames = 42000  # about half a million edge gains
         _, h, _ = draw_frame_block(table2, "rayleigh", 0.1, frames, rng)
         assert 0.995 <= np.mean(np.abs(h) ** 2) <= 1.005
 
     def test_realization_shape(self, table2):
         symbols, h, y = _draw(table2, "rayleigh", 0.0, seed=1)
-        assert h.shape == (64, 4, 6)
+        assert h.shape == (64, 12)
         x = table2.books[np.arange(6)[None, :], symbols, :]
-        assert np.allclose(y, np.einsum("fkj,fjk->fk", h, x), atol=1e-15)
+        assert np.allclose(y, np.einsum("fkj,fjk->fk", full_gains(table2, h), x), atol=1e-15)
 
 
 class TestStreamDerivation:
@@ -142,33 +144,60 @@ class TestRealizationGains:
             same, h_j, y_j = _draw(_solo(table2, j), "rayleigh", 0.0, seed=4)
             assert np.array_equal(same, symbols) and np.array_equal(h_j, h)
             x_j = table2.books[j, symbols[:, j]]
-            assert np.allclose(y_j, h[:, :, j] * x_j, atol=1e-15)
+            assert np.allclose(y_j, full_gains(table2, h)[:, :, j] * x_j, atol=1e-15)
             total += y_j
         assert np.allclose(y, total, atol=1e-15)
 
 
+def off_support_codebook(cbs: CodebookSet) -> CodebookSet:
+    """``cbs`` with one nonzero codeword entry outside its factor matrix."""
+    books, F = np.array(cbs.books), np.asarray(cbs.factor_matrix)
+    k, j = np.argwhere(F == 0)[0]
+    books[j, 1, k] = 0.3 - 0.2j
+    return CodebookSet(books, F)
+
+
 class TestDrawMemory:
+    FRAMES = (0, 1, SIGNAL_CHUNK - 1, SIGNAL_CHUNK, SIGNAL_CHUNK + 1, 2 * SIGNAL_CHUNK + 3, 4096)
+
+    @staticmethod
+    def assert_same_draw(cbs, channel, frames, seed):
+        """``draw_frame_block``'s bytes are the whole-block draw's, its gains
+        those on the edges of ``cbs.graph``."""
+        got = draw_frame_block(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
+        ref = list(whole_block_draw(cbs, channel, 0.3, frames, block_rng(seed, 0, frames)))
+        if ref[1] is not None:
+            ref[1] = ref[1][:, cbs.graph.edge_res, cbs.graph.edge_user]
+        for a, b in zip(got, ref):
+            assert (a is None) == (b is None), (frames, seed)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, (frames, seed)
+                assert a.tobytes() == b.tobytes(), (frames, seed)
+
     @pytest.mark.parametrize("channel", CHANNELS)
     @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table6_fading_12x6"])
     def test_bytes_equal_the_whole_block_draw(self, name, channel):
         """At frame counts around the signal's chunk edges, on three seeds."""
         cbs = load_codebook(name)
-        for frames in (0, 1, SIGNAL_CHUNK - 1, SIGNAL_CHUNK, SIGNAL_CHUNK + 1,
-                       2 * SIGNAL_CHUNK + 3, 4096):
+        for frames in self.FRAMES:
             for seed in (1, 2, 3):
-                got = draw_frame_block(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
-                ref = whole_block_draw(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
-                for a, b in zip(got, ref):
-                    assert (a is None) == (b is None), (frames, seed)
-                    if a is not None:
-                        assert a.dtype == b.dtype and a.shape == b.shape, (frames, seed)
-                        assert a.tobytes() == b.tobytes(), (frames, seed)
+                self.assert_same_draw(cbs, channel, frames, seed)
+
+    @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table6_fading_12x6"])
+    def test_energy_off_the_factor_matrix_is_received(self, name):
+        """A codebook with energy outside its factor matrix, which ``validate``
+        flags but a simulation accepts: on Rayleigh, its symbols and signal
+        are the whole-block draw's, whose gains cover every (k, j)."""
+        cbs = off_support_codebook(load_codebook(name))
+        for frames in self.FRAMES:
+            self.assert_same_draw(cbs, "rayleigh", frames, 1)
 
     def test_peak_of_a_12x6_rayleigh_block(self):
-        """A 4096-frame block holds what it returns, one float part of the
-        gains while it draws them and at most two chunks of codewords: ~7.6
-        MiB, against ~14.0 MiB with the whole block's codewords and
-        temporaries."""
+        """A 4096-frame block holds what it returns and, per chunk of
+        frames, one float part of its gains, the complex gains, their edge
+        values and the codewords, less than three chunks of codewords in
+        all: ~5.4 MiB, against ~7.6 MiB with whole-block (F, K, J) gains and
+        ~14.0 MiB with the whole block's codewords and temporaries."""
         cbs = load_codebook("table6_fading_12x6")
         cfg = cbs.config
         tracemalloc.start()
@@ -178,4 +207,4 @@ class TestDrawMemory:
         finally:
             tracemalloc.stop()
         chunk = SIGNAL_CHUNK * cfg.J * cfg.K * 16
-        assert peak <= symbols.nbytes + 1.5 * h.nbytes + y.nbytes + 2 * chunk
+        assert peak <= symbols.nbytes + h.nbytes + y.nbytes + 3 * chunk

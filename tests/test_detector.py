@@ -28,15 +28,22 @@ from scma.detector import (
 from scma.fixtures import load_codebook
 from scma.structure import derive_8x4
 
-from conftest import brute_force_marginals, map_detect_batch, per_resource_mpa, qpsk_set
+from conftest import (
+    brute_force_marginals,
+    full_gains,
+    map_detect_batch,
+    per_resource_mpa,
+    qpsk_set,
+)
 
 
 def per_slot_mpa(y, cbs, h, n0, cfg, log=False):
     """Sum-product with one resource update per outgoing message: a full
     einsum over the weight table in linear arithmetic, or with log, broadcast
     plus logsumexp in log arithmetic.  Frames-first layout throughout; kept
-    independent of the detector's shared-partials kernel."""
-    books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
+    independent of the detector's shared-partials kernel; h is the
+    detector's (frames, E) edge gains or None."""
+    books, F, h = np.asarray(cbs.books), np.asarray(cbs.factor_matrix), full_gains(cbs, h)
     (K, J), M, frames = F.shape, books.shape[1], y.shape[0]
     res_users = [np.flatnonzero(F[k]) for k in range(K)]
     user_res = [np.flatnonzero(F[:, j]) for j in range(J)]
@@ -136,17 +143,17 @@ class TestTreeExactness:
     def test_exact_with_fading_gains(self):
         cbs = tree_system(seed=8)
         rng = np.random.default_rng(18)
-        h = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        h = (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))) / np.sqrt(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        beliefs = mpa_detect_batch(y[None], cbs, h[None], 0.5, MpaConfig(iterations=2))[0]
-        exact = brute_force_marginals(np.asarray(cbs.books), y, h, 0.5)
+        beliefs = mpa_detect_batch(y[None], cbs, h, 0.5, MpaConfig(iterations=2))[0]
+        exact = brute_force_marginals(np.asarray(cbs.books), y, full_gains(cbs, h)[0], 0.5)
         assert np.abs(beliefs - exact).max() < 1e-10
 
 
 @st.composite
 def tree_systems(draw):
     """A random system whose factor graph is a tree, one received frame, and
-    its (K, J) gains or None.  Every node after resource 0 attaches to one
+    its (1, E) edge gains or None.  Every node after resource 0 attaches to one
     already placed node of the other kind."""
     K, J = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     kinds = draw(st.permutations(["k"] * (K - 1) + ["j"] * J).filter(
@@ -167,7 +174,8 @@ def tree_systems(draw):
     y = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     h = None
     if draw(st.booleans()):
-        h = (rng.standard_normal((K, J)) + 1j * rng.standard_normal((K, J))) / np.sqrt(2)
+        shape = (1, F.sum())
+        h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     return CodebookSet(books, F), y, h
 
 
@@ -179,9 +187,9 @@ class TestCycleFreeGraphs:
     def test_beliefs_equal_brute_force_marginals(self, system, n0):
         cbs, y, h = system
         cfg = MpaConfig(iterations=cbs.config.K + cbs.config.J)
-        exact = brute_force_marginals(np.asarray(cbs.books), y, h, n0)
-        hb = None if h is None else h[None]
-        assert np.abs(mpa_detect_batch(y[None], cbs, hb, n0, cfg) - exact).max() <= 1e-9
+        hb = None if h is None else full_gains(cbs, h)[0]
+        exact = brute_force_marginals(np.asarray(cbs.books), y, hb, n0)
+        assert np.abs(mpa_detect_batch(y[None], cbs, h, n0, cfg) - exact).max() <= 1e-9
 
     @pytest.mark.parametrize("n0", [1e-3, 1.5e-3, 2e-3])
     def test_log_rescue_keeps_conflicting_tree_frame_exact(self, n0):
@@ -245,8 +253,8 @@ class TestMpaBehavior:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             mpa_detect_batch(bad, table2, None, 0.1)
-        h = np.ones((1, 4, 6), complex)
-        h[0, 2, 5] = np.inf
+        h = np.ones((1, 12), complex)
+        h[0, 5] = np.inf
         with pytest.raises(ValueError, match="channel gains contain non-finite"):
             mpa_detect_batch(y, table2, h, 0.1)
 
@@ -264,10 +272,12 @@ class TestMpaBehavior:
         ((3, 4), (3, 4, 7)),
         ((3, 4), (2, 4, 6)),
         ((3, 4), (3, 6, 4)),
+        ((3, 4), (3, 4, 6)),
+        ((3, 4), (3, 13)),
     ])
     def test_input_shapes_checked(self, table2, detect, y_shape, h_shape):
-        """y must be (frames, K) and h (frames, K, J); extra columns are not
-        silently dropped."""
+        """y must be (frames, K) and h (frames, E); extra columns are not
+        silently dropped, and whole (frames, K, J) gains are refused."""
         y = np.zeros(y_shape, complex)
         h = None if h_shape is None else np.ones(h_shape, complex)
         with pytest.raises(ValueError, match=r"has shape .* expected"):
@@ -286,7 +296,7 @@ class TestMpaBehavior:
     def test_no_frames(self, table3, channel):
         """0 frames give (0, J, M) beliefs; the reshape of an empty slab
         raised a ValueError."""
-        h = np.ones((0, 4, 6), complex) if channel == "rayleigh" else None
+        h = np.ones((0, 12), complex) if channel == "rayleigh" else None
         beliefs = mpa_detect_batch(np.zeros((0, 4), complex), table3, h, 0.1)
         assert beliefs.shape == (0, 6, 4)
         assert hard_decision(beliefs).shape == (0, 6)
@@ -340,7 +350,7 @@ def resource_tables(name, channel, ebn0_db, frames=256):
     cbs = load_codebook(name)
     n0 = ebn0_to_n0(ebn0_db, cbs.config)
     _, h, y = draw_frame_block(cbs, channel, n0, frames, block_rng(21, 0, 0))
-    books, F = np.asarray(cbs.books), np.asarray(cbs.factor_matrix)
+    books, F, h = np.asarray(cbs.books), np.asarray(cbs.factor_matrix), full_gains(cbs, h)
     for k in range(F.shape[0]):
         users = np.flatnonzero(F[k])
         contribs = [books[j, :, k] if h is None else
@@ -415,12 +425,13 @@ class TestWeightTables:
         in resource 1's nearest pair; elsewhere float64 keeps no exponent of
         the joint optimum, which sits on neither resource's nearest."""
         cbs = tree_system() if name == "tree" else load_codebook(name)
-        K, J = cbs.config.K, cbs.config.J
+        K = cbs.config.K
         rng = np.random.default_rng(37)
         y = scale * (rng.standard_normal((64, K)) + 1j * rng.standard_normal((64, K)))
         h = None
         if "fading" in name:
-            h = (rng.standard_normal((64, K, J)) + 1j * rng.standard_normal((64, K, J))) / 2
+            shape = (64, cbs.graph.edge_user.size)
+            h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             beliefs = mpa_detect_batch(y, cbs, h, n0)
@@ -644,19 +655,22 @@ def test_peak_memory_of_a_6x4_rayleigh_call():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap")
 def test_later_blocks_reuse_heap_pages():
-    """A second 4-block 6x4 estimate maps no fresh pages, on Rayleigh and on
-    factored AWGN: freeing a slab's one buffer lifts glibc's trim threshold
-    above what a block frees at the heap top, and each slab's buffer takes
-    the memory its predecessor freed, as the beliefs are allocated before
-    the first.  Separate group tables, Q and R took ~10.8k minor faults on
-    Rayleigh; beliefs allocated after the first of two slabs took 3.6-5.8k
-    on Rayleigh and 5.1-6.2k on AWGN.  Each runs in a fresh process, since
-    earlier tests raise the thresholds of this one."""
+    """A second 4-block estimate maps no fresh pages, on 6x4 Rayleigh, on
+    factored 6x4 AWGN and on 12x6 Rayleigh: freeing a slab's one buffer
+    lifts glibc's trim threshold above what a block frees at the heap top,
+    and each slab's buffer takes the memory its predecessor freed, as the
+    beliefs are allocated before the first.  Separate group tables, Q and R
+    took ~10.8k minor faults on 6x4 Rayleigh; beliefs allocated after the
+    first of two slabs took 3.6-5.8k on 6x4 Rayleigh and 5.1-6.2k on AWGN;
+    a 12x6 block holding (F, K, J) gains and its whole beliefs freed more
+    than twice the buffer and took 8.2-10.3k.  Each runs in a fresh
+    process, since earlier tests raise the thresholds of this one."""
     src = str(Path(scma.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for name, channel, ebn0_db in (("table3_fading_6x4", "rayleigh", 9.0),
-                                   ("table2_awgn_6x4", "awgn", 8.0)):
+                                   ("table2_awgn_6x4", "awgn", 8.0),
+                                   ("table6_fading_12x6", "rayleigh", 18.0)):
         script = (
             "import resource\n"
             "from scma.fixtures import load_codebook\n"
@@ -737,8 +751,8 @@ class TestLogRescue:
 @st.composite
 def mixed_degree_systems(draw):
     """A random system whose resources take at least two degrees from 1 to
-    4, its factor graph often with cycles, 1-4 frames and their gains or
-    None."""
+    4, its factor graph often with cycles, 1-4 frames and their (frames, E)
+    edge gains or None."""
     K, J = draw(st.integers(2, 4)), draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     while True:  # drawn here, not filtered: most random F break some rule
@@ -752,7 +766,7 @@ def mixed_degree_systems(draw):
     y = rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K))
     h = None
     if draw(st.booleans()):
-        shape = (frames, K, J)
+        shape = (frames, F.sum())
         h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     return CodebookSet(books, F), y, h
 
@@ -952,7 +966,7 @@ class TestMapOracle:
     def test_fading_path_matches_awgn_with_unit_gains(self, table2):
         n0 = 0.05
         _, _, y = draw_frame_block(table2, "awgn", n0, 32, block_rng(11, 0, 0))
-        ones = np.ones((32, 4, 6), complex)
+        ones = np.ones((32, 12), complex)
         assert np.array_equal(
             map_detect_batch(y, table2, None, n0),
             map_detect_batch(y, table2, ones, n0),

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import scma.montecarlo as mc
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
-from scma.detector import MpaConfig, hard_decision, mpa_detect_batch
+from scma.detector import SLAB_BYTES, MpaConfig, hard_decision, mpa_detect_batch
+from scma.fixtures import load_codebook
 from scma.montecarlo import estimate_ser, sweep_ser
 
 from conftest import qpsk_set, qpsk_theoretical_ser
@@ -398,3 +400,22 @@ class TestFailingBlock:
             estimate_ser(table2, 6.0, "awgn", 3 * FRAME_BLOCK + 1, FAST_MPA,
                          threads=threads)
         assert threading.active_count() == before
+
+
+def test_peak_memory_of_a_12x6_rayleigh_block():
+    """One 4096-frame block at 1 worker holds its symbols, edge gains and
+    received signal, plus one detector slab and that slab's beliefs and
+    decisions at a time: ~9.9 MiB traced.  Whole (F, K, J) gains and one
+    detector call for the block, whose beliefs outlive every slab, peaked
+    at ~14.3 MiB."""
+    cbs = load_codebook("table6_fading_12x6")
+    cfg, E = cbs.config, cbs.graph.edge_user.size
+    estimate_ser(cbs, 18.0, "rayleigh", 2)  # no one-off set-up in the trace
+    tracemalloc.start()
+    try:
+        estimate_ser(cbs, 18.0, "rayleigh", FRAME_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = FRAME_BLOCK * (8 * cfg.J + 16 * E + 16 * cfg.K)  # symbols, gains, y
+    assert peak <= block + 1.5 * SLAB_BYTES
