@@ -4,14 +4,14 @@
 
 REV (a commit, branch or tag, usually the parent commit) is checked out with
 ``git worktree add --detach`` into a temporary directory, which is removed
-afterwards.  This tree's ``runs/belief_hash.py`` and ``runs/same_bytes.sh``
-then run against each tree's ``src``, each run in its own process with an
-absolute ``PYTHONPATH``, so both trees' outputs come from the same scripts.
-Every output but the ``*manifest.json`` files, which hold wall-clock times,
-is compared byte for byte.  Each output that differs or exists on one side
-only is named, and the exit status is 1 if any does, else 0; it is 2 if
-a run or the checkout fails.  The two runs of ``same_bytes.sh`` take about
-a minute.
+afterwards.  This tree's ``runs/same_bytes.sh``, which also writes the line
+of ``runs/belief_hash.py``, then runs against each tree's ``src`` in its own
+process with an absolute ``PYTHONPATH``, so both trees' outputs come from the
+same scripts.  Every output but the ``*manifest.json`` files, which hold
+wall-clock times, is compared byte for byte.  Each output that differs or
+exists on one side only is named, and the exit status is 1 if any does, else
+0; it is 2 if a run or the checkout fails.  The two runs of ``same_bytes.sh``
+take about a minute.
 """
 from __future__ import annotations
 
@@ -28,14 +28,10 @@ ROOT = HERE.parent
 
 
 def outputs(tree: Path, out: Path) -> None:
-    """Write the belief hash and the ``same_bytes.sh`` outputs of ``tree``'s
-    ``src`` under ``out``."""
+    """Write the ``same_bytes.sh`` outputs of ``tree``'s ``src``, the belief
+    hash included, under ``out``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    out.mkdir()
-    with open(out / "belief_hash.txt", "w") as f:
-        subprocess.run([sys.executable, str(HERE / "belief_hash.py")], env=env, stdout=f,
-                       check=True)
-    subprocess.run(["bash", str(HERE / "same_bytes.sh"), str(out / "same_bytes")], env=env,
+    subprocess.run(["bash", str(HERE / "same_bytes.sh"), str(out)], env=env,
                    stdout=subprocess.DEVNULL, check=True)
 
 

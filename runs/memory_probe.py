@@ -10,9 +10,10 @@ call adds above the block it detects; ``block`` is the larger of the draw's
 peak and the block's arrays plus ``detect``.  ``worker`` is the peak of one
 4096-frame ``estimate_ser`` at ``threads=1``, what a block worker holds:
 the draw, then each detector slab with its beliefs and decisions, one
-slab per call.  ``slabs`` is the call's frame slabs.  tracemalloc counts numpy's buffers, not the interpreter's
-own memory or the heap's free pages, so a process's resident memory is
-larger.
+slab per call.  ``slabs`` is the number of the block's frame slabs, as the
+detector's slab rule cuts them, and the first one's frames, the most any
+holds.  tracemalloc counts numpy's buffers, not the interpreter's own memory
+or the heap's free pages, so a process's resident memory is larger.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def main() -> None:
     for name, channel, ebn0_db in POINTS:
         cbs = load_codebook(name)
         n0 = ebn0_to_n0(ebn0_db, cbs.config)
-        plan = _slab_plan(cbs, n0, channel != "awgn", FRAME_BLOCK)
+        plan = _slab_plan(cbs, n0, channel != "awgn")
         # an untraced 2-frame block first, so no row carries one-off set-up
         _, h, y = draw_frame_block(cbs, channel, n0, 2, block_rng(1, 0, 0))
         mpa_detect_batch(y, cbs, h, n0)
@@ -64,7 +65,8 @@ def main() -> None:
         finally:
             tracemalloc.stop()
         path = "factored" if plan.awgn is not None else "tables"
-        split = f"{len(plan.slabs)} x {max(f.stop - f.start for f, _ in plan.slabs)}"
+        sizes = [f.stop - f.start for f, _ in plan.slabs(FRAME_BLOCK)]
+        split = f"{len(sizes)} x {sizes[0]}"
         print(f"{name:<20} {channel:<9} {ebn0_db:>4g} {path:<9} {split:>10} "
               f"{draw / MIB:>8.2f} {detect / MIB:>8.2f} {max(draw, held + detect) / MIB:>8.2f} "
               f"{worker / MIB:>8.2f}")

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs each CLI command below at --threads 1, 2 and 3 under each of its
 # OPENBLAS_NUM_THREADS settings, and fails unless every output but the
-# manifests is byte-equal across the runs; CI runs it too:
+# manifests is byte-equal across the runs.  It also writes the line of
+# runs/belief_hash.py, one SHA-256 over every belief byte of five systems on
+# both channels from 0 to 40 dB, with OPENBLAS_NUM_THREADS unset and set to
+# 1, prints both and fails unless they are equal; CI runs it too:
 #
 #     PYTHONPATH=$PWD/src bash runs/same_bytes.sh OUTDIR
 #
@@ -31,8 +34,17 @@ same_bytes() {
   done
 }
 
+here=$(cd "$(dirname "$0")" && pwd)
 mkdir -p "${1:?usage: runs/same_bytes.sh OUTDIR}"
 cd "$1"
+# the belief hash covers the factored AWGN matmul's bytes, which the SER CSVs below only sample
+mkdir -p belief_hash
+(unset OPENBLAS_NUM_THREADS; python "$here/belief_hash.py" > belief_hash/blas-unset.txt)
+OPENBLAS_NUM_THREADS=1 python "$here/belief_hash.py" > belief_hash/blas-1.txt
+echo "belief hash, OPENBLAS_NUM_THREADS unset: $(cat belief_hash/blas-unset.txt)"
+echo "belief hash, OPENBLAS_NUM_THREADS=1: $(cat belief_hash/blas-1.txt)"
+test -s belief_hash/blas-unset.txt
+cmp belief_hash/blas-unset.txt belief_hash/blas-1.txt || { echo "belief hashes differ" >&2; exit 1; }
 scma fixture table2_awgn_6x4 cb.json
 scma fixture table3_fading_6x4 cb_fading.json
 scma fixture table6_fading_12x6 cb_12x6.json

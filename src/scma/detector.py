@@ -28,22 +28,25 @@ written to Q at column s.  It opens every sweep but the first, since no
 one reads the Q of the last sweep.  Users with fewer edges than columns are
 padded with the index E; row E is all ones in R and a write-only sink in Q.
 
-A block is detected in frame slabs, as ``_slab_plan`` gives them.  A
-slab's Q, R and tables, or on the factored AWGN path its per-edge arrays,
-are views of one buffer.  ``mpa_detect_batch`` splits the frames into the
-fewest near-equal slabs whose buffer fits ``SLAB_BYTES`` (6 MiB) and runs
-the tables, the sweeps and the rescue on one slab at a time.  That bounds
-memory, not cache fit: einsum took 0.53-0.70 ns per term at 64 to 2,048
-frames per slab, but at 4 MiB, 3 slabs per 6x4 block, a 2-worker 6x4
-estimate ran 1.16-1.21x slower.  Q and R are set only after the table
-build, so where their piece holds one table, 2 (E + 1) M >= M^{d_f}
-doubles per frame (6x4, not 12x6), each table is built there and copied
-into its slot.  The beliefs are allocated before the first slab, so each
-slab's buffer takes the memory its predecessor freed.  Freeing the buffer,
-once mmapped, lifts glibc's trim threshold to twice its size, above what a
-block frees at the heap top, so later blocks reuse its pages: 0 minor
-faults per 4-block estimate, 12x6 Rayleigh included, whose block holds
-only its (frames, E) edge gains and one slab's beliefs at a time.
+A block is detected in frame slabs, each holding its Q, R and tables, or on
+the factored AWGN path its per-edge arrays, as views of one buffer.
+``_slab_plan`` gives a (codebook, n0, channel)'s table kind, buffer parts
+and ``capacity``, the most frames whose buffer fits ``SLAB_BYTES`` (6 MiB).
+Its one rule cuts any frame count into the fewest near-equal slabs of at
+most ``capacity`` frames, larger first: smaller first, ``ser-12x6-rayleigh``
+peaked at 71.3 MB RSS, not 62.5 (2-core VM).  ``mpa_detect_batch`` and the
+Monte-Carlo block worker detect one slab at a time.  That bounds memory, not
+cache fit: einsum took 0.53-0.70 ns per term at 64 to 2,048 frames per slab,
+but at 4 MiB, 3 slabs per 6x4 block, a 2-worker 6x4 estimate ran 1.16-1.21x
+slower.  Q and R are set only after the table build, so where their piece
+holds one table, 2 (E + 1) M >= M^{d_f} doubles per frame (6x4, not 12x6),
+each table is built there and copied into its slot.  The beliefs are
+allocated before the first slab, so each slab's buffer takes the memory its
+predecessor freed.  Freeing the buffer, once mmapped, lifts glibc's trim
+threshold to twice its size, above what a block frees at the heap top, so
+later blocks reuse its pages: 0 minor faults per 4-block estimate, 12x6
+Rayleigh included, whose block holds only its (frames, E) edge gains and one
+slab's beliefs at a time.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -120,7 +123,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -375,38 +378,33 @@ def _awgn_edges(y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], A
         np.multiply(Ae, scale[:, None, None, :], out=Ac[e].reshape(ks.size, d, M, frames))
 
 
-def _slabs(frames: int, frame_bytes: int) -> list[slice]:
-    """The fewest consecutive near-equal slices covering range(frames), each
-    of at most max(1, SLAB_BYTES // frame_bytes) frames; one empty slice for
-    0 frames."""
-    n = max(1, -(-frames // max(1, SLAB_BYTES // frame_bytes)))
-    bounds = [frames * i // n for i in range(n + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 class _SlabPlan(NamedTuple):
-    """How ``mpa_detect_batch`` cuts a call into slabs: ``awgn``, the tables
-    of ``_awgn_tables`` or None; ``shapes``, each part of a slab's one buffer
-    without its frame axis, Q and R, then each degree group's tables, or on
-    the factored path A, Ac, the messages times A and the matmul output;
-    ``capacity``, the most frames a slab holds; ``slabs``, (output slice,
-    rows) pairs, a lone frame's rows being two copies of it."""
+    """A slab plan: ``awgn``, ``_awgn_tables``'s tables or None; ``shapes``,
+    the parts of a slab's one buffer without their frame axis, Q and R, then
+    each degree group's tables, or on the factored path A, Ac, the messages
+    times A and the matmul output; ``capacity``, a slab's most frames."""
 
     awgn: list[tuple] | None
     shapes: list[tuple[int, ...]]
     capacity: int
-    slabs: list[tuple[slice, slice | list[int]]]
+
+    def slabs(self, frames: int) -> Iterator[tuple[slice, slice | list[int]]]:
+        """(output slice, rows) of the fewest consecutive near-equal slabs of
+        at most ``capacity`` frames covering range(frames), larger ones first,
+        a lone frame's rows being two copies of it; one empty slab for 0."""
+        n = max(1, -(-frames // self.capacity))
+        bounds = [i * (frames // n) + min(i, frames % n) for i in range(n + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield slice(lo, hi), [lo] * 2 if hi == lo + 1 else slice(lo, hi)
 
 
-def _slab_plan(cbs: CodebookSet, n0: float, fading: bool, frames: int) -> _SlabPlan:
-    """The slab plan of a call of ``frames`` frames, with or without fading."""
+def _slab_plan(cbs: CodebookSet, n0: float, fading: bool) -> _SlabPlan:
+    """The slab plan of a call at n0, with or without fading."""
     g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
     awgn = None if fading else _awgn_tables(cbs, n0)
     shapes = [(2, E + 1, M)] + ([(M,) * d + (ks.size,) for d, ks, _ in g.groups] if awgn is None
                                 else [(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)])
-    frame_bytes = 8 * sum(map(math.prod, shapes))
-    slabs = [(f, [f.start] * 2 if f.stop == f.start + 1 else f) for f in _slabs(frames, frame_bytes)]
-    return _SlabPlan(awgn, shapes, max(1, SLAB_BYTES // frame_bytes), slabs)
+    return _SlabPlan(awgn, shapes, max(1, SLAB_BYTES // (8 * sum(map(math.prod, shapes)))))
 
 
 def mpa_detect_batch(
@@ -433,11 +431,11 @@ def mpa_detect_batch(
         raise ValueError("factor matrix has an isolated row or column")
     if not y.shape[0]:
         return np.empty((0, cbs.config.J, M))
-    plan = _slab_plan(cbs, n0, h is not None, y.shape[0])
+    plan = _slab_plan(cbs, n0, h is not None)
     # before the first slab, so each slab's buffer takes the memory its
     # predecessor freed; see the module docstring
     out = np.empty((y.shape[0], cbs.config.J, M))
-    for f, rows in plan.slabs:
+    for f, rows in plan.slabs(y.shape[0]):
         slab = _Slab(y[rows], cbs, None if h is None else h[rows], n0, plan)
         for sweep in range(cfg.iterations):
             slab.sweep(users=sweep > 0)

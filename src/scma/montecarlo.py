@@ -17,17 +17,16 @@ covers every frame.
 
 An SER ``bound`` ends a run at the first frame where its errors over the
 symbols asked, ``frames * J``, reach it: a bounded estimate is the shortest
-prefix of the frame stream that reaches the bound.  A bounded block is
-drawn whole and detected in consecutive pieces, ``FIRST_PIECE`` frames, then
-the frames its error rate so far projects it needs to reach the bound, or
-the rest of the block once the projection reaches its end, until its errors
-plus those counted before its wave reach the bound.  The block-order
-reduction cuts the detected frames' error flags at the frame that reaches
-the bound.  A frame's beliefs do not depend on the detector call that holds
-it, so the pieces and ``threads`` decide only how many frames are detected,
-never the estimate, and a bound the run never reaches, infinity (no bound)
-included, gives the unbounded estimate exactly.  An unbounded block is one
-piece.  Each piece is detected and decided one ``_slab_plan`` slab per call.
+prefix of the frame stream that reaches the bound.  A block is drawn whole
+and detected one call at a time, on the next slab the detector's slab plan,
+made once per estimate, cuts from its remaining frames, or on a bounded run
+on at most ``FIRST_PIECE`` frames, then the frames its error rate so far
+projects it needs.  It stops after the call that brings its errors plus
+those before its wave to the bound, and the block-order reduction cuts the
+detected frames' error flags there.  A frame's beliefs do not depend on the
+call that holds it, so the calls and ``threads`` decide only how many frames
+are detected, never the estimate, and a bound the run never reaches,
+infinity (no bound) included, gives the unbounded estimate exactly.
 """
 from __future__ import annotations
 
@@ -146,6 +145,7 @@ def estimate_ser(
         if goal / asked < bound:
             goal += 1
     stop = min(target_errors, goal)
+    plan = _slab_plan(cbs, n0, channel != "awgn")
 
     def run_block(block: int, prior: int) -> np.ndarray:
         """(frames, J) symbol-error flags of the frames of one block that were
@@ -156,13 +156,13 @@ def estimate_ser(
         wrong = np.empty(symbols.shape, dtype=bool)
         done = found = 0
         while done < nb:
-            n = nb if goal == math.inf else _next_piece(
-                done, found, goal - prior - found, nb - done)
-            for s, _ in _slab_plan(cbs, n0, h is not None, n).slabs:
-                f = slice(done + s.start, done + s.stop)
-                hf = None if h is None else h[f]
-                wrong[f] = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
-            found += int(wrong[done:done + n].sum())
+            n = next(plan.slabs(nb - done))[0].stop
+            if goal < math.inf:
+                n = min(n, _next_piece(done, found, goal - prior - found, nb - done))
+            f = slice(done, done + n)
+            hf = None if h is None else h[f]
+            wrong[f] = hard_decision(mpa_detect_batch(y[f], cbs, hf, n0, mpa)) != symbols[f]
+            found += int(wrong[f].sum())
             done += n
             if prior + found >= goal:
                 break

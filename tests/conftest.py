@@ -290,11 +290,11 @@ def per_resource_mpa(y, cbs, h, n0, cfg=MpaConfig()):
     do."""
     y = np.asarray(y, dtype=np.complex128)
     M, g = cbs.config.M, cbs.graph
-    plan = _slab_plan(cbs, n0, h is not None, y.shape[0])
+    plan = _slab_plan(cbs, n0, h is not None)
     factored = {k: (D[i], _halves(B[..., i, 0])) for (_, ks, _), (D, B)
                 in zip(g.groups, plan.awgn or []) for i, k in enumerate(ks)}
     out = np.empty((y.shape[0], cbs.config.J, M))
-    for f, rows in plan.slabs:
+    for f, rows in plan.slabs(y.shape[0]):
         hf = None if h is None else full_gains(cbs, h[rows])
         out[f] = _per_resource_slab(y[rows], cbs, hf, n0, cfg,
                                     factored).transpose(2, 0, 1)[:f.stop - f.start]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import scma.montecarlo as mc
 from scma.channel import FRAME_BLOCK, block_rng, draw_frame_block, ebn0_to_n0
-from scma.detector import SLAB_BYTES, MpaConfig, hard_decision, mpa_detect_batch
+from scma.detector import SLAB_BYTES, MpaConfig, _slab_plan, hard_decision, mpa_detect_batch
 from scma.fixtures import load_codebook
 from scma.montecarlo import estimate_ser, sweep_ser
 
@@ -321,6 +321,29 @@ class TestBound:
                                bound=n / (frames * table2.config.J))
             assert_counts(est, shortest_prefix(errs, n))
             assert frames >= sum(detector_calls) >= est.frames
+
+    def test_no_call_exceeds_the_largest_slab_of_a_whole_block(self, table2,
+                                                                 detector_calls):
+        """A call takes at most the next slab of the block's remaining
+        frames, however long the projected piece: cutting each piece by its
+        own plan made calls of 1024, 2322, 298 and 76 frames here, where a
+        4096-frame block's slabs hold 2048."""
+        n0 = ebn0_to_n0(8.0, table2.config)
+        whole = next(_slab_plan(table2, n0, False).slabs(FRAME_BLOCK))[0].stop
+        est = estimate_ser(table2, 8.0, "awgn", FRAME_BLOCK, seed=1,
+                           bound=49 / (FRAME_BLOCK * table2.config.J))
+        assert est.symbol_errors >= 49 and len(detector_calls) > 2
+        assert max(detector_calls) <= whole
+
+    def test_the_race_checks_after_every_call(self, detector_calls):
+        """The bound is tested after each detector call, so the call that
+        reaches it is the last: here the first 410-frame slab, where the
+        first piece's 1024 frames ran as three calls before the test."""
+        cbs = load_codebook("table6_fading_12x6")
+        est = estimate_ser(cbs, 14.0, "rayleigh", FRAME_BLOCK, seed=3,
+                           bound=1 / (FRAME_BLOCK * cbs.config.J))
+        assert est.symbol_errors >= 1
+        assert sum(detector_calls[:-1]) < est.frames <= sum(detector_calls)
 
     def test_negative_bound_rejected(self, table2):
         with pytest.raises(ValueError, match="bound"):
