@@ -157,14 +157,38 @@ def off_support_codebook(cbs: CodebookSet) -> CodebookSet:
     return CodebookSet(books, F)
 
 
+def silent_edge_codebook(cbs: CodebookSet) -> CodebookSet:
+    """``cbs`` with every codeword entry on one edge of its factor matrix
+    zeroed."""
+    books, F = np.array(cbs.books), np.asarray(cbs.factor_matrix)
+    k, j = np.argwhere(F == 1)[0]
+    books[j, :, k] = 0
+    return CodebookSet(books, F)
+
+
+class NoCopyGenerator(np.random.Generator):
+    """A generator that refuses to be copied or pickled."""
+
+    def __copy__(self):
+        raise TypeError("the generator was copied")
+
+    def __deepcopy__(self, memo):
+        raise TypeError("the generator was deep-copied")
+
+    def __reduce__(self):
+        raise TypeError("the generator was pickled")
+
+
 class TestDrawMemory:
     FRAMES = (0, 1, SIGNAL_CHUNK - 1, SIGNAL_CHUNK, SIGNAL_CHUNK + 1, 2 * SIGNAL_CHUNK + 3, 4096)
 
     @staticmethod
-    def assert_same_draw(cbs, channel, frames, seed):
-        """``draw_frame_block``'s bytes are the whole-block draw's, its gains
-        those on the edges of ``cbs.graph``."""
-        got = draw_frame_block(cbs, channel, 0.3, frames, block_rng(seed, 0, frames))
+    def assert_same_draw(cbs, channel, frames, seed, generator=np.random.Generator):
+        """``draw_frame_block``'s bytes, on a ``generator`` over the block's
+        bit generator, are the whole-block draw's, its gains those on the
+        edges of ``cbs.graph``."""
+        rng = generator(block_rng(seed, 0, frames).bit_generator)
+        got = draw_frame_block(cbs, channel, 0.3, frames, rng)
         ref = list(whole_block_draw(cbs, channel, 0.3, frames, block_rng(seed, 0, frames)))
         if ref[1] is not None:
             ref[1] = ref[1][:, cbs.graph.edge_res, cbs.graph.edge_user]
@@ -192,19 +216,55 @@ class TestDrawMemory:
         for frames in self.FRAMES:
             self.assert_same_draw(cbs, "rayleigh", frames, 1)
 
-    def test_peak_of_a_12x6_rayleigh_block(self):
-        """A 4096-frame block holds what it returns and, per chunk of
-        frames, one float part of its gains, the complex gains, their edge
-        values and the codewords, less than three chunks of codewords in
-        all: ~5.4 MiB, against ~7.6 MiB with whole-block (F, K, J) gains and
-        ~14.0 MiB with the whole block's codewords and temporaries."""
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table6_fading_12x6", "off_support"])
+    def test_the_generator_is_never_copied(self, name, channel):
+        """The draw reads its generator's stream once, in order: a generator
+        that cannot be copied gives the whole-block draw's bytes."""
+        cbs = (off_support_codebook(load_codebook("table6_fading_12x6"))
+               if name == "off_support" else load_codebook(name))
+        for frames in self.FRAMES:
+            self.assert_same_draw(cbs, channel, frames, 1, NoCopyGenerator)
+
+    @pytest.mark.parametrize("off_support", [False, True])
+    @pytest.mark.parametrize("name", ["table2_awgn_6x4", "table6_fading_12x6"])
+    def test_an_edge_no_codeword_reaches_keeps_its_gain(self, name, off_support):
+        """An edge whose codeword entries are all zero still returns its
+        gain, alone and beside energy off the factor matrix."""
+        cbs = silent_edge_codebook(load_codebook(name))
+        if off_support:
+            cbs = off_support_codebook(cbs)
+        for frames in self.FRAMES:
+            self.assert_same_draw(cbs, "rayleigh", frames, 1)
+
+    @staticmethod
+    def traced_draw(channel):
+        """One 4096-frame 12x6 block's returned bytes, traced peak and chunk
+        of codewords; the generator is built before tracing starts."""
         cbs = load_codebook("table6_fading_12x6")
-        cfg = cbs.config
+        rng = block_rng(1, 0, 0)
         tracemalloc.start()
         try:
-            symbols, h, y = draw_frame_block(cbs, "rayleigh", 0.1, 4096, block_rng(1, 0, 0))
+            out = draw_frame_block(cbs, channel, 0.1, 4096, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = SIGNAL_CHUNK * cfg.J * cfg.K * 16
-        assert peak <= symbols.nbytes + h.nbytes + y.nbytes + 3 * chunk
+        held = sum(a.nbytes for a in out if a is not None)
+        return held, peak, SIGNAL_CHUNK * cbs.config.J * cbs.config.K * 16
+
+    def test_peak_of_a_12x6_rayleigh_block(self):
+        """A 4096-frame block holds what it returns and, per chunk of
+        frames, the complex (K, J) gains with the dropped ones zeroed and the
+        codewords, less than 2.5 chunks of codewords in all: ~4.6 MiB,
+        against ~5.4 MiB with a float part of the gains per chunk and a
+        separate signal array, ~7.6 MiB with whole-block (F, K, J) gains and
+        ~14.0 MiB with the whole block's codewords and temporaries."""
+        held, peak, chunk = self.traced_draw("rayleigh")
+        assert peak <= held + 2.5 * chunk
+
+    def test_peak_of_a_12x6_awgn_block(self):
+        """A 4096-frame block holds what it returns and one chunk of
+        codewords with its sum: ~2.0 MiB, against ~3.1 MiB with separate
+        signal and complex noise arrays."""
+        held, peak, chunk = self.traced_draw("awgn")
+        assert peak <= held + 1.5 * chunk

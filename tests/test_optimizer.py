@@ -21,7 +21,7 @@ from scma.optimizer import (
     optimize,
     step_generation,
 )
-from scma.structure import builtin_template, instantiate, normalize
+from scma.structure import NORMALIZE_TOL, builtin_template, codeword_norms, instantiate, normalize
 
 SIX_BY_FOUR = builtin_template("6x4")
 EVAL_10DB = ObjectiveConfig(ebn0_db=10.0, frames=1500, crn_mode="fixed")
@@ -135,6 +135,19 @@ class TestInitPopulation:
         t = builtin_template(name)
         with pytest.raises(MalformedParameterError, match=err):
             init_population(plain_config(d=d), t, de_rng(0), objective)
+
+
+class TestRenormalized:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1c: _renormalized drops "
+                       "the residual that normalize returns")
+    def test_a_tiny_first_parameter_ends_on_unit_norm(self):
+        """The 6x4 row with every parameter 1 but the first at 1e-6: after
+        normalize's sweeps the trial DE evaluates is ~2.0e-3 off unit norm."""
+        a = np.ones(SIX_BY_FOUR.num_params, dtype=complex)
+        a[0] = 1e-6
+        row = opt._renormalized(SIX_BY_FOUR, pack_params(a))
+        residual = np.abs(codeword_norms(SIX_BY_FOUR, unpack_params(row)) - 1.0).max()
+        assert residual < NORMALIZE_TOL
 
 
 class TestDonors:
