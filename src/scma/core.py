@@ -89,8 +89,8 @@ class FactorGraph:
     Edge e joins resource ``edge_res[e]`` to user ``edge_user[e]``.  Row j of
     the (J, max(d_v, 2)) array ``user_edges`` lists user j's edges in
     ascending resource order, padded with the index E; a message array with
-    E + 1 rows keeps row E for that padding, and ``other_edges[s]`` is
-    user_edges without its column s.  ``groups`` holds one (d,
+    E + 1 rows keeps row E for that padding, and row e of ``partners`` is
+    edge e's user's row without e.  ``groups`` holds one (d,
     resources, edges) entry per degree group, in edge order: the degree, the
     group's resources in ascending order and the slice of its edges."""
 
@@ -101,7 +101,7 @@ class FactorGraph:
     edge_res: np.ndarray = field(init=False)
     edge_user: np.ndarray = field(init=False)
     user_edges: np.ndarray = field(init=False)
-    other_edges: np.ndarray = field(init=False)
+    partners: np.ndarray = field(init=False)
     groups: tuple[tuple[int, np.ndarray, slice], ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -124,11 +124,11 @@ class FactorGraph:
         col_start = np.cumsum(col_degrees) - col_degrees
         user_edges = np.full((F.shape[1], max(2, *col_degrees)), rows.size)
         user_edges[users, np.arange(rows.size) - col_start[users]] = by_user
-        other_edges = np.stack([np.delete(user_edges, s, axis=1)
-                                for s in range(user_edges.shape[1])])
+        own = user_edges[cols]  # row e holds edge e once
+        partners = own[own != np.arange(rows.size)[:, None]].reshape(-1, own.shape[1] - 1)
         for name, value in dict(F=F, row_degrees=row_degrees, col_degrees=col_degrees,
                                 res_start=res_start, edge_res=rows, edge_user=cols,
-                                user_edges=user_edges, other_edges=other_edges).items():
+                                user_edges=user_edges, partners=partners).items():
             object.__setattr__(self, name, _frozen(value))
         groups = []
         for d in sorted(set(row_degrees.tolist())):

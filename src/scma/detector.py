@@ -15,18 +15,18 @@ frames) array, so one recursion serves the whole degree group; the resource
 axis sits just before frames because a leading one made the einsums slower
 at d_f = 3.
 
-The messages live in one (E + 1, M, frames) array per direction, ``Q`` from
-users to resources and ``R`` back, indexed by the edges of ``cbs.graph``,
+The messages live in an (E, M, frames) array ``Q`` from users to resources
+and an (E + 1, M, frames) ``R`` back, indexed by the edges of ``cbs.graph``,
 which numbers them degree group by degree group.  So a group's messages are
 (K_d, d_f, M, frames) views of Q and R, and its recursion's last einsums
 write every outgoing message straight into R.  A sweep then tests each
 group's message peaks for the rescue once, normalises all of R at once and
 rescues the flagged resources one by one; resource updates read only Q, so
-the order moves no byte.  The user update runs once per column s of
-``user_edges``: the product of R over the other columns, normalised, is
-written to Q at column s.  It opens every sweep but the first, since no
-one reads the Q of the last sweep.  Users with fewer edges than columns are
-padded with the index E; row E is all ones in R and a write-only sink in Q.
+the order moves no byte.  The user update opens every sweep: the product of
+R over each edge's ``partners``, its user's other edges, is written into Q
+and normalised there.  R starts all ones, so the first one sets Q to exactly
+1/M, M being a power of two.  Users with fewer edges than ``user_edges`` has
+columns are padded with the index E, and R's row E is all ones.
 
 A block is detected in frame slabs, each holding its Q, R and tables, or on
 the factored AWGN path its per-edge arrays, as views of one buffer.
@@ -39,7 +39,7 @@ Monte-Carlo block worker detect one slab at a time.  That bounds memory, not
 cache fit: einsum took 0.53-0.70 ns per term at 64 to 2,048 frames per slab,
 but at 4 MiB, 3 slabs per 6x4 block, a 2-worker 6x4 estimate ran 1.16-1.21x
 slower.  Q and R are set only after the table build, so where their piece
-holds one table, 2 (E + 1) M >= M^{d_f} doubles per frame (6x4, not 12x6),
+holds one table, (2 E + 1) M >= M^{d_f} doubles per frame (6x4, not 12x6),
 each table is built there and copied into its slot.  The beliefs are
 allocated before the first slab, so each slab's buffer takes the memory its
 predecessor freed.  Freeing the buffer, once mmapped, lifts glibc's trim
@@ -141,8 +141,8 @@ FLUSH_FLOOR = 0.5 * float(np.log(np.finfo(float).tiny))
 # docstring
 FACTOR_MAX_SPREAD = 320.0
 
-# bytes a slab's one buffer may take: Q, R and its tables or per-edge
-# arrays; a bound on memory, not a cache size; see the module docstring
+# bytes a slab's parts may take (Q, R and its tables or per-edge arrays), not counting their
+# cache-line padding; a bound on memory, not a cache size; see the module docstring
 SLAB_BYTES = 6 * 2 ** 20
 
 
@@ -300,10 +300,10 @@ def _log_resource(logW: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return _normalize_rows(out)
 
 
-def _edge_product(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(J, M, frames) product of the messages R[cols[:, t]] over the columns
-    t of a (J, slots) edge-index array, taken in column order."""
-    out = R[cols[:, 0]]
+def _edge_product(R: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(rows, M, frames) product of R[cols[:, t]] over the columns t of an edge-index array,
+    in column order, into ``out`` if given: mode "clip" fills it directly, "raise" via a copy."""
+    out = np.take(R, cols[:, 0], axis=0, out=out, mode="clip")
     for t in range(1, cols.shape[1]):
         out *= R[cols[:, t]]
     return out
@@ -380,7 +380,7 @@ def _awgn_edges(y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], A
 
 class _SlabPlan(NamedTuple):
     """A slab plan: ``awgn``, ``_awgn_tables``'s tables or None; ``shapes``,
-    the parts of a slab's one buffer without their frame axis, Q and R, then
+    the parts of a slab's one buffer without their frame axis, Q, R, then
     each degree group's tables, or on the factored path A, Ac, the messages
     times A and the matmul output; ``capacity``, a slab's most frames."""
 
@@ -402,8 +402,8 @@ def _slab_plan(cbs: CodebookSet, n0: float, fading: bool) -> _SlabPlan:
     """The slab plan of a call at n0, with or without fading."""
     g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
     awgn = None if fading else _awgn_tables(cbs, n0)
-    shapes = [(2, E + 1, M)] + ([(M,) * d + (ks.size,) for d, ks, _ in g.groups] if awgn is None
-                                else [(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)])
+    shapes = [(E, M), (E + 1, M)] + ([(M,) * d + ks.shape for d, ks, _ in g.groups] if awgn is None
+                                     else [(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)])
     return _SlabPlan(awgn, shapes, max(1, SLAB_BYTES // (8 * sum(map(math.prod, shapes)))))
 
 
@@ -437,8 +437,8 @@ def mpa_detect_batch(
     out = np.empty((y.shape[0], cbs.config.J, M))
     for f, rows in plan.slabs(y.shape[0]):
         slab = _Slab(y[rows], cbs, None if h is None else h[rows], n0, plan)
-        for sweep in range(cfg.iterations):
-            slab.sweep(users=sweep > 0)
+        for _ in range(cfg.iterations):
+            slab.sweep()
         out[f] = slab.beliefs().transpose(2, 0, 1)[:f.stop - f.start]
         # freed before the next slab is carved, so one buffer is held at a time
         del slab
@@ -454,15 +454,20 @@ class _Slab:
                  plan: _SlabPlan) -> None:
         self.y, self.cbs, self.h, self.n0, self.awgn = y, cbs, h, n0, plan.awgn
         M, self.frames, self.buf = cbs.config.M, y.shape[0], None
+        # each part starts on a 64-byte line (8 doubles): the first line of a buffer one line
+        # longer than the parts, each of them rounded up to whole lines
+        sizes = [math.prod(s) * self.frames for s in plan.shapes]
+        lines = [-(-n // 8) * 8 for n in sizes]
+        mem = np.empty(sum(lines) + 8)
+        at = np.cumsum([-mem.ctypes.data % 64 // 8] + lines)
+        self.Q, self.R, *parts = (mem[i:i + n].reshape(s + (self.frames,))
+                                  for i, n, s in zip(at, sizes, plan.shapes))
         # per degree group, its K_d resources' flushed linear weight tables in one (M, ..., M,
         # K_d, frames) array, fixed across iterations: each log table is built in Q and R's
         # piece if it fits, copied into its slot, then the array is flushed in place; on the
         # factored AWGN path, ``awgn``'s tables and ``_awgn_edges``'s arrays
-        sizes = [math.prod(s) * self.frames for s in plan.shapes]
-        QR, *parts = (v.reshape(s + (self.frames,)) for v, s in zip(
-            np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1])), plan.shapes))
         if self.awgn is None:
-            self.tables, flat = [], QR.reshape(-1)
+            self.tables, flat = [], mem[at[0]:at[2]]
             for (d, ks, _), T in zip(cbs.graph.groups, parts):
                 n = M ** d * self.frames
                 scratch = flat[:n].reshape(T.shape[:d] + (self.frames,)) if n <= flat.size else None
@@ -473,10 +478,7 @@ class _Slab:
             self.tables = [B for _, B in self.awgn]
             (self.A, self.Ac, self.P), self.buf = parts[:3], parts[3].reshape(-1)
             _awgn_edges(y, cbs, n0, self.awgn, self.A, self.Ac)
-        # user -> resource (Q) and resource -> user (R) messages per edge, uniform
-        # to start; row E pads user_edges, all ones in R and a write-only sink in Q
-        self.Q, self.R = QR
-        self.Q.fill(1.0 / M)
+        # all ones, row E (the partners' padding) included, so the first sweep's Q is 1/M
         self.R.fill(1.0)
 
     def log_table(self, k: int, f: slice | np.ndarray = slice(None), scratch=None) -> np.ndarray:
@@ -486,15 +488,12 @@ class _Slab:
                                            for i, j in enumerate(self.cbs.graph.edge_user[e],
                                                                  e.start)], self.n0, scratch)
 
-    def sweep(self, users: bool) -> None:
-        """The previous sweep's user update if ``users``, then the resource
-        updates, R's normalisation and the rescue."""
+    def sweep(self) -> None:
+        """The user update, the resource updates, R's normalisation and the rescue."""
         g, M, frames, Q, R = self.cbs.graph, self.cbs.config.M, self.frames, self.Q, self.R
-        if users:
-            for cols, rest in zip(g.user_edges.T, g.other_edges):
-                Q[cols] = _normalize_rows(_edge_product(R, rest))
+        _normalize_rows(_edge_product(R, g.partners, out=Q))
         if self.awgn is not None:
-            np.multiply(Q[:-1], self.A, out=self.P)
+            np.multiply(Q, self.A, out=self.P)
         rescue = []
         for (_, ks, e), T in zip(g.groups, self.tables):
             # the group's (d, K_d, M, frames) messages, views of R and of Q, or

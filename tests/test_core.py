@@ -136,18 +136,18 @@ class TestFactorGraph:
         assert g.edge_user.tolist() == [0, 0, 2, 0, 1]
         # one row per user, its edges by resource, padded with E = 5
         assert g.user_edges.tolist() == [[1, 3, 0], [4, 5, 5], [2, 5, 5]]
-        # the other columns of each column s
-        assert g.other_edges.tolist() == [[[3, 0], [5, 5], [5, 5]], [[1, 0], [4, 5], [2, 5]],
-                                          [[1, 3], [4, 5], [2, 5]]]
-        assert not g.other_edges.flags.writeable
+        # per edge, its user's row without it
+        assert g.partners.tolist() == [[1, 3], [3, 0], [5, 5], [1, 0], [5, 5]]
+        assert not g.partners.flags.writeable
         assert g.resource_edges(1) == slice(3, 5)
         assert g.resource_users(1).tolist() == [0, 1]
         # (degree, resources, edges) per degree group, in edge order
         assert [(d, ks.tolist(), e) for d, ks, e in g.groups] == [
             (1, [2], slice(0, 1)), (2, [0, 1], slice(1, 5))]
         assert not g.groups[1][1].flags.writeable
-        # at least two columns, so every user has an "other" slot
+        # at least two columns, so every edge has a partner slot
         assert FactorGraph(np.eye(2, dtype=int)).user_edges.tolist() == [[0, 2], [1, 2]]
+        assert FactorGraph(np.eye(2, dtype=int)).partners.tolist() == [[2], [2]]
 
     @pytest.mark.parametrize("source", [
         "eq2_factor_6x4", "eq9_factor_8x4", "eq10_factor_12x6", [[1, 0, 1], [1, 1, 0], [1, 0, 0]],

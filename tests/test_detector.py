@@ -658,6 +658,57 @@ def test_peak_memory_of_a_6x4_rayleigh_call():
     assert peak <= 9 * 2 ** 20
 
 
+def fresh_slab(name, channel, ebn0_db, frames):
+    """A ``_Slab`` of ``frames`` frames, as ``mpa_detect_batch`` builds it;
+    ``name`` "tree" is ``tree_system``, whose user 1 has one edge."""
+    cbs = (tree_system() if name == "tree" else derive_8x4(load_codebook("table2_awgn_6x4"))
+           if name == "derive_8x4" else load_codebook(name))
+    n0 = ebn0_to_n0(ebn0_db, cbs.config)
+    _, h, y = draw_frame_block(cbs, channel, n0, frames, block_rng(36, 0, 0))
+    return detector._Slab(y, cbs, h, n0, detector._slab_plan(cbs, n0, h is not None))
+
+
+# (codebook, channel, Eb/N0 dB, factored): both table kinds, a degree-1 user on each
+SLAB_CASES = [
+    ("table2_awgn_6x4", "awgn", 8.0, True),
+    ("table6_fading_12x6", "rayleigh", 18.0, False),
+    ("derive_8x4", "awgn", 10.0, True),
+    ("derive_8x4", "rayleigh", 10.0, False),
+    ("tree", "awgn", 10.0, True),
+    ("tree", "rayleigh", 10.0, False),
+]
+
+
+class TestSlab:
+    @pytest.mark.parametrize("frames", [2, 3, 7, 64])
+    @pytest.mark.parametrize("name,channel,ebn0_db,factored", SLAB_CASES)
+    def test_the_first_user_update_is_uniform(self, name, channel, ebn0_db, factored, frames):
+        """R starts all ones, so the first sweep's user update, the product
+        over each edge's partners, normalises to exactly 1/M, and no one
+        writes Q in the rest of the sweep."""
+        slab = fresh_slab(name, channel, ebn0_db, frames)
+        assert (slab.awgn is not None) == factored
+        slab.sweep()
+        assert (slab.Q[:-1] == 1.0 / slab.cbs.config.M).all()
+
+    @pytest.mark.parametrize("frames", [2, 3, 7, 64])
+    @pytest.mark.parametrize("name,channel,ebn0_db,factored", SLAB_CASES)
+    def test_every_part_starts_on_a_cache_line(self, name, channel, ebn0_db, factored, frames):
+        """Q, R and each group table, or on the factored path Q, R, A, Ac, P
+        and the matmul buffer, start on 64-byte boundaries of one buffer and
+        do not overlap, at odd frame counts too."""
+        slab = fresh_slab(name, channel, ebn0_db, frames)
+        assert (slab.awgn is not None) == factored
+        parts = [slab.Q, slab.R] + ([slab.A, slab.Ac, slab.P, slab.buf] if factored
+                                    else slab.tables)
+        plan = detector._slab_plan(slab.cbs, slab.n0, slab.h is not None)
+        assert len(parts) == len(plan.shapes)
+        assert [p.ctypes.data % 64 for p in parts] == [0] * len(parts)
+        assert all(p.base is parts[0].base for p in parts)
+        for i, p in enumerate(parts):
+            assert not any(np.may_share_memory(p, q) for q in parts[i + 1:])
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap")
 def test_later_blocks_reuse_heap_pages():
     """A second 4-block estimate maps no fresh pages, on 6x4 Rayleigh, on
