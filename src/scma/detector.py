@@ -38,15 +38,14 @@ peaked at 71.3 MB RSS, not 62.5 (2-core VM).  ``mpa_detect_batch`` and the
 Monte-Carlo block worker detect one slab at a time.  That bounds memory, not
 cache fit: einsum took 0.53-0.70 ns per term at 64 to 2,048 frames per slab,
 but at 4 MiB, 3 slabs per 6x4 block, a 2-worker 6x4 estimate ran 1.16-1.21x
-slower.  Q and R are set only after the table build, so where their piece
-holds one table, (2 E + 1) M >= M^{d_f} doubles per frame (6x4, not 12x6),
-each table is built there and copied into its slot.  The beliefs are
-allocated before the first slab, so each slab's buffer takes the memory its
-predecessor freed.  Freeing the buffer, once mmapped, lifts glibc's trim
-threshold to twice its size, above what a block frees at the heap top, so
-later blocks reuse its pages: 0 minor faults per 4-block estimate, 12x6
-Rayleigh included, whose block holds only its (frames, E) edge gains and one
-slab's beliefs at a time.
+slower.  Q and R are set only after the table build, and a pad after R tops
+their piece up to one table of the largest degree, so every table is built
+there and copied into its slot.  The beliefs are allocated before the first
+slab, so each slab's buffer takes the memory its predecessor freed.  Freeing
+the buffer, once mmapped, lifts glibc's trim threshold to twice its size,
+above what a block frees at the heap top, so later blocks reuse its pages: 0
+minor faults per 4-block estimate, 12x6 Rayleigh included, whose block holds
+only its (frames, E) edge gains and one slab's beliefs at a time.
 
 A frame's beliefs do not depend on the call that holds it: frames never mix
 in the tables, the sweeps or the rescue, and a 1-frame slab, whose einsum
@@ -380,9 +379,10 @@ def _awgn_edges(y: np.ndarray, cbs: CodebookSet, n0: float, awgn: list[tuple], A
 
 class _SlabPlan(NamedTuple):
     """A slab plan: ``awgn``, ``_awgn_tables``'s tables or None; ``shapes``,
-    the parts of a slab's one buffer without their frame axis, Q, R, then
-    each degree group's tables, or on the factored path A, Ac, the messages
-    times A and the matmul output; ``capacity``, a slab's most frames."""
+    the parts of a slab's one buffer without their frame axis, Q, R, a pad
+    that tops their piece up to one table of the largest degree, and each
+    degree group's tables, or on the factored path A, Ac, the messages times
+    A and the matmul output; ``capacity``, a slab's most frames."""
 
     awgn: list[tuple] | None
     shapes: list[tuple[int, ...]]
@@ -402,8 +402,9 @@ def _slab_plan(cbs: CodebookSet, n0: float, fading: bool) -> _SlabPlan:
     """The slab plan of a call at n0, with or without fading."""
     g, M, E = cbs.graph, cbs.config.M, cbs.graph.edge_user.size
     awgn = None if fading else _awgn_tables(cbs, n0)
-    shapes = [(E, M), (E + 1, M)] + ([(M,) * d + ks.shape for d, ks, _ in g.groups] if awgn is None
-                                     else [(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)])
+    pad = max(0, M ** g.groups[-1][0] - (2 * E + 1) * M)
+    shapes = [(E, M), (E + 1, M)] + ([(E, M)] * 3 + [(max(D.size // M for D, _ in awgn),)] if awgn
+                                     else [(pad,)] + [(M,) * d + k.shape for d, k, _ in g.groups])
     return _SlabPlan(awgn, shapes, max(1, SLAB_BYTES // (8 * sum(map(math.prod, shapes)))))
 
 
@@ -463,14 +464,13 @@ class _Slab:
         self.Q, self.R, *parts = (mem[i:i + n].reshape(s + (self.frames,))
                                   for i, n, s in zip(at, sizes, plan.shapes))
         # per degree group, its K_d resources' flushed linear weight tables in one (M, ..., M,
-        # K_d, frames) array, fixed across iterations: each log table is built in Q and R's
-        # piece if it fits, copied into its slot, then the array is flushed in place; on the
+        # K_d, frames) array, fixed across iterations: each log table is built in the piece of
+        # Q, R and the pad, copied into its slot, then the array is flushed in place; on the
         # factored AWGN path, ``awgn``'s tables and ``_awgn_edges``'s arrays
         if self.awgn is None:
-            self.tables, flat = [], mem[at[0]:at[2]]
-            for (d, ks, _), T in zip(cbs.graph.groups, parts):
-                n = M ** d * self.frames
-                scratch = flat[:n].reshape(T.shape[:d] + (self.frames,)) if n <= flat.size else None
+            self.tables, flat = [], mem[at[0]:at[3]]
+            for (d, ks, _), T in zip(cbs.graph.groups, parts[1:]):
+                scratch = flat[:M ** d * self.frames].reshape(T.shape[:d] + (self.frames,))
                 for j, k in enumerate(ks):
                     T[..., j, :] = self.log_table(k, scratch=scratch)
                 self.tables.append(_flushed_exp(T, out=T))

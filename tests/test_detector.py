@@ -1,4 +1,5 @@
 """Message-passing detection against exact references."""
+import math
 import os
 import platform
 import subprocess
@@ -627,6 +628,21 @@ class TestFrameSlabs:
                 assert sizes == sorted(sizes, reverse=True)
                 assert len(slabs) == max(1, -(-frames // cap))
 
+    @pytest.mark.parametrize("name,channel,ebn0_db,factored,slabs", [
+        ("table6_fading_12x6", "rayleigh", 18.0, False, 10),
+        ("table5_awgn_12x6", "awgn", 16.0, False, 10), ("table5_awgn_12x6", "awgn", 10.0, True, 5),
+        ("table2_awgn_6x4", "awgn", 8.0, True, 2), ("table2_awgn_6x4", "awgn", 20.0, False, 2),
+        ("table3_fading_6x4", "rayleigh", 9.0, False, 2),
+        ("derive_8x4", "rayleigh", 10.0, False, 7),
+    ])
+    def test_slabs_of_a_block(self, name, channel, ebn0_db, factored, slabs):
+        """The plan cuts a 4096-frame block into 10 slabs on 12x6 tables, 5
+        on factored 12x6, 2 on 6x4 and 7 on ``derive_8x4`` tables."""
+        cbs = slab_system(name)
+        plan = detector._slab_plan(cbs, ebn0_to_n0(ebn0_db, cbs.config), channel != "awgn")
+        assert (plan.awgn is not None) == factored
+        assert len(list(plan.slabs(4096))) == slabs
+
     def test_peak_memory_of_a_block(self, block):
         """The call holds its beliefs and one slab buffer of at most
         ``SLAB_BYTES``, and its table build's temporaries take less than
@@ -658,11 +674,17 @@ def test_peak_memory_of_a_6x4_rayleigh_call():
     assert peak <= 9 * 2 ** 20
 
 
+def slab_system(name):
+    """The shipped codebook ``name``, or "derive_8x4" of ``table2_awgn_6x4``,
+    or "tree", ``tree_system``, whose user 1 has one edge."""
+    return (tree_system() if name == "tree" else derive_8x4(load_codebook("table2_awgn_6x4"))
+            if name == "derive_8x4" else load_codebook(name))
+
+
 def fresh_slab(name, channel, ebn0_db, frames):
-    """A ``_Slab`` of ``frames`` frames, as ``mpa_detect_batch`` builds it;
-    ``name`` "tree" is ``tree_system``, whose user 1 has one edge."""
-    cbs = (tree_system() if name == "tree" else derive_8x4(load_codebook("table2_awgn_6x4"))
-           if name == "derive_8x4" else load_codebook(name))
+    """A ``_Slab`` of ``frames`` frames of ``slab_system(name)``, as
+    ``mpa_detect_batch`` builds it."""
+    cbs = slab_system(name)
     n0 = ebn0_to_n0(ebn0_db, cbs.config)
     _, h, y = draw_frame_block(cbs, channel, n0, frames, block_rng(36, 0, 0))
     return detector._Slab(y, cbs, h, n0, detector._slab_plan(cbs, n0, h is not None))
@@ -694,19 +716,47 @@ class TestSlab:
     @pytest.mark.parametrize("frames", [2, 3, 7, 64])
     @pytest.mark.parametrize("name,channel,ebn0_db,factored", SLAB_CASES)
     def test_every_part_starts_on_a_cache_line(self, name, channel, ebn0_db, factored, frames):
-        """Q, R and each group table, or on the factored path Q, R, A, Ac, P
-        and the matmul buffer, start on 64-byte boundaries of one buffer and
-        do not overlap, at odd frame counts too."""
+        """Q, R, the pad and each group table, or on the factored path Q, R,
+        A, Ac, P and the matmul buffer, start on 64-byte boundaries of one
+        buffer and do not overlap, at odd frame counts too."""
         slab = fresh_slab(name, channel, ebn0_db, frames)
         assert (slab.awgn is not None) == factored
-        parts = [slab.Q, slab.R] + ([slab.A, slab.Ac, slab.P, slab.buf] if factored
-                                    else slab.tables)
         plan = detector._slab_plan(slab.cbs, slab.n0, slab.h is not None)
+        if factored:
+            parts = [slab.Q, slab.R, slab.A, slab.Ac, slab.P, slab.buf]
+        else:
+            # no attribute holds the pad: it is the plan's pad size at the first line after R
+            mem, end = slab.Q.base, -(-(slab.R.ctypes.data + slab.R.nbytes) // 64) * 64
+            at = (end - mem.ctypes.data) // 8
+            pad = mem[at:at + math.prod(plan.shapes[2]) * frames]
+            parts = [slab.Q, slab.R, pad] + slab.tables
         assert len(parts) == len(plan.shapes)
+        assert [p.size for p in parts] == [math.prod(s) * frames for s in plan.shapes]
+        # an empty pad (6x4, the tree) holds no byte, and numpy gives it its buffer's address
+        parts = [p for p in parts if p.size]
         assert [p.ctypes.data % 64 for p in parts] == [0] * len(parts)
         assert all(p.base is parts[0].base for p in parts)
         for i, p in enumerate(parts):
             assert not any(np.may_share_memory(p, q) for q in parts[i + 1:])
+
+    @pytest.mark.parametrize("name,channel,ebn0_db", [
+        ("table6_fading_12x6", "rayleigh", 18.0), ("table5_awgn_12x6", "awgn", 16.0),
+        ("table3_fading_6x4", "rayleigh", 9.0), ("derive_8x4", "rayleigh", 10.0),
+        ("tree", "rayleigh", 10.0),
+    ])
+    def test_every_table_is_built_in_the_buffer(self, name, channel, ebn0_db, monkeypatch):
+        """On per-frame tables each resource's log table is built in the
+        piece of Q, R and the pad, none in a fresh array or over a group's
+        tables; without the pad, 12x6 and ``derive_8x4`` built theirs in
+        fresh arrays, since Q and R's piece held less than one table."""
+        scratches, build = [], detector._log_weights
+        monkeypatch.setattr(detector, "_log_weights",
+                            lambda *a: scratches.append(a[3]) or build(*a))
+        slab = fresh_slab(name, channel, ebn0_db, 64)
+        assert slab.awgn is None and len(scratches) == slab.cbs.config.K
+        for scratch in scratches:
+            assert scratch is not None and np.shares_memory(scratch, slab.Q.base)
+            assert not any(np.may_share_memory(scratch, T) for T in slab.tables)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap")
