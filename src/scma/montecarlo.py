@@ -8,12 +8,12 @@ when the frame count is not a multiple) whose randomness is derived from
 (master seed, stream, block index) alone, so common random numbers are
 obtained by reusing a stream: two codebooks evaluated under the same (seed,
 stream) see the same symbols, fading gains, and noise.  Blocks run in waves
-of at most ``threads`` blocks on one worker pool; results are reduced in
-block order, and the run stops after the first block at which the running
-error count reaches the error target, or at the frame count.  The stop point
-therefore does not depend on the worker count, and neither does the
-estimate.  The default error target, infinity, is never reached, so the run
-covers every frame.
+of at most ``threads`` blocks on one worker pool, with no more workers than
+blocks and no pool for one; results are reduced in block order, and the run
+stops after the first block at which the running error count reaches the
+error target, or at the frame count.  The stop point therefore does not
+depend on the worker count, and neither does the estimate.  The default
+error target, infinity, is never reached, so the run covers every frame.
 
 An SER ``bound`` ends a run at the first frame where its errors over the
 symbols asked, ``frames * J``, reach it: a bounded estimate is the shortest
@@ -179,7 +179,8 @@ def estimate_ser(
     per_user = np.zeros(J, dtype=np.int64)
     by_errors = np.zeros(J + 1, dtype=np.int64)
     # no pool at 1 worker: its thread's malloc arena costs de-6x4-awgn 12-16 MB RSS
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+    workers = min(threads, n_blocks)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for wrong in in_block_order(pool.map if pool else map):
             counts = wrong.sum(axis=1)
             # up to the first frame whose running error count reaches the goal

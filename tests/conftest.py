@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scma.core import CodebookSet, superpositions
+from scma.core import CodebookSet
 from scma.detector import (
     FLUSH_FLOOR,
     RESCUE_FLOOR,
@@ -108,6 +108,24 @@ def full_gains(cbs: CodebookSet, h: np.ndarray | None) -> np.ndarray | None:
     return out
 
 
+def joint_distances(y: np.ndarray, books: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    """(frames, M, ..., M) squared distances sum_k |y_k - sum_j g_kj s_j[m_j, k]|^2
+    of frames y (frames, K) to each joint hypothesis, user 0 on the first
+    hypothesis axis; g is (frames, K, J) gains, or None for unit gains on
+    every codebook entry.  Each resource adds the squared moduli over the
+    hypotheses of the users that reach it onto the joint axes."""
+    frames, (J, M, K) = len(y), books.shape
+    total = np.zeros((frames,) + (M,) * J)
+    for k in range(K):
+        s = books[:, :, k] if g is None else g[:, k, :, None] * books[:, :, k]
+        s = np.broadcast_to(s, (frames, J, M))
+        diff = y[:, k].reshape((frames,) + (1,) * J)
+        for j in np.flatnonzero(s.any(axis=(0, 2))):
+            diff = diff - s[:, j].reshape((frames,) + (1,) * j + (M,) + (1,) * (J - 1 - j))
+        total += diff.real ** 2 + diff.imag ** 2
+    return total
+
+
 def brute_force_marginals(
     books: np.ndarray, y: np.ndarray, h: np.ndarray | None, n0: float
 ) -> np.ndarray:
@@ -115,20 +133,11 @@ def brute_force_marginals(
     hypothesis; h is one frame's (K, J) gains or None.  The log posterior is
     shifted by its maximum, so a small n0 does not underflow every
     hypothesis."""
-    J, M, K = books.shape
-    scaled = books if h is None else books * h.T[:, None, :]
-    log_post = np.zeros((M,) * J)
-    for flat in range(M ** J):
-        idx = np.unravel_index(flat, (M,) * J)
-        s = sum(scaled[j, idx[j]] for j in range(J))
-        log_post[idx] = -np.sum(np.abs(y - s) ** 2) / n0
+    J = books.shape[0]
+    log_post = -joint_distances(y[None], books, None if h is None else h[None])[0] / n0
     post = np.exp(log_post - log_post.max())
     post /= post.sum()
-    marginals = np.empty((J, M))
-    for j in range(J):
-        axes = tuple(a for a in range(J) if a != j)
-        marginals[j] = post.sum(axis=axes)
-    return marginals
+    return np.stack([post.sum(axis=tuple(a for a in range(J) if a != j)) for j in range(J)])
 
 
 def map_detect_batch(
@@ -151,22 +160,12 @@ def map_detect_batch(
             f"M^J = {n_hyp} hypotheses exceed the enumeration limit "
             f"({MAP_ENUMERATION_LIMIT}); use mpa_detect_batch instead"
         )
-    frames = y.shape[0]
-    best = np.empty(frames, dtype=np.int64)
-    if h is None:
-        cand = superpositions(cbs.books)
-        cnorm2 = (np.abs(cand) ** 2).sum(axis=1)
-        chunk = max(1, 2 ** 22 // max(n_hyp, 1))
-        for lo in range(0, frames, chunk):
-            hi = min(lo + chunk, frames)
-            metric = cnorm2[None, :] - 2.0 * (y[lo:hi] @ cand.conj().T).real
-            best[lo:hi] = np.argmin(metric, axis=1)
-    else:
-        for f in range(frames):
-            scaled = cbs.books * h[f].T[:, None, :]  # (J, M, K)
-            cand = superpositions(scaled)
-            metric = (np.abs(y[f][None, :] - cand) ** 2).sum(axis=1)
-            best[f] = int(np.argmin(metric))
+    best = np.empty(y.shape[0], dtype=np.int64)
+    chunk = max(1, 2 ** 17 // n_hyp)  # 1 MiB of distances
+    for lo in range(0, y.shape[0], chunk):
+        f = slice(lo, lo + chunk)
+        dist = joint_distances(y[f], cbs.books, None if h is None else h[f])
+        best[f] = dist.reshape(len(dist), -1).argmin(axis=1)
     # hypothesis index digits in base M, user 0 the most significant
     return np.stack(np.unravel_index(best, (cfg.M,) * cfg.J), axis=-1)
 

@@ -206,6 +206,22 @@ class TestThreadIndependence:
             assert sweep_ser(table2, [5.0], "awgn", target_errors=target_errors,
                              max_frames=frames, **kwargs) == [early]
 
+    def test_pool_has_no_more_workers_than_blocks(self, table2, monkeypatch):
+        """A one-block estimate at 4 threads starts no worker thread, and a
+        two-block one a pool of 2; both equal their 1-thread estimates."""
+        pools, pool = [], mc.ThreadPoolExecutor
+
+        def counting_pool(workers):
+            pools.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", counting_pool)
+        for frames, built in ((FRAME_BLOCK, []), (2 * FRAME_BLOCK, [2])):
+            pools.clear()
+            est = estimate_ser(table2, 6.0, "awgn", frames, seed=3, threads=4)
+            assert pools == built
+            assert est == estimate_ser(table2, 6.0, "awgn", frames, seed=3)
+
 
 def frame_errors(cbs, ebn0_db, channel, frames, seed, stream=0,
                  mpa=MpaConfig()) -> np.ndarray:

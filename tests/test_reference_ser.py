@@ -30,28 +30,28 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from scma.channel import block_rng, draw_frame_block, ebn0_to_n0
-from scma.detector import MpaConfig, hard_decision, mpa_detect_batch
+from scma.detector import MpaConfig
 from scma.fixtures import load_codebook
 from scma.montecarlo import estimate_ser
 
-from conftest import map_detect_batch
+RUNS_DIR = Path(__file__).resolve().parents[1] / "runs"
+REFERENCE_DIR = RUNS_DIR / "reference_ser"
 
-REFERENCE_DIR = Path(__file__).resolve().parents[1] / "runs" / "reference_ser"
-_spec = importlib.util.spec_from_file_location("record", REFERENCE_DIR / "record.py")
-record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record)
+
+def load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record = load_script(REFERENCE_DIR / "record.py")
+ml_anchor = load_script(RUNS_DIR / "ml_anchor.py")
 
 GATE_SEED = 27_182_818
 GATE_FRAMES = {"table2_awgn_6x4": 16384, "table5_awgn_12x6": 8192,
                "table3_fading_6x4": 24576, "table6_fading_12x6": 8192}
 FAMILY_FALSE_ALARM = 1e-4
-# the joint-ML anchor: a stream no other test draws, MPA/ML's upper bound and
-# the one-sided false-alarm rate of the paired test against it
-ML_SEED = 2323
-ML_FRAMES = 32768
-ML_RATIO = 1.06
-ML_FALSE_ALARM = 1e-3
 POINTS = [(name, ebn0_db) for name, (_, pts) in record.POINTS.items() for ebn0_db in pts]
 Z = {channel: NormalDist().inv_cdf(1.0 - FAMILY_FALSE_ALARM / (2 * n))
      for channel, n in Counter(record.POINTS[name][0] for name, _ in POINTS).items()}
@@ -76,32 +76,26 @@ def clustered_z(ref: np.ndarray, got: np.ndarray) -> float:
     return float(diff / np.sqrt(var * (1.0 / got.sum() + 1.0 / ref.sum())))
 
 
-def paired_excess_z(got: np.ndarray, ref: np.ndarray, ratio: float) -> float:
-    """One-sided z of the mean of got - ratio * ref, two detectors' error
-    counts on the same frames: large where got makes more than ratio times
-    ref's errors."""
-    d = got - ratio * ref
-    return float(d.mean() / np.sqrt(d.var(ddof=1) / d.size))
-
-
 class TestJointMlAnchor:
-    def test_mpa_errors_are_bounded_by_joint_ml(self):
-        """On 6x4 AWGN at 8 dB, MPA's symbol errors per frame against joint
-        ML's on the same 32,768 frames: the paired z of MPA - 1.06 ML stays
-        below the one-sided 1e-3 quantile, 3.09.  So a detector whose
-        MPA/ML is at most 1.06 fails with probability at most 1e-3, under the
-        normal approximation.  This stream reads 617 against 563 errors
-        (1.096, z = 1.20), other 32,768-frame samples 1.047 to 1.057; 3
-        sweeps read 730 (z = 5.53) and must fail.  Joint ML minimises
-        frame errors, not symbol errors, so MPA may beat it on some frames."""
-        cbs = load_codebook("table2_awgn_6x4")
-        n0 = ebn0_to_n0(8.0, cbs.config)
-        x, _, y = draw_frame_block(cbs, "awgn", n0, ML_FRAMES, block_rng(ML_SEED, 0, 0))
-        ml = (map_detect_batch(y, cbs, None, n0) != x).sum(axis=1)
-        limit = NormalDist().inv_cdf(1.0 - ML_FALSE_ALARM)
-        for cfg, fails in ((MpaConfig(), False), (MpaConfig(iterations=3), True)):
-            mpa = (hard_decision(mpa_detect_batch(y, cbs, None, n0, cfg)) != x).sum(axis=1)
-            z = paired_excess_z(mpa, ml, ML_RATIO)
+    @pytest.mark.parametrize("name", sorted(ml_anchor.POINTS))
+    def test_mpa_errors_are_bounded_by_joint_ml(self, name):
+        """At each point of ``runs/ml_anchor.py``, MPA's symbol errors per
+        frame against joint ML's on the same frames: the paired z of MPA -
+        1.06 ML stays below the one-sided 1e-3 quantile, 3.09.  So a detector
+        whose MPA/ML is at most 1.06 fails with probability at most 1e-3,
+        under the normal approximation, and 3 sweeps must fail.
+        - 6x4 AWGN at 8 dB, 32,768 frames of seed 2323: 617 against 563
+          errors (1.096, z = 1.20), other 32,768-frame samples 1.047 to
+          1.057; 3 sweeps read 730 (z = 5.53).
+        - 6x4 Rayleigh at 13 dB, 16,384 frames of seed 4646: 539 against 525
+          errors (1.027, z = -1.72); 3 sweeps read 644 (z = 4.84).
+        Joint ML minimises frame errors, not symbol errors, so MPA may beat
+        it on some frames."""
+        configs = (MpaConfig(), MpaConfig(iterations=3))
+        ml, mpas = ml_anchor.frame_errors(name, configs)
+        limit = NormalDist().inv_cdf(1.0 - ml_anchor.FALSE_ALARM)
+        for cfg, mpa, fails in zip(configs, mpas, (False, True)):
+            z = ml_anchor.paired_excess_z(mpa, ml)
             assert (z > limit) == fails, f"{cfg}: MPA {mpa.sum()}, ML {ml.sum()}, z = {z:.2f}"
 
 
